@@ -7,18 +7,15 @@
 // re-running VFILTER + selection.
 //
 // Output (stdout, one row per configuration):
-//   memory A/B      arena vs legacy-heap hot path, interleaved fixed-work
-//                   trials, median queries/sec with IQR + speedup
 //   threads=N       queries/sec, speedup vs. 1 thread
 //   plan cache      cold vs. warm answering latency, hit ratio
 //   metrics overhead  queries/sec with the registry enabled vs. disabled
 //   snapshot pin    cost of the per-query atomic catalog acquire
 //   catalog churn   queries/sec with a mutator thread adding/removing views
 //
-// The memory A/B rows are also written as BENCH_batch_throughput.json and
-// the churn A/B as BENCH_catalog_churn.json (see BenchJson in
-// bench_common.h) so CI can diff against the committed baselines with
-// scripts/bench_diff.py — the churn row asserts throughput under catalog
+// The churn A/B is also written as BENCH_catalog_churn.json (see BenchJson
+// in bench_common.h) so CI can diff it against the committed baseline with
+// scripts/bench_diff.py — the row asserts throughput under catalog
 // mutation recovers to >= 0.9x quiet throughput.
 //
 // The run ends with the engine's full metric catalog (MetricsText), so a
@@ -57,10 +54,9 @@ struct RunResult {
 RunResult RunBatch(const xvr::Engine& engine,
                    const std::vector<TreePattern>& batch,
                    AnswerStrategy strategy, int threads,
-                   const xvr::QueryLimits& limits = xvr::QueryLimits(),
-                   xvr::MemoryMode mode = xvr::MemoryMode::kArena) {
+                   const xvr::QueryLimits& limits = xvr::QueryLimits()) {
   WallTimer timer;
-  auto results = engine.BatchAnswer(batch, strategy, threads, limits, mode);
+  auto results = engine.BatchAnswer(batch, strategy, threads, limits);
   RunResult out;
   out.seconds = timer.ElapsedMicros() / 1e6;
   size_t failures = 0;
@@ -110,52 +106,6 @@ int main() {
               " doc %zu nodes\n\n",
               batch.size(), setup.views_materialized,
               engine.doc().size());
-
-  // --- hot-path memory A/B: arena vs legacy heap ----------------------------
-  //
-  // The headline measurement of the memory architecture: the same engine,
-  // the same warm plan cache and the same batch, answered under
-  // MemoryMode::kArena (per-query arena + flat-fragment scratch walks +
-  // dense NFA dispatch) and MemoryMode::kLegacyHeap (the retained
-  // allocate-per-fragment path). Answers are identical (the differential
-  // tests assert it); only the memory regime differs. Fixed work,
-  // interleaved trials, medians with IQR — see bench_common.h.
-  {
-    const size_t trials = xvr_bench::EnvSize("XVR_BENCH_TRIALS", 9);
-    xvr_bench::BenchJson json("batch_throughput");
-    std::printf("memory A/B (threads=1, %zu interleaved trials/side):\n",
-                trials);
-    const struct {
-      AnswerStrategy strategy;
-      const char* row;
-    } kRows[] = {
-        {AnswerStrategy::kHeuristicFiltered, "hv_memory_speedup"},
-        {AnswerStrategy::kMinimumFiltered, "mn_memory_speedup"},
-    };
-    for (const auto& row : kRows) {
-      ResetCache(engine);
-      const auto run_mode = [&](xvr::MemoryMode mode) {
-        return RunBatch(engine, batch, row.strategy, /*threads=*/1,
-                        xvr::QueryLimits(), mode)
-            .seconds;
-      };
-      const xvr_bench::ABComparison ab = xvr_bench::RunInterleavedAB(
-          trials, static_cast<double>(batch.size()),
-          [&] { return run_mode(xvr::MemoryMode::kArena); },
-          [&] { return run_mode(xvr::MemoryMode::kLegacyHeap); });
-      std::printf(
-          "  %s %-22s arena %8.0f q/s [%8.0f, %8.0f]  legacy %8.0f q/s "
-          "[%8.0f, %8.0f]  speedup %.2fx [%.2fx, %.2fx]%s\n",
-          AnswerStrategyName(row.strategy), row.row, ab.a.median, ab.a.q25,
-          ab.a.q75, ab.b.median, ab.b.q25, ab.b.q75, ab.speedup.median,
-          ab.speedup.q25, ab.speedup.q75,
-          ab.NonOverlappingIqr() ? "  (IQRs separated)" : "  (IQRs OVERLAP)");
-      json.AddAB(row.row, "arena", "legacy_heap", "queries/sec", ab);
-    }
-    const std::string path = json.Write();
-    std::printf("  wrote %s\n\n",
-                path.empty() ? "(json write failed)" : path.c_str());
-  }
 
   for (AnswerStrategy strategy : {AnswerStrategy::kHeuristicFiltered,
                                   AnswerStrategy::kHeuristicSmallFragments,

@@ -19,8 +19,8 @@ as the harness that produced the numbers:
     failures, because cross-machine medians are not comparable at that
     resolution.
   * --require-speedup ROW=MIN enforces an absolute floor on a row's median
-    speedup (e.g. hv_memory_speedup=1.2): the claim the row exists to
-    defend, independent of any baseline.
+    speedup (e.g. churn_vs_quiet=0.9): the claim the row exists to defend,
+    independent of any baseline.
 
 Exit status: 0 clean (warnings allowed), 1 on any failure, 2 on bad input.
 """

@@ -75,9 +75,9 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 routes those through the per-query arena / reused scratch
                 (common/arena.h, RewriteScratch, AssignmentSet) instead.
                 References/pointers to containers are fine. Cold paths
-                (setup, the retained legacy oracle) suppress with
-                lint:hot-alloc-ok on the declaration or the line above;
-                whole cold files go in HOT_ALLOC_ALLOWLIST.
+                (setup, image loading) suppress with lint:hot-alloc-ok on
+                the declaration or the line above; whole cold files go in
+                HOT_ALLOC_ALLOWLIST.
 
   publish-hook  In src/**.cc, a function that installs a published
                 CatalogSnapshot (assigns `catalog_`) must run the plan
@@ -88,6 +88,12 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 out). The one legitimate raw install (the engine
                 constructor, before the cache exists) carries
                 lint:publish-hook-ok.
+
+  temp-path     In tests/, no ::testing::TempDir() outside tests/test_util.h.
+                ctest runs every test case as its own process, in parallel,
+                so a fixed file name under the temp directory lets cases
+                overwrite each other's files. TestTempPath (test_util.h)
+                names the file after the test and the process instead.
 
 Usage: scripts/lint.py [root]   (root defaults to the repo checkout)
 Exit status 0 when clean, 1 with one "file:line: [rule] message" per finding.
@@ -134,6 +140,10 @@ ENV_IO_ALLOWLIST = {"src/storage/env.cc"}
 ENV_IO_RE = re.compile(
     r"std::(?:ofstream|ifstream|fstream)\b|\bfopen\s*\(|"
     r"(?:\bstd)?::rename\s*\(|(?:\bstd)?::remove\s*\(|\bunlink\s*\(")
+
+TEMP_PATH_DIR = "tests/"
+TEMP_PATH_ALLOWLIST = {"tests/test_util.h"}
+TEMP_PATH_RE = re.compile(r"\bTempDir\s*\(")
 
 HOT_ALLOC_DIRS = ("src/exec/", "src/rewrite/", "src/vfilter/")
 # Cold-path files exempt wholesale (none today; prefer line suppressions so
@@ -376,6 +386,14 @@ def lint_file(rel, raw, code, unordered_names, findings):
                                  "fsync ordering, the crash-point exploration "
                                  "and the storage metering all see it (or "
                                  "lint:env-io-ok)"))
+        if (rel.startswith(TEMP_PATH_DIR)
+                and rel not in TEMP_PATH_ALLOWLIST
+                and TEMP_PATH_RE.search(line)):
+            if not suppressed(lineno, "temp-path"):
+                findings.append((rel, lineno, "temp-path",
+                                 "fixed path under TempDir(); parallel test "
+                                 "processes share it. Use TestTempPath "
+                                 "(tests/test_util.h)"))
         if (rel.startswith(CATALOG_PIN_DIRS)
                 and rel not in CATALOG_PIN_ALLOWLIST
                 and CATALOG_PIN_RE.search(line)):

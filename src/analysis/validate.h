@@ -82,10 +82,10 @@ Status ValidateAnswerCodes(const std::vector<DeweyCode>& codes);
 // subtree_end), and agrees with the child's parent link; and every
 // subtree_end is in (i, nodes.size()] and exactly covers the children.
 // Takes spans rather than a Fragment so tests can hand-build corrupt
-// layouts — Deserialize canonicalizes topology on load, so a corrupt
-// in-memory fragment can only come from a bug in BuildTopology itself or
-// from memory corruption, neither of which can be round-tripped through
-// the public constructors.
+// layouts — Deserialize rejects any image whose nodes are not in preorder,
+// so a corrupt in-memory fragment can only come from a bug in BuildTopology
+// itself or from memory corruption, neither of which can be round-tripped
+// through the public constructors.
 Status ValidateFlatFragmentLayout(std::span<const FragmentNode> nodes,
                                   std::span<const int32_t> child_index);
 

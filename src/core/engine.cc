@@ -305,8 +305,8 @@ Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
 
 std::vector<Result<Engine::Answer>> Engine::BatchAnswer(
     std::span<const TreePattern> queries, AnswerStrategy strategy,
-    int num_threads, const QueryLimits& limits, MemoryMode mode) const {
-  return pipeline_->BatchAnswer(queries, strategy, num_threads, limits, mode);
+    int num_threads, const QueryLimits& limits) const {
+  return pipeline_->BatchAnswer(queries, strategy, num_threads, limits);
 }
 
 Result<std::vector<MaterializedAnswer>> Engine::AnswerQueryXml(
@@ -436,18 +436,6 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   // the whole restore.
   std::vector<int32_t> frag_quarantined;
   XVR_RETURN_IF_ERROR(next.fragments.LoadFrom(kv, &frag_quarantined));
-  // Image-format telemetry: how much of the restored store arrived in the
-  // flat (v2) layout versus being canonicalized from a legacy (v1) image.
-  {
-    const size_t flat = next.fragments.flat_load_count();
-    const size_t legacy = next.fragments.legacy_load_count();
-    engine->metrics_->fragment_flat_loads->Add(flat);
-    engine->metrics_->fragment_legacy_loads->Add(legacy);
-    if (flat + legacy > 0) {
-      engine->metrics_->fragment_flat_ratio_pct->Set(
-          static_cast<int64_t>(flat * 100 / (flat + legacy)));
-    }
-  }
   kv.ScanPrefix("viewmeta/", [&](const std::string& key,
                                  const std::string& value) {
     const int32_t id =

@@ -246,12 +246,9 @@ class Engine {
   // = sequential). Results are positionally parallel to `queries` and
   // identical to sequential AnswerQuery calls. Per-slot failures never
   // abort or poison the rest of the batch; `limits` applies to every query.
-  // `mode` selects the workers' hot-path memory regime (kLegacyHeap is the
-  // bench harness's A/B baseline; answers are identical).
   std::vector<Result<Answer>> BatchAnswer(
       std::span<const TreePattern> queries, AnswerStrategy strategy,
-      int num_threads = 0, const QueryLimits& limits = QueryLimits(),
-      MemoryMode mode = MemoryMode::kArena) const;
+      int num_threads = 0, const QueryLimits& limits = QueryLimits()) const;
 
   // Answers and materializes each result as XML text: from the document for
   // base strategies, from the view fragments (no base access) for view

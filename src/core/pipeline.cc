@@ -184,9 +184,7 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
   RewriteOptions rewrite_options;
   rewrite_options.limits = ctx->limits;
   rewrite_options.trace = &ctx->trace;
-  rewrite_options.scratch = ctx->memory_mode == MemoryMode::kArena
-                                ? &ctx->rewrite_scratch
-                                : nullptr;
+  rewrite_options.scratch = &ctx->rewrite_scratch;
   // The plan outlives the call (shared_ptr, possibly cached), so its hoisted
   // compensating patterns are stable to point at for the whole rewrite.
   rewrite_options.compensation = &plan.compensation;
@@ -236,9 +234,6 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
                                           AnswerStrategy strategy,
                                           ExecutionContext* ctx) const {
   ctx->trace.Clear();
-  // The NFA read side follows the context's memory regime, so an A/B run
-  // compares dense against sparse dispatch along with arena against heap.
-  ctx->nfa_scratch.use_dense = ctx->memory_mode == MemoryMode::kArena;
   Result<QueryAnswer> answer = AnswerTraced(query, strategy, ctx);
   if (const EngineMetrics* m = deps_.metrics) {
     m->queries_total->Add();
@@ -283,7 +278,7 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
 
 std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     std::span<const TreePattern> queries, AnswerStrategy strategy,
-    int num_threads, const QueryLimits& limits, MemoryMode mode) const {
+    int num_threads, const QueryLimits& limits) const {
   // The fan-out loops here only dispatch; every per-query deadline check
   // runs inside Answer() (lint:deadline-ok).
   std::vector<Result<QueryAnswer>> results;
@@ -324,7 +319,6 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
   if (workers <= 1) {
     ExecutionContext ctx;
     ctx.limits = limits;
-    ctx.memory_mode = mode;
     for (size_t i = 0; i < queries.size(); ++i) {
       if (record_wait) {
         metrics->batch_queue_wait->RecordNanos(MonotonicNanos() -
@@ -339,7 +333,6 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
   auto worker = [&] {
     ExecutionContext ctx;  // per-thread scratch
     ctx.limits = limits;
-    ctx.memory_mode = mode;
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < queries.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {

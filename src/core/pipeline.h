@@ -35,26 +35,15 @@
 
 namespace xvr {
 
-// Which hot-path memory regime a context answers under. kArena is the
-// serving default: rewrite transients in the per-query arena, dense NFA
-// dispatch tables. kLegacyHeap runs the retained per-call-container
-// implementations — the differential oracle and the bench harness's A/B
-// baseline. Answers are identical either way.
-enum class MemoryMode {
-  kArena,
-  kLegacyHeap,
-};
-
 // Per-call scratch. Reusable across calls on the same thread; never shared
 // between threads. Everything a query answer needs to mutate lives here (or
 // in the call frame), keeping the shared engine state immutable.
 struct ExecutionContext {
   // NFA runtime state for VFilter::Filter (frontier, visited epochs).
   NfaReadScratch nfa_scratch;
-  // Per-query arena + reusable buffers for the rewrite; selected (and
-  // reset) by Answer()/Execute() when memory_mode is kArena.
+  // Per-query arena + reusable buffers for the rewrite; Execute() hands it
+  // to the rewriter, which resets it on entry.
   RewriteScratch rewrite_scratch;
-  MemoryMode memory_mode = MemoryMode::kArena;
   // Deadline, cancellation and resource budgets for calls made with this
   // context. Checked at stage boundaries and inside the hot loops; see
   // common/deadline.h. Defaults impose no limit.
@@ -122,12 +111,10 @@ class QueryPipeline {
   // budget, fault-injected) never aborts or poisons the rest of the batch.
   // `limits` applies to every query; a batch-wide deadline makes stragglers
   // fail fast with DEADLINE_EXCEEDED while finished slots keep their
-  // answers. `mode` selects the workers' memory regime (the bench harness
-  // runs the same batch under both for its A/B comparison).
+  // answers.
   std::vector<Result<QueryAnswer>> BatchAnswer(
       std::span<const TreePattern> queries, AnswerStrategy strategy,
-      int num_threads, const QueryLimits& limits = QueryLimits(),
-      MemoryMode mode = MemoryMode::kArena) const;
+      int num_threads, const QueryLimits& limits = QueryLimits()) const;
 
  private:
   // Answer() minus the metrics accounting: the traced plan + execute body.

@@ -57,9 +57,6 @@ EngineMetrics::EngineMetrics(MetricsRegistry* registry) : registry(registry) {
   storage_recovery_tail_clipped =
       registry->GetCounter("xvr.storage.recovery.tail_clipped");
 
-  fragment_flat_loads = registry->GetCounter("xvr.fragment.flat_loads");
-  fragment_legacy_loads = registry->GetCounter("xvr.fragment.legacy_loads");
-
   certify_certified = registry->GetCounter("xvr.certify.certified");
   certify_inconclusive = registry->GetCounter("xvr.certify.inconclusive");
   certify_rejected = registry->GetCounter("xvr.certify.rejected");
@@ -82,8 +79,6 @@ EngineMetrics::EngineMetrics(MetricsRegistry* registry) : registry(registry) {
   catalog_version = registry->GetGauge("xvr.catalog.version");
   arena_bytes_allocated = registry->GetGauge("xvr.arena.bytes_allocated");
   arena_high_water = registry->GetGauge("xvr.arena.high_water");
-  fragment_flat_ratio_pct =
-      registry->GetGauge("xvr.fragment.flat_ratio_pct");
 
   query_latency = registry->GetHistogram("xvr.query.latency");
   batch_queue_wait = registry->GetHistogram("xvr.batch.queue_wait");

@@ -44,9 +44,6 @@
 //   xvr.catalog.views / version            gauges
 //   xvr.arena.bytes_allocated              last query's arena footprint
 //   xvr.arena.high_water                   largest arena footprint seen
-//   xvr.fragment.flat_loads                fragments loaded in flat (v2) form
-//   xvr.fragment.legacy_loads              fragments canonicalized from v1
-//   xvr.fragment.flat_ratio_pct            flat share of the last load, 0-100
 //   xvr.query.latency                      whole-call latency histogram
 //   xvr.batch.queue_wait                   submit -> pickup wait per query
 //   xvr.server.accepted                    HTTP connections accepted
@@ -118,9 +115,6 @@ struct EngineMetrics {
   Counter* storage_recovery_wal_records_replayed;
   Counter* storage_recovery_tail_clipped;
 
-  Counter* fragment_flat_loads;
-  Counter* fragment_legacy_loads;
-
   Counter* certify_certified;
   Counter* certify_inconclusive;
   Counter* certify_rejected;
@@ -145,7 +139,6 @@ struct EngineMetrics {
   Gauge* catalog_version;
   Gauge* arena_bytes_allocated;
   Gauge* arena_high_water;
-  Gauge* fragment_flat_ratio_pct;
 
   LatencyHistogram* query_latency;
   LatencyHistogram* batch_queue_wait;

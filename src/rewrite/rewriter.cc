@@ -3,357 +3,23 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "rewrite/compensate.h"
 #include "rewrite/prefix_join.h"
 #include "rewrite/skeleton.h"
 
-// Two implementations of the rewrite pipeline live in this file and are
-// dispatched on RewriteOptions::scratch:
-//
-//   * The legacy-heap implementation (AnswerCoreLegacy) is the original
-//     per-call-container code: Signature owns DeweyCode copies, the join
-//     keys signatures as strings in hash sets, and every fragment allocates
-//     its own label/assignment/memo buffers. It is kept verbatim as the
-//     differential oracle for the serving path and as the bench harness's
-//     A/B baseline (lint:hot-alloc-ok applies to this whole section).
-//
-//   * The serving-path implementation (AnswerCoreArena) routes every
-//     transient through the per-query RewriteScratch: signatures are
-//     (root code, prefix length) references — a fragment's signature
-//     prefixes are always prefixes of its own root code, so no components
-//     are copied and no key strings are built — membership is a binary
-//     search over a sorted row table, and the anchored fragment walks reuse
-//     one epoched memo.
-//
-// Both must produce identical answers, stats and error behavior; the
-// differential tests enforce this over randomized workloads.
+// The rewrite routes every transient through the per-query RewriteScratch:
+// signatures are (root code, prefix length) references — a fragment's
+// signature prefixes are always prefixes of its own root code, so no
+// components are copied and no key strings are built — membership is a
+// binary search over a sorted row table, and the anchored fragment walks
+// reuse one epoched memo.
 
 namespace xvr {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Legacy-heap implementation (differential oracle / A/B baseline).
-// ---------------------------------------------------------------------------
-
-// One way a fragment can sit under the query skeleton: the Dewey prefixes it
-// assigns to the shared skeleton nodes on its view's path.
-struct Signature {
-  // Parallel to the view's shared-node list: prefix codes.
-  std::vector<DeweyCode> prefixes;
-
-  friend bool operator==(const Signature& a, const Signature& b) = default;
-};
-
-struct CandidateFragment {
-  const Fragment* fragment = nullptr;
-  std::vector<Signature> signatures;
-};
-
-struct ViewJoinData {
-  // Shared skeleton nodes on this view's path (ascending = root first).
-  std::vector<TreePattern::NodeIndex> shared_on_path;
-  // Index of each shared node within the view's root->q* path.
-  std::vector<size_t> shared_path_pos;
-  std::vector<CandidateFragment> fragments;
-  // Every full signature key ("prefix|prefix|...") with a usable fragment:
-  // O(1) satisfiability once all shared nodes are bound.
-  std::unordered_set<std::string> signature_keys;
-};
-
-std::string SignatureKey(const Signature& sig) {
-  std::string key;
-  for (const DeweyCode& prefix : sig.prefixes) {
-    key += prefix.ToString();
-    key.push_back('|');
-  }
-  return key;
-}
-
-// Binding of shared skeleton nodes to concrete prefixes during the join.
-using GlobalBinding =
-    std::unordered_map<TreePattern::NodeIndex, DeweyCode>;
-
-bool SignatureConsistent(const ViewJoinData& view, const Signature& sig,
-                         const GlobalBinding& binding) {
-  for (size_t i = 0; i < view.shared_on_path.size(); ++i) {
-    auto it = binding.find(view.shared_on_path[i]);
-    if (it != binding.end() && !(it->second == sig.prefixes[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void BindSignature(const ViewJoinData& view, const Signature& sig,
-                   GlobalBinding* binding,
-                   std::vector<TreePattern::NodeIndex>* newly_bound) {
-  for (size_t i = 0; i < view.shared_on_path.size(); ++i) {
-    const TreePattern::NodeIndex node = view.shared_on_path[i];
-    if (binding->find(node) == binding->end()) {
-      binding->emplace(node, sig.prefixes[i]);
-      newly_bound->push_back(node);
-    }
-  }
-}
-
-// Can views[from..] each contribute one fragment consistent with `binding`?
-bool Satisfiable(const std::vector<const ViewJoinData*>& views, size_t from,
-                 GlobalBinding* binding) {
-  if (from == views.size()) {
-    return true;
-  }
-  // Prefer a view whose shared nodes are all bound: it resolves by one hash
-  // lookup and binds nothing new. In the common case (all views joining on
-  // nodes of the primary path) every view takes this path, making the join
-  // per primary fragment O(#views).
-  std::vector<const ViewJoinData*> remaining(views.begin() +
-                                                 static_cast<long>(from),
-                                             views.end());
-  for (size_t r = 0; r < remaining.size(); ++r) {
-    const ViewJoinData& view = *remaining[r];
-    bool fully_bound = true;
-    std::string key;
-    for (TreePattern::NodeIndex n : view.shared_on_path) {
-      auto it = binding->find(n);
-      if (it == binding->end()) {
-        fully_bound = false;
-        break;
-      }
-      key += it->second.ToString();
-      key.push_back('|');
-    }
-    if (!fully_bound) {
-      continue;
-    }
-    if (view.signature_keys.count(key) == 0) {
-      return false;  // no fragment of this view fits the binding
-    }
-    // Satisfied without new bindings; recurse on the rest.
-    // lint:hot-alloc-ok (legacy oracle path)
-    std::vector<const ViewJoinData*> rest;
-    rest.reserve(views.size());
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      if (i != r) rest.push_back(remaining[i]);
-    }
-    return Satisfiable(rest, 0, binding);
-  }
-
-  // Fallback: the first remaining view has unbound shared nodes; try its
-  // fragments, binding as we go.
-  const ViewJoinData& view = *remaining.front();
-  std::vector<const ViewJoinData*> rest(remaining.begin() + 1,
-                                        remaining.end());
-  for (const CandidateFragment& cf : view.fragments) {
-    for (const Signature& sig : cf.signatures) {
-      if (!SignatureConsistent(view, sig, *binding)) {
-        continue;
-      }
-      // lint:hot-alloc-ok (legacy oracle path)
-      std::vector<TreePattern::NodeIndex> bound;
-      BindSignature(view, sig, binding, &bound);
-      if (Satisfiable(rest, 0, binding)) {
-        for (TreePattern::NodeIndex n : bound) binding->erase(n);
-        return true;
-      }
-      for (TreePattern::NodeIndex n : bound) binding->erase(n);
-    }
-  }
-  return false;
-}
-
-// Legacy pipeline: refinement, join and extraction; every extracted answer
-// is reported through `emit(code, fragment, node)`. `st` is non-null.
-Status AnswerCoreLegacy(
-    const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* st,
-    const RewriteOptions& options,
-    const std::function<void(DeweyCode, const Fragment&, int32_t)>& emit) {
-  const int primary = selection.PrimaryIndex();
-  if (primary < 0) {
-    return Status::InvalidArgument(
-        "selection has no view covering the answer node");
-  }
-  // Plan-hoisted compensating patterns: used only when positionally
-  // parallel to this selection (always true when the planner built both);
-  // otherwise fall back to per-call construction, so a null or mismatched
-  // options.compensation is still correct.
-  const PlanCompensation* hoisted =
-      options.compensation != nullptr &&
-              options.compensation->views.size() == selection.views.size() &&
-              options.compensation->has_extraction
-          ? options.compensation
-          : nullptr;
-  const QueryLimits& limits = options.limits;
-  InterruptTicker ticker(limits, /*stride=*/64);
-  const Skeleton skeleton = BuildSkeleton(query, selection.views);
-
-  // Phase 1: per view, refine fragments and enumerate skeleton signatures.
-  // (The phase spans also record on early returns — their destructors run —
-  // so a budget blow-up still shows up in the stage histograms.)
-  std::vector<ViewJoinData> join_data(selection.views.size());
-  ScopedSpan refine_span(options.trace, "execute.refine");
-  for (size_t vi = 0; vi < selection.views.size(); ++vi) {
-    const SelectedView& sel = selection.views[vi];
-    const std::vector<Fragment>* fragments = store.GetView(sel.view_id);
-    if (fragments == nullptr) {
-      return Status::NotFound("view " + std::to_string(sel.view_id) +
-                              " is not materialized");
-    }
-    const TreePattern::NodeIndex q_star = sel.cover.mapped_answer;
-    TreePattern refinement_storage;
-    PathPattern anchor_storage;
-    if (hoisted == nullptr) {
-      refinement_storage = RefinementPattern(query, q_star);
-      anchor_storage = PathTo(query, q_star);
-    }
-    const TreePattern& refinement =
-        hoisted != nullptr ? hoisted->views[vi].refinement : refinement_storage;
-    const PathPattern& anchor_path =
-        hoisted != nullptr ? hoisted->views[vi].anchor_path : anchor_storage;
-
-    ViewJoinData& data = join_data[vi];
-    const std::vector<TreePattern::NodeIndex>& path =
-        skeleton.view_paths[vi];
-    for (TreePattern::NodeIndex n : skeleton.shared) {
-      auto it = std::find(path.begin(), path.end(), n);
-      if (it != path.end()) {
-        data.shared_on_path.push_back(n);
-        data.shared_path_pos.push_back(
-            static_cast<size_t>(it - path.begin()));
-      }
-    }
-
-    for (const Fragment& fragment : *fragments) {
-      XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.refinement"));
-      ++st->fragments_scanned;
-      std::vector<LabelId> labels;  // lint:hot-alloc-ok (legacy oracle path)
-      if (!fst.Decode(fragment.root_code().components(), &labels)) {
-        return Status::Internal("fragment code does not decode: " +
-                                fragment.root_code().ToString());
-      }
-      // lint:hot-alloc-ok (legacy oracle path)
-      const std::vector<PathAssignment> assignments = MatchPathOnLabels(
-          anchor_path, labels, options.max_assignments_per_fragment);
-      if (assignments.empty()) {
-        continue;  // the fragment root does not sit under Q's anchor path
-      }
-      if (!fragment.MatchesAnchored(refinement)) {
-        continue;  // compensating predicate fails inside the fragment
-      }
-      ++st->fragments_after_refinement;
-
-      CandidateFragment cf;
-      cf.fragment = &fragment;
-      // lint:hot-alloc-ok (legacy oracle path)
-      std::unordered_set<std::string> seen;
-      for (const PathAssignment& a : assignments) {
-        Signature sig;
-        sig.prefixes.reserve(data.shared_on_path.size());
-        std::string key;
-        for (size_t s = 0; s < data.shared_on_path.size(); ++s) {
-          const int pos = a[data.shared_path_pos[s]];
-          DeweyCode prefix =
-              fragment.root_code().Prefix(static_cast<size_t>(pos) + 1);
-          key += prefix.ToString();
-          key.push_back('|');
-          sig.prefixes.push_back(std::move(prefix));
-        }
-        if (seen.insert(key).second) {
-          data.signature_keys.insert(SignatureKey(sig));
-          cf.signatures.push_back(std::move(sig));
-        }
-      }
-      data.fragments.push_back(std::move(cf));
-      if (limits.max_join_fragments > 0 &&
-          data.fragments.size() > limits.max_join_fragments) {
-        return Status::ResourceExhausted(
-            "view " + std::to_string(sel.view_id) + " feeds more than " +
-            std::to_string(limits.max_join_fragments) +
-            " refined fragments into the join (" +
-            std::to_string(st->fragments_scanned) + " fragments scanned)");
-      }
-    }
-    if (data.fragments.empty()) {
-      return Status::Ok();  // some view has no usable fragment -> empty
-    }
-  }
-  refine_span.Stop();
-
-  // Phase 2: join. For each refined primary fragment, check that every other
-  // view can contribute a consistent fragment. Survivors are pointers into
-  // join_data, which stays untouched until extraction.
-  const ViewJoinData& primary_data = join_data[static_cast<size_t>(primary)];
-  std::vector<const CandidateFragment*> survivors;
-  ScopedSpan join_span(options.trace, "execute.join");
-  std::vector<const ViewJoinData*> others;
-  for (size_t vi = 0; vi < join_data.size(); ++vi) {
-    if (vi != static_cast<size_t>(primary)) {
-      others.push_back(&join_data[vi]);
-    }
-  }
-  // Cheaper views (fewer fragments) first prunes faster.
-  std::sort(others.begin(), others.end(),
-            [](const ViewJoinData* a, const ViewJoinData* b) {
-              return a->fragments.size() < b->fragments.size();
-            });
-
-  GlobalBinding binding;
-  for (const CandidateFragment& cf : primary_data.fragments) {
-    // One primary fragment is one Satisfiable() search; check per fragment.
-    XVR_RETURN_IF_ERROR(CheckInterrupted(limits, "rewrite.join"));
-    bool supported = false;
-    for (const Signature& sig : cf.signatures) {
-      binding.clear();
-      // lint:hot-alloc-ok (legacy oracle path)
-      std::vector<TreePattern::NodeIndex> bound;
-      BindSignature(primary_data, sig, &binding, &bound);
-      if (Satisfiable(others, 0, &binding)) {
-        supported = true;
-        break;
-      }
-    }
-    if (supported) {
-      ++st->join_survivors;
-      survivors.push_back(&cf);
-    }
-  }
-  join_span.Stop();
-
-  // Phase 3: extraction over the surviving primary fragments.
-  ScopedSpan extract_span(options.trace, "execute.extract");
-  TreePattern extraction_storage;
-  if (hoisted == nullptr) {
-    extraction_storage = ExtractionPattern(
-        query,
-        selection.views[static_cast<size_t>(primary)].cover.mapped_answer);
-  }
-  const TreePattern& extraction =
-      hoisted != nullptr ? hoisted->extraction : extraction_storage;
-  size_t emitted = 0;
-  for (const CandidateFragment* cf : survivors) {
-    XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.extract"));
-    for (int32_t node : cf->fragment->EvaluateAnchored(extraction)) {
-      if (limits.max_result_codes > 0 && emitted >= limits.max_result_codes) {
-        return Status::ResourceExhausted(
-            "answer exceeds the result budget of " +
-            std::to_string(limits.max_result_codes) + " codes (" +
-            std::to_string(st->join_survivors) + " join survivors)");
-      }
-      ++emitted;
-      emit(cf->fragment->AbsoluteCode(node), *cf->fragment, node);
-    }
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Serving-path (arena) implementation.
-// ---------------------------------------------------------------------------
 
 // A signature prefix as a reference: the first `len` components of a
 // fragment's root code. Fragments are pinned by the catalog snapshot for
@@ -426,8 +92,7 @@ struct ViewJoin {
 };
 
 // Does any signature row of `v` equal `probe`? Binary search over the
-// sorted row index — the serving-path counterpart of the legacy
-// signature_keys hash lookup. A zero-width view matches iff it has rows.
+// sorted row index. A zero-width view matches iff it has rows.
 bool HasRow(const ViewJoin& v, const PrefixRef* probe) {
   size_t lo = 0;
   size_t hi = v.sorted_sigs.size();
@@ -447,8 +112,8 @@ bool HasRow(const ViewJoin& v, const PrefixRef* probe) {
 }
 
 // Can the pending views each contribute one fragment consistent with
-// `binding`? Mirrors the legacy Satisfiable: a view whose shared slots are
-// all bound resolves by one membership probe and binds nothing — its
+// `binding`? A view whose shared slots are all bound resolves by one
+// membership probe and binds nothing — its
 // resolution is forced and order-independent, so one pass retires them all
 // — then the first still-pending view branches over its fragments'
 // signature rows, binding unbound slots and undoing on failure.
@@ -458,9 +123,9 @@ bool HasRow(const ViewJoin& v, const PrefixRef* probe) {
 // every HasRow) are arena arrays owned by the caller. Recursion depth is
 // bounded by the view count; the per-level undo arrays come from the arena
 // and are reclaimed by the end-of-query Reset().
-bool SatisfiableArena(const ViewJoin* const* views, size_t num_views,
-                      uint8_t* done, size_t pending, PrefixRef* binding,
-                      PrefixRef* probe, Arena* arena) {
+bool Satisfiable(const ViewJoin* const* views, size_t num_views,
+                 uint8_t* done, size_t pending, PrefixRef* binding,
+                 PrefixRef* probe, Arena* arena) {
   if (pending == 0) {
     return true;
   }
@@ -530,8 +195,8 @@ bool SatisfiableArena(const ViewJoin* const* views, size_t num_views,
           undo_slots[num_undo++] = slot;
         }
       }
-      if (SatisfiableArena(views, num_views, done, pending - 1, binding,
-                           probe, arena)) {
+      if (Satisfiable(views, num_views, done, pending - 1, binding, probe,
+                      arena)) {
         return true;
       }
       for (size_t u = 0; u < num_undo; ++u) {
@@ -544,14 +209,22 @@ bool SatisfiableArena(const ViewJoin* const* views, size_t num_views,
   return false;
 }
 
-// Serving pipeline: same three phases, same budgets, spans and error
-// strings as AnswerCoreLegacy, with every transient in RewriteScratch.
-Status AnswerCoreArena(
+// Refinement, join and extraction; every extracted answer is reported
+// through `emit(code, fragment, node)`.
+Status AnswerCore(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* st,
+    const FragmentStore& store, const Fst& fst, RewriteStats* stats,
     const RewriteOptions& options,
     const std::function<void(DeweyCode, const Fragment&, int32_t)>& emit) {
-  RewriteScratch& scratch = *options.scratch;
+  RewriteStats local_stats;
+  RewriteStats* st = stats != nullptr ? stats : &local_stats;
+  *st = RewriteStats{};
+  // Callers without an ExecutionContext (one-off rewrites) get call-local
+  // scratch.
+  std::optional<RewriteScratch> local_scratch;
+  RewriteScratch& scratch = options.scratch != nullptr
+                                ? *options.scratch
+                                : local_scratch.emplace();
   scratch.Reset();
   Arena* arena = &scratch.arena;
 
@@ -715,8 +388,8 @@ Status AnswerCoreArena(
       for (size_t s = 0; s < primary_data.width(); ++s) {
         binding[primary_data.shared_slot[s]] = sig[s];
       }
-      supported = SatisfiableArena(others.data(), num_others, done,
-                                   num_others, binding, probe, arena);
+      supported = Satisfiable(others.data(), num_others, done, num_others,
+                              binding, probe, arena);
     }
     if (supported) {
       ++st->join_survivors;
@@ -753,22 +426,6 @@ Status AnswerCoreArena(
     }
   }
   return Status::Ok();
-}
-
-// Dispatcher: scratch selects the serving path; null keeps the legacy heap
-// path (oracle / A/B baseline).
-Status AnswerCore(
-    const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* stats,
-    const RewriteOptions& options,
-    const std::function<void(DeweyCode, const Fragment&, int32_t)>& emit) {
-  RewriteStats local_stats;
-  RewriteStats* st = stats != nullptr ? stats : &local_stats;
-  *st = RewriteStats{};
-  if (options.scratch != nullptr) {
-    return AnswerCoreArena(query, selection, store, fst, st, options, emit);
-  }
-  return AnswerCoreLegacy(query, selection, store, fst, st, options, emit);
 }
 
 }  // namespace

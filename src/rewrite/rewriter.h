@@ -42,7 +42,7 @@ struct RewriteStats {
 
 // Per-query memory for the rewrite pipeline (the hot-path memory
 // architecture's execution slice). Owned by the ExecutionContext, one per
-// thread; Answer() calls Reset() on entry. The arena carries the per-query
+// thread; the rewrite calls Reset() on entry. The arena carries the per-query
 // transients (join tables, signature stores, recursion scratch); the named
 // buffers are reusable pre-sized scratch for the per-fragment inner loops
 // — after warm-up a steady query stream allocates nothing here.
@@ -76,13 +76,8 @@ struct RewriteOptions {
   // When non-null, receives one span per pipeline phase: "execute.refine",
   // "execute.join", "execute.extract".
   Trace* trace = nullptr;
-  // When non-null, the rewrite runs its arena/scratch implementation:
-  // signatures as (root code, prefix length) references into the arena,
-  // sorted prefix tables instead of hashed key strings, reused epoched
-  // memos. When null, the retained legacy-heap implementation runs
-  // (per-call containers and key strings) — it is the differential oracle
-  // and the bench harness's A/B baseline. Both produce identical answers,
-  // stats and error behavior.
+  // Per-query memory reused across calls (the ExecutionContext's). When
+  // null, the call allocates its own scratch and frees it on return.
   RewriteScratch* scratch = nullptr;
   // Plan-hoisted compensating patterns (refinement/anchor-path per view,
   // extraction for the primary), built once by the planner so plan-cache

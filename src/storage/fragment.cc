@@ -92,73 +92,23 @@ void FlatFragment::BuildTopology() {
   }
   child_index_.resize(n - 1);
   // CSR fill: count children, prefix-sum into ranges, then place child
-  // indices in node order (matching the legacy per-node push_back order).
-  auto fill_csr = [this, n] {
-    for (FragmentNode& node : nodes_) {
-      node.children_begin = 0;
-      node.children_end = 0;
-    }
-    for (size_t i = 1; i < n; ++i) {
-      ++nodes_[static_cast<size_t>(nodes_[i].parent)].children_end;
-    }
-    uint32_t offset = 0;
-    for (FragmentNode& node : nodes_) {
-      node.children_begin = offset;
-      offset += node.children_end;
-      node.children_end = node.children_begin;
-    }
-    for (size_t i = 1; i < n; ++i) {
-      FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
-      child_index_[p.children_end++] = static_cast<int32_t>(i);
-    }
-  };
-  fill_csr();
-
-  // Preorder check: DFS over the CSR children must visit 0, 1, 2, ...
-  // Legacy images only guarantee parents-before-children; canonicalize
-  // those so subtree_end ranges are valid.
-  std::vector<int32_t> perm;
-  perm.reserve(n);
-  std::vector<int32_t> dfs = {0};
-  while (!dfs.empty()) {
-    const int32_t i = dfs.back();
-    dfs.pop_back();
-    perm.push_back(i);
-    const std::span<const int32_t> kids = children(i);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      dfs.push_back(*it);
-    }
+  // indices in node order (document order, since nodes are in preorder).
+  for (FragmentNode& node : nodes_) {
+    node.children_begin = 0;
+    node.children_end = 0;
   }
-  bool identity = true;
-  for (size_t k = 0; k < n; ++k) {
-    if (perm[k] != static_cast<int32_t>(k)) {
-      identity = false;
-      break;
-    }
+  for (size_t i = 1; i < n; ++i) {
+    ++nodes_[static_cast<size_t>(nodes_[i].parent)].children_end;
   }
-  if (!identity) {
-    std::vector<int32_t> inv(n);
-    for (size_t k = 0; k < n; ++k) {
-      inv[static_cast<size_t>(perm[k])] = static_cast<int32_t>(k);
-    }
-    std::vector<FragmentNode> reordered(n);
-    for (size_t k = 0; k < n; ++k) {
-      FragmentNode node = nodes_[static_cast<size_t>(perm[k])];
-      node.parent = node.parent < 0 ? -1 : inv[static_cast<size_t>(node.parent)];
-      reordered[k] = node;
-    }
-    nodes_ = std::move(reordered);
-    for (auto& [id, text] : texts_) {
-      id = inv[static_cast<size_t>(id)];
-    }
-    std::sort(texts_.begin(), texts_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, list] : attrs_) {
-      id = inv[static_cast<size_t>(id)];
-    }
-    std::sort(attrs_.begin(), attrs_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    fill_csr();
+  uint32_t offset = 0;
+  for (FragmentNode& node : nodes_) {
+    node.children_begin = offset;
+    offset += node.children_end;
+    node.children_end = node.children_begin;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
+    child_index_[p.children_end++] = static_cast<int32_t>(i);
   }
 
   // Preorder subtree bounds: a node's range ends where its last child's
@@ -225,112 +175,7 @@ bool FlatFragment::NodeMatches(const TreePattern& pattern,
   return true;
 }
 
-// --- legacy walk (per-call memo + explicit stacks) --------------------------
-
-bool FlatFragment::Embeds(const TreePattern& pattern,
-                          TreePattern::NodeIndex pn, int32_t fn,
-                          std::vector<int8_t>* memo) const {
-  int8_t& cell =
-      (*memo)[static_cast<size_t>(pn) * nodes_.size() +
-              static_cast<size_t>(fn)];
-  if (cell != -1) {
-    return cell != 0;
-  }
-  cell = 0;
-  if (!NodeMatches(pattern, pn, fn)) {
-    return false;
-  }
-  for (TreePattern::NodeIndex pc : pattern.node(pn).children) {
-    bool found = false;
-    if (pattern.axis(pc) == Axis::kChild) {
-      for (int32_t fc : children(fn)) {
-        if (Embeds(pattern, pc, fc, memo)) {
-          found = true;
-          break;
-        }
-      }
-    } else {
-      // Any proper descendant.
-      const std::span<const int32_t> kids = children(fn);
-      std::vector<int32_t> stack(kids.begin(), kids.end());
-      while (!stack.empty() && !found) {
-        const int32_t fd = stack.back();
-        stack.pop_back();
-        if (Embeds(pattern, pc, fd, memo)) {
-          found = true;
-          break;
-        }
-        for (int32_t c : children(fd)) {
-          stack.push_back(c);
-        }
-      }
-    }
-    if (!found) {
-      return false;
-    }
-  }
-  cell = 1;
-  return true;
-}
-
-bool FlatFragment::MatchesAnchored(const TreePattern& pattern) const {
-  if (pattern.empty() || nodes_.empty()) {
-    return false;
-  }
-  std::vector<int8_t> memo(pattern.size() * nodes_.size(), -1);
-  return Embeds(pattern, pattern.root(), 0, &memo);
-}
-
-std::vector<int32_t> FlatFragment::EvaluateAnchored(
-    const TreePattern& pattern) const {
-  std::vector<int32_t> out;
-  if (pattern.empty() || nodes_.empty()) {
-    return out;
-  }
-  std::vector<int8_t> memo(pattern.size() * nodes_.size(), -1);
-  if (!Embeds(pattern, pattern.root(), 0, &memo)) {
-    return out;
-  }
-  // Walk the root-to-answer chain propagating the feasible image set.
-  std::vector<int32_t> reach = {0};
-  const auto chain = pattern.PathFromRoot(pattern.answer());
-  for (size_t ci = 1; ci < chain.size(); ++ci) {
-    const TreePattern::NodeIndex pc = chain[ci];
-    std::vector<int32_t> next;
-    std::vector<bool> seen(nodes_.size(), false);
-    for (int32_t fx : reach) {
-      if (pattern.axis(pc) == Axis::kChild) {
-        for (int32_t fc : children(fx)) {
-          if (!seen[static_cast<size_t>(fc)] &&
-              Embeds(pattern, pc, fc, &memo)) {
-            seen[static_cast<size_t>(fc)] = true;
-            next.push_back(fc);
-          }
-        }
-      } else {
-        const std::span<const int32_t> kids = children(fx);
-        std::vector<int32_t> stack(kids.begin(), kids.end());
-        while (!stack.empty()) {
-          const int32_t fd = stack.back();
-          stack.pop_back();
-          if (!seen[static_cast<size_t>(fd)] &&
-              Embeds(pattern, pc, fd, &memo)) {
-            seen[static_cast<size_t>(fd)] = true;
-            next.push_back(fd);
-          }
-          for (int32_t c : children(fd)) {
-            stack.push_back(c);
-          }
-        }
-      }
-    }
-    reach = std::move(next);
-  }
-  std::sort(reach.begin(), reach.end());
-  return reach;
-}
-
-// --- serving walk (epoched memo, subtree-range descendant scans) ------------
+// --- anchored walks (epoched memo, subtree-range descendant scans) -------
 
 namespace {
 
@@ -353,9 +198,9 @@ void OpenMemoEpoch(size_t cells, size_t nodes, FragmentScratch* scratch) {
 
 }  // namespace
 
-bool FlatFragment::EmbedsEpoch(const TreePattern& pattern,
-                               TreePattern::NodeIndex pn, int32_t fn,
-                               FragmentScratch* scratch) const {
+bool FlatFragment::Embeds(const TreePattern& pattern,
+                          TreePattern::NodeIndex pn, int32_t fn,
+                          FragmentScratch* scratch) const {
   const size_t idx =
       static_cast<size_t>(pn) * nodes_.size() + static_cast<size_t>(fn);
   if (scratch->memo_epoch[idx] == scratch->epoch) {
@@ -370,7 +215,7 @@ bool FlatFragment::EmbedsEpoch(const TreePattern& pattern,
     bool found = false;
     if (pattern.axis(pc) == Axis::kChild) {
       for (int32_t fc : children(fn)) {
-        if (EmbedsEpoch(pattern, pc, fc, scratch)) {
+        if (Embeds(pattern, pc, fc, scratch)) {
           found = true;
           break;
         }
@@ -380,7 +225,7 @@ bool FlatFragment::EmbedsEpoch(const TreePattern& pattern,
       // scan, no stack.
       const int32_t end = subtree_end(fn);
       for (int32_t fd = fn + 1; fd < end; ++fd) {
-        if (EmbedsEpoch(pattern, pc, fd, scratch)) {
+        if (Embeds(pattern, pc, fd, scratch)) {
           found = true;
           break;
         }
@@ -400,7 +245,7 @@ bool FlatFragment::MatchesAnchored(const TreePattern& pattern,
     return false;
   }
   OpenMemoEpoch(pattern.size() * nodes_.size(), nodes_.size(), scratch);
-  return EmbedsEpoch(pattern, pattern.root(), 0, scratch);
+  return Embeds(pattern, pattern.root(), 0, scratch);
 }
 
 void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
@@ -410,7 +255,7 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
     return;
   }
   OpenMemoEpoch(pattern.size() * nodes_.size(), nodes_.size(), scratch);
-  if (!EmbedsEpoch(pattern, pattern.root(), 0, scratch)) {
+  if (!Embeds(pattern, pattern.root(), 0, scratch)) {
     return;
   }
   scratch->reach.clear();
@@ -426,7 +271,7 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
     auto try_add = [this, &pattern, pc, scratch](int32_t fd) {
       uint32_t& seen = scratch->seen_epoch[static_cast<size_t>(fd)];
       if (seen != scratch->seen_generation &&
-          EmbedsEpoch(pattern, pc, fd, scratch)) {
+          Embeds(pattern, pc, fd, scratch)) {
         seen = scratch->seen_generation;
         scratch->next.push_back(fd);
       }
@@ -453,37 +298,31 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
 
 namespace {
 
-// Body shared by v1 and v2: root code, nodes, sorted texts, sorted attrs.
-void PutBody(const DeweyCode& root_code,
-             const std::vector<FragmentNode>& nodes,
-             const std::vector<std::pair<int32_t, std::string>>& texts,
-             const std::vector<std::pair<int32_t, std::vector<XmlAttribute>>>&
-                 attrs,
-             std::string* out) {
-  PutU32(static_cast<uint32_t>(root_code.depth()), out);
-  for (uint32_t c : root_code.components()) {
-    PutU32(c, out);
-  }
-  PutU32(static_cast<uint32_t>(nodes.size()), out);
-  for (const FragmentNode& n : nodes) {
-    PutU32(static_cast<uint32_t>(n.label), out);
-    PutU32(static_cast<uint32_t>(n.parent), out);
-    PutU32(n.dewey_component, out);
-  }
-  PutU32(static_cast<uint32_t>(texts.size()), out);
-  for (const auto& [id, text] : texts) {
-    PutU32(static_cast<uint32_t>(id), out);
-    PutString(text, out);
-  }
-  PutU32(static_cast<uint32_t>(attrs.size()), out);
-  for (const auto& [id, list] : attrs) {
-    PutU32(static_cast<uint32_t>(id), out);
-    PutU32(static_cast<uint32_t>(list.size()), out);
-    for (const XmlAttribute& a : list) {
-      PutString(a.name, out);
-      PutString(a.value, out);
+// Parents must precede children (node 0 is the root with parent -1), and
+// every node's parent must lie on the root path of the node before it —
+// exactly the images whose node order is a preorder.
+bool IsPreorder(const std::vector<FragmentNode>& nodes) {
+  std::vector<int32_t> path;  // root -> the previous node
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const int32_t parent = nodes[i].parent;
+    if (i == 0) {
+      if (parent != -1) return false;
+    } else {
+      while (!path.empty() && path.back() != parent) path.pop_back();
+      if (path.empty()) return false;
     }
+    path.push_back(static_cast<int32_t>(i));
   }
+  return true;
+}
+
+// Side tables are keyed by strictly ascending node id: one entry per node.
+template <typename Entry>
+bool IdsStrictlyAscending(const std::vector<Entry>& entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i - 1].first >= entries[i].first) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -491,40 +330,45 @@ void PutBody(const DeweyCode& root_code,
 std::string FlatFragment::Serialize() const {
   std::string out;
   PutU32(kFlatMagic, &out);
-  PutBody(root_code_, nodes_, texts_, attrs_, &out);
+  PutU32(static_cast<uint32_t>(root_code_.depth()), &out);
+  for (uint32_t c : root_code_.components()) {
+    PutU32(c, &out);
+  }
+  PutU32(static_cast<uint32_t>(nodes_.size()), &out);
+  for (const FragmentNode& n : nodes_) {
+    PutU32(static_cast<uint32_t>(n.label), &out);
+    PutU32(static_cast<uint32_t>(n.parent), &out);
+    PutU32(n.dewey_component, &out);
+  }
+  PutU32(static_cast<uint32_t>(texts_.size()), &out);
+  for (const auto& [id, text] : texts_) {
+    PutU32(static_cast<uint32_t>(id), &out);
+    PutString(text, &out);
+  }
+  PutU32(static_cast<uint32_t>(attrs_.size()), &out);
+  for (const auto& [id, list] : attrs_) {
+    PutU32(static_cast<uint32_t>(id), &out);
+    PutU32(static_cast<uint32_t>(list.size()), &out);
+    for (const XmlAttribute& a : list) {
+      PutString(a.name, &out);
+      PutString(a.value, &out);
+    }
+  }
   return out;
 }
 
-std::string FlatFragment::SerializeLegacy() const {
-  std::string out;
-  PutBody(root_code_, nodes_, texts_, attrs_, &out);
-  return out;
-}
-
-Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
-                                               bool* was_flat) {
+Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
   Reader r(bytes);
   FlatFragment out;
-  uint32_t first = 0;
-  if (!r.ReadU32(&first)) {
+  uint32_t magic = 0;
+  if (!r.ReadU32(&magic)) {
     return Status::ParseError("truncated fragment (header)");
   }
-  const bool flat = first == kFlatMagic;
-  if (was_flat != nullptr) {
-    *was_flat = flat;
+  if (magic != kFlatMagic) {
+    return Status::ParseError("bad fragment image magic");
   }
   uint32_t depth = 0;
-  if (flat) {
-    if (!r.ReadU32(&depth)) {
-      return Status::ParseError("truncated fragment (code depth)");
-    }
-  } else {
-    // Legacy v1 image: the first u32 is the code depth itself. kFlatMagic
-    // is far beyond any plausible depth, so the tag cannot be confused with
-    // a v1 depth that passes this bound.
-    depth = first;
-  }
-  if (depth > bytes.size() / 4) {
+  if (!r.ReadU32(&depth) || depth > bytes.size() / 4) {
     return Status::ParseError("truncated fragment (code depth)");
   }
   for (uint32_t i = 0; i < depth; ++i) {
@@ -548,12 +392,9 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
     }
     out.nodes_[i].label = static_cast<LabelId>(label);
     out.nodes_[i].parent = static_cast<int32_t>(parent);
-    // Parents must precede children (node 0 is the root with parent -1).
-    if (i == 0 ? out.nodes_[i].parent != -1
-               : (out.nodes_[i].parent < 0 ||
-                  static_cast<uint32_t>(out.nodes_[i].parent) >= i)) {
-      return Status::ParseError("corrupt fragment (parent link)");
-    }
+  }
+  if (!IsPreorder(out.nodes_)) {
+    return Status::ParseError("corrupt fragment (nodes not in preorder)");
   }
   uint32_t num_texts = 0;
   if (!r.ReadU32(&num_texts) || num_texts > bytes.size() / 8) {
@@ -588,36 +429,9 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
     }
     out.attrs_.emplace_back(static_cast<int32_t>(id), std::move(list));
   }
-  // Canonicalize the side tables: sorted by node id, one entry per node.
-  // Legacy images may list ids in any order; a duplicate text id keeps the
-  // last occurrence (matching the old map overwrite) and duplicate attr
-  // lists concatenate (matching the old map append).
-  std::stable_sort(out.texts_.begin(), out.texts_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 1; i < out.texts_.size();) {
-    if (out.texts_[i - 1].first == out.texts_[i].first) {
-      out.texts_[i - 1].second = std::move(out.texts_[i].second);
-      out.texts_.erase(out.texts_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
-    }
-  }
-  std::stable_sort(out.attrs_.begin(), out.attrs_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 1; i < out.attrs_.size();) {
-    if (out.attrs_[i - 1].first == out.attrs_[i].first) {
-      auto& prev = out.attrs_[i - 1].second;
-      auto& cur = out.attrs_[i].second;
-      prev.insert(prev.end(), std::make_move_iterator(cur.begin()),
-                  std::make_move_iterator(cur.end()));
-      out.attrs_.erase(out.attrs_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
-    }
+  if (!IdsStrictlyAscending(out.texts_) ||
+      !IdsStrictlyAscending(out.attrs_)) {
+    return Status::ParseError("corrupt fragment (side-table ids)");
   }
   out.BuildTopology();
   return out;

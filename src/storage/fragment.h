@@ -108,44 +108,40 @@ class FlatFragment {
   //
   // Compensating patterns are anchored: the pattern root corresponds to the
   // fragment root (the view's answer node). Axes are interpreted inside the
-  // fragment.
-  //
-  // Each operation has two implementations. The scratch-taking form is the
-  // serving path: epoched memo, no allocation, descendant axes as linear
-  // subtree scans. The scratch-free form is the retained legacy walk
-  // (per-call memo + explicit stacks); it is the differential-testing
-  // oracle and the A/B baseline for the bench harness, and remains correct
-  // for one-off callers.
+  // fragment. The walks keep their memo in `scratch` (no allocation once
+  // warm) and scan descendant axes as linear preorder ranges; the
+  // scratch-free forms run the same walk with call-local scratch.
 
   // True iff the pattern embeds with pattern-root -> fragment-root.
-  [[nodiscard]] bool MatchesAnchored(const TreePattern& pattern) const;
   [[nodiscard]] bool MatchesAnchored(const TreePattern& pattern,
                                      FragmentScratch* scratch) const;
+  [[nodiscard]] bool MatchesAnchored(const TreePattern& pattern) const {
+    FragmentScratch scratch;
+    return MatchesAnchored(pattern, &scratch);
+  }
 
   // Every fragment node that is the image of the pattern's answer node in
   // some anchored embedding (ascending). The scratch form appends to *out.
-  std::vector<int32_t> EvaluateAnchored(const TreePattern& pattern) const;
   void EvaluateAnchored(const TreePattern& pattern, FragmentScratch* scratch,
                         std::vector<int32_t>* out) const;
+  std::vector<int32_t> EvaluateAnchored(const TreePattern& pattern) const {
+    FragmentScratch scratch;
+    std::vector<int32_t> out;
+    EvaluateAnchored(pattern, &scratch, &out);
+    return out;
+  }
 
   // --- serialization --------------------------------------------------------
   //
-  // Two wire formats. v2 (current, written by Serialize) starts with the
-  // kFlatMagic marker and stores nodes in guaranteed preorder with sorted
-  // text/attr tables — byte-for-byte deterministic. v1 (legacy, no magic;
-  // the first u32 is the root-code depth) is still accepted by Deserialize,
-  // including images whose nodes are not in preorder: those are
-  // canonicalized to preorder on load. SerializeLegacy writes v1 for the
-  // compatibility tests.
+  // The image (v2) starts with the kFlatMagic marker and stores nodes in
+  // preorder with text/attr tables sorted by node id, one entry per node —
+  // byte-for-byte deterministic. Deserialize rejects any image that breaks
+  // this layout with PARSE_ERROR.
 
   static constexpr uint32_t kFlatMagic = 0x46524732;  // "FRG2" (LE "2GRF")
 
   std::string Serialize() const;
-  std::string SerializeLegacy() const;
-  // `was_flat`, when non-null, reports which format the image carried
-  // (feeds the fragment.flat_ratio metric).
-  static Result<FlatFragment> Deserialize(const std::string& bytes,
-                                          bool* was_flat = nullptr);
+  static Result<FlatFragment> Deserialize(const std::string& bytes);
 
   // Bytes the fragment occupies when serialized (the 128 KB budget metric).
   size_t ByteSize() const;
@@ -158,16 +154,11 @@ class FlatFragment {
  private:
   bool NodeMatches(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn) const;
-  // Legacy walk: memo is a flat [pattern.size() x nodes_.size()] array of
-  // {-1,0,1}, allocated (and filled) per call.
+  // Epoch-validated memo owned by `scratch`.
   bool Embeds(const TreePattern& pattern, TreePattern::NodeIndex pn,
-              int32_t fn, std::vector<int8_t>* memo) const;
-  // Serving walk: epoch-validated memo owned by `scratch`.
-  bool EmbedsEpoch(const TreePattern& pattern, TreePattern::NodeIndex pn,
-                   int32_t fn, FragmentScratch* scratch) const;
-  // Rebuilds child_index_/children ranges/subtree_end from nodes_[].parent,
-  // permuting to preorder first when the node order requires it (legacy
-  // images). Parents must precede children.
+              int32_t fn, FragmentScratch* scratch) const;
+  // Rebuilds child_index_/children ranges/subtree_end from nodes_[].parent.
+  // nodes_ must be in preorder.
   void BuildTopology();
 
   const std::string* FindText(int32_t i) const;

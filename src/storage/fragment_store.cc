@@ -41,9 +41,7 @@ void SortByRoot(std::vector<Fragment>* fragments) {
 // as snapshots are cloned and moved in both directions.
 
 FragmentStore::FragmentStore(const FragmentStore& other)
-    : views_(other.views_),
-      flat_loads_(other.flat_loads_),
-      legacy_loads_(other.legacy_loads_) {
+    : views_(other.views_) {
   std::unordered_map<int32_t, size_t> memo;
   {
     MutexLock lock_other(&other.byte_size_mu_);
@@ -56,8 +54,6 @@ FragmentStore::FragmentStore(const FragmentStore& other)
 FragmentStore& FragmentStore::operator=(const FragmentStore& other) {
   if (this != &other) {
     views_ = other.views_;
-    flat_loads_ = other.flat_loads_;
-    legacy_loads_ = other.legacy_loads_;
     std::unordered_map<int32_t, size_t> memo;
     {
       MutexLock lock_other(&other.byte_size_mu_);
@@ -70,9 +66,7 @@ FragmentStore& FragmentStore::operator=(const FragmentStore& other) {
 }
 
 FragmentStore::FragmentStore(FragmentStore&& other) noexcept
-    : views_(std::move(other.views_)),
-      flat_loads_(other.flat_loads_),
-      legacy_loads_(other.legacy_loads_) {
+    : views_(std::move(other.views_)) {
   std::unordered_map<int32_t, size_t> memo;
   {
     MutexLock lock_other(&other.byte_size_mu_);
@@ -86,8 +80,6 @@ FragmentStore::FragmentStore(FragmentStore&& other) noexcept
 FragmentStore& FragmentStore::operator=(FragmentStore&& other) noexcept {
   if (this != &other) {
     views_ = std::move(other.views_);
-    flat_loads_ = other.flat_loads_;
-    legacy_loads_ = other.legacy_loads_;
     std::unordered_map<int32_t, size_t> memo;
     {
       MutexLock lock_other(&other.byte_size_mu_);
@@ -195,8 +187,6 @@ Status FragmentStore::LoadFrom(const KvStore& kv,
 Status FragmentStore::LoadFromImpl(const KvStore& kv,
                                    std::vector<int32_t>* quarantined) {
   views_.clear();
-  flat_loads_ = 0;
-  legacy_loads_ = 0;
   {
     MutexLock lock(&byte_size_mu_);
     byte_size_memo_.clear();
@@ -224,8 +214,7 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
     if (bad_views.count(view_id) != 0) {
       return true;
     }
-    bool was_flat = false;
-    Result<Fragment> fragment = Fragment::Deserialize(value, &was_flat);
+    Result<Fragment> fragment = Fragment::Deserialize(value);
     XVR_FAULT_POINT(
         "fragment_store.load",
         fragment = Status::ParseError("injected: fragment_store.load"));
@@ -243,11 +232,6 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
       }
       status = fragment.status();
       return false;
-    }
-    if (was_flat) {
-      ++flat_loads_;
-    } else {
-      ++legacy_loads_;
     }
     loading[view_id].push_back(std::move(fragment).value());
     return true;

@@ -77,20 +77,12 @@ class FragmentStore {
   // way. `quarantined` must be non-null.
   Status LoadFrom(const KvStore& kv, std::vector<int32_t>* quarantined);
 
-  // Image-format census of the most recent LoadFrom: how many fragments
-  // arrived in the v2 flat format vs. the legacy v1 format (feeds the
-  // engine's fragment.flat_ratio metric).
-  size_t flat_load_count() const { return flat_loads_; }
-  size_t legacy_load_count() const { return legacy_loads_; }
-
  private:
   using FragmentsRef = std::shared_ptr<const std::vector<Fragment>>;
 
   Status LoadFromImpl(const KvStore& kv, std::vector<int32_t>* quarantined);
 
   std::unordered_map<int32_t, FragmentsRef> views_;
-  size_t flat_loads_ = 0;
-  size_t legacy_loads_ = 0;
   // view_id -> serialized size of its fragments, filled on first use.
   mutable Mutex byte_size_mu_;
   mutable std::unordered_map<int32_t, size_t> byte_size_memo_

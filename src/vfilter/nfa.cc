@@ -72,7 +72,7 @@ void PathNfa::BuildDenseFor(StateId s) {
 }
 
 void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
-  if (dense_threshold_ <= 0 || label < 0) {
+  if (label < 0) {
     return;
   }
   if (dense_index_.size() < states_.size()) {
@@ -83,7 +83,7 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
     // Not dense yet: promote once the fanout crosses the threshold
     // (BuildDenseFor reads label_trans, which already holds `to`).
     if (states_[static_cast<size_t>(from)].label_trans.size() >=
-        static_cast<size_t>(dense_threshold_)) {
+        kDenseThreshold) {
       BuildDenseFor(from);
     }
     return;
@@ -96,20 +96,11 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
   entry = entry == kNoState ? to : kMultiTarget;
 }
 
-void PathNfa::set_dense_threshold(int threshold) {
-  dense_threshold_ = threshold;
-  RebuildDispatch();
-}
-
 void PathNfa::RebuildDispatch() {
   dense_index_.assign(states_.size(), -1);
   dense_tables_.clear();
-  if (dense_threshold_ <= 0) {
-    return;
-  }
   for (size_t s = 0; s < states_.size(); ++s) {
-    if (states_[s].label_trans.size() >=
-        static_cast<size_t>(dense_threshold_)) {
+    if (states_[s].label_trans.size() >= kDenseThreshold) {
       BuildDenseFor(static_cast<StateId>(s));
     }
   }
@@ -242,10 +233,9 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
         // high-fanout states (the trie's first levels, where every read
         // spends its first tokens). kMultiTarget and sub-threshold states
         // fall back to the sparse map.
-        const int32_t table =
-            scratch->use_dense && static_cast<size_t>(id) < dense_index_.size()
-                ? dense_index_[static_cast<size_t>(id)]
-                : -1;
+        const int32_t table = static_cast<size_t>(id) < dense_index_.size()
+                                  ? dense_index_[static_cast<size_t>(id)]
+                                  : -1;
         if (table >= 0) {
           const std::vector<StateId>& dense =
               dense_tables_[static_cast<size_t>(table)];

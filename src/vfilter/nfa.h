@@ -78,11 +78,6 @@ struct NfaReadScratch {
   uint32_t read_epoch = 0;
   std::vector<StateId> current;
   std::vector<StateId> next;
-  // Label dispatch through the dense per-state tables (default). Off = the
-  // legacy sparse unordered_map lookup; the read-side toggle exists so the
-  // bench harness can A/B the two dispatch paths on one automaton and the
-  // differential tests can assert equivalence.
-  bool use_dense = true;
   // VFilter::Filter's per-query-path buffers: the token strings read into
   // the NFA (normalized form, plus the raw form when it differs) and the
   // (view, path) pairs already credited for the current query path. Living
@@ -153,14 +148,11 @@ class PathNfa {
 
   // --- dense label dispatch (derived, never serialized) --------------------
   //
-  // A state whose label fanout reaches the threshold gets a label-indexed
+  // A state whose label fanout reaches kDenseThreshold gets a label-indexed
   // target table, turning the hot Read() lookup from a hash probe into an
   // array load. States below the threshold (the long tail: trie chains with
   // fanout 1-2) keep the sparse map. Maintained incrementally by Insert.
 
-  // 0 (or negative) disables dense tables entirely. Rebuilds on change.
-  void set_dense_threshold(int threshold);
-  int dense_threshold() const { return dense_threshold_; }
   // Drops and rebuilds every dense table from label_trans.
   void RebuildDispatch();
   size_t num_dense_states() const { return dense_tables_.size(); }
@@ -179,7 +171,6 @@ class PathNfa {
   // Per dense state: label -> target (kNoState empty, kMultiTarget = use
   // the sparse map for this label).
   std::vector<std::vector<StateId>> dense_tables_;
-  int dense_threshold_ = kDefaultDenseThreshold;
 
  public:
   // Fanout at which a state's dispatch flips from sparse to dense. Picked
@@ -187,7 +178,7 @@ class PathNfa {
   // linear/hash probe over the map wins on memory, at 8+ the array load
   // wins on time; XMark catalogs put the high-fanout mass at the trie's
   // first two levels.
-  static constexpr int kDefaultDenseThreshold = 8;
+  static constexpr size_t kDenseThreshold = 8;
 };
 
 }  // namespace xvr

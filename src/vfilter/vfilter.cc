@@ -7,9 +7,7 @@
 
 namespace xvr {
 
-VFilter::VFilter(VFilterOptions options) : options_(options) {
-  nfa_.set_dense_threshold(options_.dense_fanout_threshold);
-}
+VFilter::VFilter(VFilterOptions options) : options_(options) {}
 
 namespace {
 std::string PredKey(const ValuePredicate& pred) {

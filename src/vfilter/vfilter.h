@@ -43,11 +43,6 @@ struct VFilterOptions {
   // the query does not carry. Off by default (the paper's filter is purely
   // structural). Sound either way.
   bool index_attributes = false;
-  // Label fanout at which an NFA state's dispatch flips from the sparse
-  // unordered_map to a dense label-indexed table (see PathNfa). 0 disables
-  // dense tables (the pre-flat-layout behavior, kept for ablation and the
-  // differential tests).
-  int dense_fanout_threshold = PathNfa::kDefaultDenseThreshold;
 };
 
 // LIST(P_i) entry: a candidate view and the length (number of labels) of its

@@ -24,11 +24,9 @@ SortedEntries(const Map& map) {
 }
 
 constexpr uint32_t kMagic = 0x56464C54;  // "VFLT"
-// v4 adds payload-length framing and a trailing FNV-1a checksum (matching
-// the KvStore image discipline); v3 images (unframed, no checksum) are
-// still readable.
+// v4 frames the payload with its length and a trailing FNV-1a checksum
+// (matching the KvStore image discipline).
 constexpr uint32_t kVersion = 4;
-constexpr uint32_t kLegacyVersion = 3;
 
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
@@ -98,8 +96,8 @@ class Reader {
   size_t pos_ = 0;
 };
 
-// The image body (everything after magic/version and, in v4, the payload
-// framing): options flags, pred dictionary, view registry, NFA states.
+// The image payload (everything inside the v4 framing): options flags, pred
+// dictionary, view registry, NFA states.
 Result<VFilter> ParseVFilterBody(std::string_view payload) {
   Reader r(payload);
   uint32_t flags = 0;
@@ -300,13 +298,8 @@ Result<VFilter> DeserializeVFilter(const std::string& bytes) {
   if (!header.ReadU32(&magic) || magic != kMagic) {
     return Status::ParseError("bad VFilter image magic");
   }
-  if (!header.ReadU32(&version) ||
-      (version != kVersion && version != kLegacyVersion)) {
+  if (!header.ReadU32(&version) || version != kVersion) {
     return Status::ParseError("unsupported VFilter image version");
-  }
-  if (version == kLegacyVersion) {
-    // v3: unframed, no checksum — the body runs to the end of the image.
-    return ParseVFilterBody(std::string_view(bytes).substr(8));
   }
   uint64_t payload_len = 0;
   if (!header.ReadU64(&payload_len) ||

@@ -19,6 +19,7 @@
 #include "storage/env.h"
 #include "storage/metered_env.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -240,8 +241,7 @@ TEST(CrashSimEnvTest, ListDirAndNotFound) {
 
 TEST(PosixEnvTest, RoundTrip) {
   Env* env = DefaultEnv();
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/posix_env_roundtrip";
+  const std::string path = TestTempPath("posix_env_roundtrip");
   auto file = env->NewWritableFile(path, WriteMode::kTruncate);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append("hello ").ok());
@@ -269,7 +269,7 @@ TEST(PosixEnvTest, RoundTrip) {
 
 TEST(PosixEnvTest, TruncateToCutsTheTail) {
   Env* env = DefaultEnv();
-  const std::string path = ::testing::TempDir() + "/posix_env_truncate";
+  const std::string path = TestTempPath("posix_env_truncate");
   auto file = env->NewWritableFile(path, WriteMode::kTruncate);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append("ABCDEF").ok());
@@ -395,8 +395,7 @@ TEST(WriteFileAtomicTest, ConcurrentSaversToOnePathBothSucceed) {
 
 TEST(WriteFileAtomicTest, PosixSweepRemovesPlantedStaleTemp) {
   Env* env = DefaultEnv();
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/sweep_target";
+  const std::string path = TestTempPath("sweep_target");
   ASSERT_TRUE(
       WriteAll(env, path + ".tmp.424242.0", "stranded", true, false).ok());
   int swept = 0;

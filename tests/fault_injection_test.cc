@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "storage/kv_store.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -141,7 +142,7 @@ class FaultPointTest : public ::testing::Test {
 };
 
 TEST_F(FaultPointTest, KvSaveFaultLeavesOldFileIntact) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_kv.bin";
+  const std::string path = TestTempPath("xvr_fi_kv.bin");
   KvStore kv;
   kv.Put("k", "v1");
   ASSERT_TRUE(kv.SaveToFile(path).ok());
@@ -159,7 +160,7 @@ TEST_F(FaultPointTest, KvSaveFaultLeavesOldFileIntact) {
 }
 
 TEST_F(FaultPointTest, AtomicWriteFaultPreservesTarget) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_atomic.bin";
+  const std::string path = TestTempPath("xvr_fi_atomic.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   Arm("file.write_atomic");
   EXPECT_FALSE(WriteFileAtomic(path, "new").ok());
@@ -171,7 +172,7 @@ TEST_F(FaultPointTest, AtomicWriteFaultPreservesTarget) {
 }
 
 TEST_F(FaultPointTest, AtomicWriteRetryAbsorbsTransientFaults) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_retry.bin";
+  const std::string path = TestTempPath("xvr_fi_retry.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   // Fail the first two attempts, succeed on the third: the default policy
   // (3 attempts) absorbs the blip.
@@ -186,7 +187,7 @@ TEST_F(FaultPointTest, AtomicWriteRetryAbsorbsTransientFaults) {
 }
 
 TEST_F(FaultPointTest, AtomicWriteWithoutRetryFailsOnFirstFault) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_noretry.bin";
+  const std::string path = TestTempPath("xvr_fi_noretry.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   // The same single transient fault is fatal when retry is disabled.
   Arm("file.write_atomic", /*every_nth=*/1, /*max_fires=*/1);
@@ -199,7 +200,7 @@ TEST_F(FaultPointTest, AtomicWriteWithoutRetryFailsOnFirstFault) {
 }
 
 TEST_F(FaultPointTest, AppendRetryAbsorbsTransientFaults) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_append.bin";
+  const std::string path = TestTempPath("xvr_fi_append.bin");
   std::remove(path.c_str());
   Arm("catalog_wal.append", /*every_nth=*/1, /*max_fires=*/2);
   EXPECT_TRUE(AppendToFile(path, "abc", "catalog_wal.append").ok());
@@ -236,7 +237,7 @@ TEST_F(FaultPointTest, KvLoadFaultSurfacesAsIoError) {
 // real PosixEnv, below the file_util/WAL retry layers.
 
 TEST_F(FaultPointTest, EnvAppendFaultPreservesTarget) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_env_append.bin";
+  const std::string path = TestTempPath("xvr_fi_env_append.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   Arm("env.append");
   EXPECT_FALSE(WriteFileAtomic(path, "new", RetryPolicy::None()).ok());
@@ -248,7 +249,7 @@ TEST_F(FaultPointTest, EnvAppendFaultPreservesTarget) {
 }
 
 TEST_F(FaultPointTest, EnvSyncRetryAbsorbsTransientFault) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_env_sync.bin";
+  const std::string path = TestTempPath("xvr_fi_env_sync.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   // One failed fdatasync; the default retry policy's second attempt lands.
   Arm("env.sync", /*every_nth=*/1, /*max_fires=*/1);
@@ -262,7 +263,7 @@ TEST_F(FaultPointTest, EnvSyncRetryAbsorbsTransientFault) {
 }
 
 TEST_F(FaultPointTest, EnvRenameFaultPreservesTargetAndCleansTemp) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_env_rename.bin";
+  const std::string path = TestTempPath("xvr_fi_env_rename.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   Arm("env.rename");
   EXPECT_FALSE(WriteFileAtomic(path, "new", RetryPolicy::None()).ok());
@@ -279,7 +280,7 @@ TEST_F(FaultPointTest, EnvRenameFaultPreservesTargetAndCleansTemp) {
 }
 
 TEST_F(FaultPointTest, EnvSyncDirFaultSurfacesAfterRename) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_env_syncdir.bin";
+  const std::string path = TestTempPath("xvr_fi_env_syncdir.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   // The directory fsync is the last step: when it fails, the rename has
   // already happened, so the live file shows the new bytes — but the save
@@ -295,9 +296,8 @@ TEST_F(FaultPointTest, EnvSyncDirFaultSurfacesAfterRename) {
 }
 
 TEST_F(FaultPointTest, EngineSaveOnEnvFaultKeepsServingAndCountsIoErrors) {
-  const std::string dir = ::testing::TempDir();
-  const std::string image = dir + "xvr_fi_env_engine.img";
-  const std::string wal = dir + "xvr_fi_env_engine.wal";
+  const std::string image = TestTempPath("xvr_fi_env_engine.img");
+  const std::string wal = TestTempPath("xvr_fi_env_engine.wal");
   std::remove(image.c_str());
   std::remove(wal.c_str());
   Engine engine(MakeDoc());
@@ -322,7 +322,7 @@ TEST_F(FaultPointTest, EngineSaveOnEnvFaultKeepsServingAndCountsIoErrors) {
 }
 
 TEST_F(FaultPointTest, FragmentLoadFaultQuarantinesTheView) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_frag.bin";
+  const std::string path = TestTempPath("xvr_fi_frag.bin");
   {
     Engine engine(MakeDoc());
     ASSERT_TRUE(engine.AddView(Parse(engine, "/r/s/p")).ok());  // view 0
@@ -347,7 +347,7 @@ TEST_F(FaultPointTest, FragmentLoadFaultQuarantinesTheView) {
 }
 
 TEST_F(FaultPointTest, VFilterDecodeFaultTriggersRebuild) {
-  const std::string path = ::testing::TempDir() + "xvr_fi_vfilter.bin";
+  const std::string path = TestTempPath("xvr_fi_vfilter.bin");
   {
     Engine engine(MakeDoc());
     ASSERT_TRUE(engine.AddView(Parse(engine, "/r/s/p")).ok());

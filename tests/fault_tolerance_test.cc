@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "storage/kv_store.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -295,7 +296,7 @@ TEST_F(FaultToleranceTest, BatchDeadlineFailsEverySlotCleanly) {
 class PersistenceFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "xvr_fault_tolerance_state.bin";
+    path_ = TestTempPath("xvr_fault_tolerance_state.bin");
     auto doc = ParseXml("<r><s><p/><q/></s><s><p/></s><t><u/></t></r>");
     ASSERT_TRUE(doc.ok());
     Engine engine(std::move(doc).value());
@@ -424,7 +425,7 @@ TEST_F(PersistenceFaultTest, TornImageIsRejectedByChecksum) {
 }
 
 TEST(FileUtilTest, WriteFileAtomicReplacesAndLeavesNoTemp) {
-  const std::string path = ::testing::TempDir() + "xvr_atomic_write.bin";
+  const std::string path = TestTempPath("xvr_atomic_write.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "one").ok());
   auto first = ReadFileToString(path);
   ASSERT_TRUE(first.ok());

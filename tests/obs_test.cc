@@ -20,6 +20,7 @@
 #include "obs/engine_metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -493,7 +494,7 @@ TEST_F(EngineObservabilityTest, BatchRecordsQueueWaitAndQueryCount) {
 }
 
 TEST_F(EngineObservabilityTest, WalAppendsAreCounted) {
-  const std::string path = ::testing::TempDir() + "xvr_obs_wal.bin";
+  const std::string path = TestTempPath("xvr_obs_wal.bin");
   std::remove(path.c_str());
   ASSERT_TRUE(engine_.EnableCatalogWal(path).ok());
   auto id = engine_.AddView(Parse("/r/s/p"));
@@ -504,9 +505,8 @@ TEST_F(EngineObservabilityTest, WalAppendsAreCounted) {
 }
 
 TEST_F(EngineObservabilityTest, StorageCountersTrackDurabilityWork) {
-  const std::string dir = ::testing::TempDir();
-  const std::string wal = dir + "xvr_obs_storage.wal";
-  const std::string image = dir + "xvr_obs_storage.img";
+  const std::string wal = TestTempPath("xvr_obs_storage.wal");
+  const std::string image = TestTempPath("xvr_obs_storage.img");
   std::remove(wal.c_str());
   std::remove(image.c_str());
 
@@ -598,26 +598,6 @@ TEST_F(EngineObservabilityTest, ArenaGaugesTrackTheServingPath) {
             engine_.metrics().GetGauge("xvr.arena.bytes_allocated")->Value());
   EXPECT_NE(engine_.MetricsJson().find("\"xvr.arena.high_water\":"),
             std::string::npos);
-}
-
-TEST_F(EngineObservabilityTest, FragmentFormatCensusIsExposedOnLoad) {
-  AddViews();
-  const std::string path = ::testing::TempDir() + "xvr_obs_flat_ratio.bin";
-  std::remove(path.c_str());
-  ASSERT_TRUE(engine_.SaveState(path).ok());
-  auto loaded = Engine::LoadState(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  // SaveState writes v2 images, so a fresh load is 100% flat.
-  const std::string text = (*loaded)->MetricsText();
-  EXPECT_NE(text.find("gauge xvr.fragment.flat_ratio_pct 100\n"),
-            std::string::npos)
-      << text;
-  EXPECT_GT((*loaded)->metrics().GetCounter("xvr.fragment.flat_loads")->Value(),
-            0u);
-  EXPECT_EQ(
-      (*loaded)->metrics().GetCounter("xvr.fragment.legacy_loads")->Value(),
-      0u);
-  std::remove(path.c_str());
 }
 
 class EngineMetricsDisabledTest : public EngineObservabilityTest {

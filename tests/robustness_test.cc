@@ -11,6 +11,7 @@
 #include "pattern/pattern_writer.h"
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
+#include "test_util.h"
 #include "vfilter/vfilter.h"
 #include "vfilter/vfilter_serde.h"
 #include "workload/xmark.h"
@@ -248,37 +249,23 @@ TEST(CorruptionSweep, VFilterImageRandomByteCorruption) {
     const size_t off = rng.NextBounded(mutated.size());
     mutated[off] = static_cast<char>(
         mutated[off] ^ static_cast<char>(rng.NextInt(1, 255)));
-    auto restored = DeserializeVFilter(mutated);
-    if (off >= 4 && off < 8) {
-      // A flip in the version field can re-frame the image as legacy v3,
-      // which has no checksum; acceptance is allowed but must be safe.
-      if (restored.ok()) {
-        auto q = ParseXPath("/a/b1[c]//d", &dict);
-        ASSERT_TRUE(q.ok());
-        (void)restored->Filter(*q);  // crash probe (lint:discard-ok)
-      }
-    } else {
-      EXPECT_FALSE(restored.ok()) << "flip at offset " << off;
-    }
+    EXPECT_FALSE(DeserializeVFilter(mutated).ok()) << "flip at offset " << off;
   }
 }
 
-TEST(CorruptionSweep, VFilterLegacyV3ImageStillReadable) {
+TEST(CorruptionSweep, VFilterVersion3LabelIsRejected) {
   LabelDict dict;
-  const VFilter filter = SmallFilter(&dict);
-  const std::string v4 = SerializeVFilter(filter);
+  const std::string v4 = SerializeVFilter(SmallFilter(&dict));
   ASSERT_GT(v4.size(), 24u);
-  // v3 layout: magic, version, then the bare body — no length framing, no
-  // checksum. Re-wrap the v4 payload to prove the legacy path still parses.
+  // The pre-checksum v3 layout: magic, version, then the bare payload — no
+  // length framing, no checksum. Readers accept only framed v4 images.
   std::string v3;
   AppendU32(0x56464C54, &v3);  // "VFLT"
   AppendU32(3, &v3);
   v3 += v4.substr(16, v4.size() - 24);
   auto restored = DeserializeVFilter(v3);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  auto q = ParseXPath("/a/b1[c]//d", &dict);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(restored->Filter(*q).candidates, filter.Filter(*q).candidates);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
 }
 
 TEST(CorruptionSweep, KvStoreImageTruncationAtEveryOffset) {
@@ -314,7 +301,7 @@ TEST(CorruptionSweep, KvStoreImageSingleByteCorruptionAtEveryOffset) {
 }
 
 TEST(CorruptionSweep, EngineStateTruncationAtEveryOffset) {
-  const std::string path = ::testing::TempDir() + "xvr_sweep_state.bin";
+  const std::string path = TestTempPath("xvr_sweep_state.bin");
   auto doc = ParseXml("<r><s><p/></s></r>");
   ASSERT_TRUE(doc.ok());
   {
@@ -336,7 +323,7 @@ TEST(CorruptionSweep, EngineStateTruncationAtEveryOffset) {
 }
 
 TEST(CorruptionSweep, EngineStateRandomSingleByteCorruption) {
-  const std::string path = ::testing::TempDir() + "xvr_sweep_flip.bin";
+  const std::string path = TestTempPath("xvr_sweep_flip.bin");
   auto doc = ParseXml("<r><s><p/></s></r>");
   ASSERT_TRUE(doc.ok());
   {

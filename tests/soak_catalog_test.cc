@@ -25,6 +25,7 @@
 #include "common/mutex.h"
 #include "core/engine.h"
 #include "storage/catalog_wal.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -258,7 +259,7 @@ TEST(CatalogSoak, PinnedSnapshotSurvivesMutation) {
 // WAL format: round trip and torn tails.
 
 TEST(CatalogWal, AppendReadAllRoundTrip) {
-  const std::string path = ::testing::TempDir() + "xvr_wal_roundtrip.bin";
+  const std::string path = TestTempPath("xvr_wal_roundtrip.bin");
   std::remove(path.c_str());
   auto wal = CatalogWal::Open(path, /*last_seq=*/0);
   ASSERT_TRUE(wal.ok());
@@ -284,7 +285,7 @@ TEST(CatalogWal, AppendReadAllRoundTrip) {
 }
 
 TEST(CatalogWal, TornTailIsDroppedNotFatal) {
-  const std::string path = ::testing::TempDir() + "xvr_wal_torn.bin";
+  const std::string path = TestTempPath("xvr_wal_torn.bin");
   std::remove(path.c_str());
   auto wal = CatalogWal::Open(path, 0);
   ASSERT_TRUE(wal.ok());
@@ -314,7 +315,7 @@ TEST(CatalogWal, TornTailIsDroppedNotFatal) {
 
 TEST(CatalogWal, MissingFileIsAnEmptyLog) {
   auto records =
-      CatalogWal::ReadAll(::testing::TempDir() + "xvr_wal_nonexistent.bin");
+      CatalogWal::ReadAll(TestTempPath("xvr_wal_nonexistent.bin"));
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
 }
@@ -325,13 +326,8 @@ TEST(CatalogWal, MissingFileIsAnEmptyLog) {
 class CatalogRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test file names: ctest runs each test as its own process, in
-    // parallel, so shared names would let tests clobber each other.
-    const std::string test_name = ::testing::UnitTest::GetInstance()
-                                      ->current_test_info()
-                                      ->name();
-    image_ = ::testing::TempDir() + "xvr_" + test_name + "_img.bin";
-    wal_ = ::testing::TempDir() + "xvr_" + test_name + "_wal.bin";
+    image_ = TestTempPath("img.bin");
+    wal_ = TestTempPath("wal.bin");
     std::remove(image_.c_str());
     std::remove(wal_.c_str());
   }
