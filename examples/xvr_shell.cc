@@ -35,16 +35,6 @@ namespace {
 
 using xvr::AnswerStrategy;
 
-xvr::Result<AnswerStrategy> StrategyByName(const std::string& name) {
-  if (name == "BN") return AnswerStrategy::kBaseNodeIndex;
-  if (name == "BF") return AnswerStrategy::kBaseFullIndex;
-  if (name == "MN") return AnswerStrategy::kMinimumNoFilter;
-  if (name == "MV") return AnswerStrategy::kMinimumFiltered;
-  if (name == "HV") return AnswerStrategy::kHeuristicFiltered;
-  if (name == "HB") return AnswerStrategy::kHeuristicSmallFragments;
-  return xvr::Status::InvalidArgument("unknown strategy " + name);
-}
-
 class Shell {
  public:
   int Run() {
@@ -258,7 +248,7 @@ class Shell {
     last_query_ = std::make_unique<xvr::TreePattern>(std::move(query).value());
 
     if (cmd == "q" || cmd == "q!") {
-      auto strategy = StrategyByName(strategy_name);
+      auto strategy = xvr::ParseAnswerStrategy(strategy_name);
       if (!strategy.ok()) {
         std::printf("%s\n", strategy.status().ToString().c_str());
         return true;

@@ -89,11 +89,12 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 constructor, before the cache exists) carries
                 lint:publish-hook-ok.
 
-  temp-path     In tests/, no ::testing::TempDir() outside tests/test_util.h.
-                ctest runs every test case as its own process, in parallel,
-                so a fixed file name under the temp directory lets cases
-                overwrite each other's files. TestTempPath (test_util.h)
-                names the file after the test and the process instead.
+  temp-path     In tests/, no ::testing::TempDir() outside tests/test_util.h,
+                and no string literal starting with "/tmp/". ctest runs
+                every test case as its own process, in parallel, so a fixed
+                file name under the temp directory lets cases overwrite
+                each other's files. TestTempPath (test_util.h) names the
+                file after the test and the process instead.
 
 Usage: scripts/lint.py [root]   (root defaults to the repo checkout)
 Exit status 0 when clean, 1 with one "file:line: [rule] message" per finding.
@@ -144,6 +145,7 @@ ENV_IO_RE = re.compile(
 TEMP_PATH_DIR = "tests/"
 TEMP_PATH_ALLOWLIST = {"tests/test_util.h"}
 TEMP_PATH_RE = re.compile(r"\bTempDir\s*\(")
+TMP_LITERAL_RE = re.compile(r'"/tmp/')
 
 HOT_ALLOC_DIRS = ("src/exec/", "src/rewrite/", "src/vfilter/")
 # Cold-path files exempt wholesale (none today; prefer line suppressions so
@@ -392,6 +394,17 @@ def lint_file(rel, raw, code, unordered_names, findings):
             if not suppressed(lineno, "temp-path"):
                 findings.append((rel, lineno, "temp-path",
                                  "fixed path under TempDir(); parallel test "
+                                 "processes share it. Use TestTempPath "
+                                 "(tests/test_util.h)"))
+        # Literals are blanked in `line` but keep their opening quote, so a
+        # match in the raw text is a literal when `line` has a quote there.
+        raw_line = raw_lines[lineno - 1]
+        if (rel.startswith(TEMP_PATH_DIR)
+                and any(line[m.start()] == '"'
+                        for m in TMP_LITERAL_RE.finditer(raw_line))):
+            if not suppressed(lineno, "temp-path"):
+                findings.append((rel, lineno, "temp-path",
+                                 "fixed \"/tmp/\" path; parallel test "
                                  "processes share it. Use TestTempPath "
                                  "(tests/test_util.h)"))
         if (rel.startswith(CATALOG_PIN_DIRS)

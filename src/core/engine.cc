@@ -42,7 +42,6 @@ Engine::Engine(XmlTree doc, EngineOptions options)
     catalog_ = std::make_shared<const CatalogSnapshot>(options_.vfilter);
   }
 
-  metrics_registry_.SetEnabled(options_.metrics_enabled);
   metrics_ = std::make_unique<EngineMetrics>(&metrics_registry_);
 
   metered_env_ = std::make_unique<MeteredEnv>(
@@ -50,8 +49,7 @@ Engine::Engine(XmlTree doc, EngineOptions options)
       metrics_->storage_syncs, metrics_->storage_io_errors,
       metrics_->storage_enospc);
 
-  planner_ = std::make_unique<Planner>(
-      PlannerOptions{options_.minimize_patterns});
+  planner_ = std::make_unique<Planner>();
 
   if (options_.plan_cache_capacity > 0) {
     plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
@@ -120,9 +118,7 @@ void Engine::PublishCatalog(CatalogSnapshot next, CatalogDelta delta) {
 
 Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
                                       int32_t forced_id, bool log_to_wal) {
-  if (options_.minimize_patterns) {
-    MinimizePattern(&view);
-  }
+  MinimizePattern(&view);
   // Materialize before touching any shared state: a failed materialization
   // leaves no trace in the catalog and never reaches the WAL.
   std::vector<Fragment> fragments;

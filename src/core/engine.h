@@ -74,17 +74,8 @@ namespace xvr {
 struct EngineOptions {
   MaterializeOptions materialize;  // 128 KB per-view cap by default
   VFilterOptions vfilter;
-  // Minimize view and query patterns on entry (the paper assumes all tree
-  // patterns are minimized, §II). Sound: minimization preserves
-  // equivalence and never drops the answer branch.
-  bool minimize_patterns = true;
   // Number of plans the LRU PlanCache retains; 0 disables plan caching.
   size_t plan_cache_capacity = 1024;
-  // Record engine-wide metrics (counters, gauges, latency histograms).
-  // When false the registry still exists — Engine::metrics() stays valid
-  // and can be re-enabled at runtime — but every hot-path record collapses
-  // to one relaxed atomic load.
-  bool metrics_enabled = true;
   // Storage environment for all persistence (state images, catalog WAL).
   // nullptr = DefaultEnv() (fd-level POSIX I/O with real fsync points).
   // Tests inject a CrashSimEnv here to cut simulated power mid-save. Not
@@ -332,9 +323,8 @@ class Engine {
   //
   // The engine owns one MetricsRegistry; the whole serving path records
   // into it (see obs/engine_metrics.h for the metric catalog). Recording is
-  // lock-free and sharded; with options.metrics_enabled = false (or
-  // metrics().SetEnabled(false) at runtime) every record collapses to one
-  // relaxed load.
+  // lock-free and sharded; metrics().SetEnabled(false) turns every record
+  // into one relaxed load, and SetEnabled(true) turns recording back on.
 
   MetricsRegistry& metrics() const { return metrics_registry_; }
 

@@ -127,7 +127,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
     return built.status();
   }
   plan = std::move(built).value();
-  // The plan's (possibly minimized) pattern is what selection indexed and
+  // The plan's minimized pattern is what selection indexed and
   // what execution will embed — it must still be a well-formed pattern.
   XVR_DEBUG_VALIDATE(ValidateTreePattern(plan.query));
   auto shared = std::make_shared<const QueryPlan>(std::move(plan));
@@ -308,9 +308,7 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
   } else {
     deps_.base->Warm(strategy == AnswerStrategy::kBaseNodeIndex
                          ? BaseStrategy::kNodeIndex
-                     : strategy == AnswerStrategy::kBaseFullIndex
-                         ? BaseStrategy::kFullIndex
-                         : BaseStrategy::kTjfast);
+                         : BaseStrategy::kFullIndex);
   }
 
   const size_t workers = std::min<size_t>(

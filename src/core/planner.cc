@@ -61,8 +61,6 @@ const char* AnswerStrategyName(AnswerStrategy strategy) {
       return "BN";
     case AnswerStrategy::kBaseFullIndex:
       return "BF";
-    case AnswerStrategy::kBaseTjfast:
-      return "BT";
     case AnswerStrategy::kMinimumNoFilter:
       return "MN";
     case AnswerStrategy::kMinimumFiltered:
@@ -75,7 +73,17 @@ const char* AnswerStrategyName(AnswerStrategy strategy) {
   return "?";
 }
 
-Planner::Planner(PlannerOptions options) : options_(options) {}
+Result<AnswerStrategy> ParseAnswerStrategy(std::string_view name) {
+  std::string names;
+  for (const AnswerStrategy strategy : kAllAnswerStrategies) {
+    if (name == AnswerStrategyName(strategy)) {
+      return strategy;
+    }
+    names += names.empty() ? "" : "|";
+    names += AnswerStrategyName(strategy);
+  }
+  return Status::InvalidArgument("strategy must be one of " + names);
+}
 
 Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
                                         const TreePattern& query,
@@ -203,7 +211,6 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
     }
     case AnswerStrategy::kBaseNodeIndex:
     case AnswerStrategy::kBaseFullIndex:
-    case AnswerStrategy::kBaseTjfast:
       return Status::InvalidArgument(
           "base-data strategies do not select views");
   }
@@ -221,16 +228,12 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
   plan.query = query;
   plan.strategy = strategy;
   plan.catalog_version = catalog.version;
-  if (options_.minimize_patterns) {
-    MinimizePattern(&plan.query);
-  }
+  MinimizePattern(&plan.query);
   if (IsBaseStrategy(strategy)) {
     plan.uses_views = false;
-    plan.base_strategy =
-        strategy == AnswerStrategy::kBaseNodeIndex  ? BaseStrategy::kNodeIndex
-        : strategy == AnswerStrategy::kBaseFullIndex
-            ? BaseStrategy::kFullIndex
-            : BaseStrategy::kTjfast;
+    plan.base_strategy = strategy == AnswerStrategy::kBaseNodeIndex
+                             ? BaseStrategy::kNodeIndex
+                             : BaseStrategy::kFullIndex;
     // Base plans read the document only: no catalog mutation can change
     // them, and the publish sweep keeps them across every delta.
     plan.deps.catalog_free = true;

@@ -30,6 +30,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,7 +52,6 @@ namespace xvr {
 enum class AnswerStrategy {
   kBaseNodeIndex,      // BN: base data, basic node index
   kBaseFullIndex,      // BF: base data, full path index
-  kBaseTjfast,         // BT: base data, TJFast on extended Dewey codes [22]
   kMinimumNoFilter,    // MN: minimum view set, no VFILTER
   kMinimumFiltered,    // MV: minimum view set over VFILTER candidates
   kHeuristicFiltered,  // HV: Algorithm 2 over VFILTER candidates
@@ -61,18 +61,21 @@ enum class AnswerStrategy {
 };
 
 inline constexpr AnswerStrategy kAllAnswerStrategies[] = {
-    AnswerStrategy::kBaseNodeIndex,     AnswerStrategy::kBaseFullIndex,
-    AnswerStrategy::kBaseTjfast,        AnswerStrategy::kMinimumNoFilter,
-    AnswerStrategy::kMinimumFiltered,   AnswerStrategy::kHeuristicFiltered,
+    AnswerStrategy::kBaseNodeIndex,   AnswerStrategy::kBaseFullIndex,
+    AnswerStrategy::kMinimumNoFilter, AnswerStrategy::kMinimumFiltered,
+    AnswerStrategy::kHeuristicFiltered,
     AnswerStrategy::kHeuristicSmallFragments,
 };
 
 const char* AnswerStrategyName(AnswerStrategy strategy);
 
+// The strategy in kAllAnswerStrategies whose AnswerStrategyName is `name`;
+// INVALID_ARGUMENT listing every accepted name otherwise.
+Result<AnswerStrategy> ParseAnswerStrategy(std::string_view name);
+
 inline bool IsBaseStrategy(AnswerStrategy strategy) {
   return strategy == AnswerStrategy::kBaseNodeIndex ||
-         strategy == AnswerStrategy::kBaseFullIndex ||
-         strategy == AnswerStrategy::kBaseTjfast;
+         strategy == AnswerStrategy::kBaseFullIndex;
 }
 
 // Per-call timing contract: filter/selection/execution/total_micros report
@@ -107,10 +110,10 @@ struct AnswerStats {
   RewriteStats rewrite;
 };
 
-// The immutable product of the planning stage. `query` is the pattern the
-// plan was built for (minimized when the planner minimizes); the cover node
-// indices inside `selection` refer to it, so execution must use this
-// pattern, not the caller's original.
+// The immutable product of the planning stage. `query` is the minimized
+// pattern the plan was built for; the cover node indices inside `selection`
+// refer to it, so execution must use this pattern, not the caller's
+// original.
 struct QueryPlan {
   TreePattern query;
   AnswerStrategy strategy = AnswerStrategy::kHeuristicFiltered;
@@ -154,16 +157,8 @@ struct QueryPlan {
   uint64_t catalog_version = 0;
 };
 
-// Planner configuration (everything that is not per-call state).
-struct PlannerOptions {
-  // Minimize query patterns before planning (paper §II assumption).
-  bool minimize_patterns = true;
-};
-
 class Planner {
  public:
-  explicit Planner(PlannerOptions options = {});
-
   // Runs VFILTER + view selection for `query` exactly as given (no
   // minimization — the cover node indices in the result refer to the
   // caller's pattern) against the pinned `catalog`. Base strategies are
@@ -193,10 +188,11 @@ class Planner {
                                  std::vector<int32_t>* candidates_out =
                                      nullptr) const;
 
-  // Builds a complete plan against `catalog`: minimizes (when configured),
-  // classifies the strategy and, for view strategies, selects the view set.
-  // The plan records catalog.version and its dependency set (plan_deps.h)
-  // for targeted cache invalidation.
+  // Builds a complete plan against `catalog`: minimizes the query (the
+  // paper assumes minimized patterns, §II), classifies the strategy and,
+  // for view strategies, selects the view set. The plan records
+  // catalog.version and its dependency set (plan_deps.h) for targeted cache
+  // invalidation.
   //
   // When selection fails with NOT_ANSWERABLE and the failure did not stem
   // from a degradation, a non-null `tombstone_out` is filled with a
@@ -209,9 +205,6 @@ class Planner {
                               const QueryLimits& limits = QueryLimits(),
                               Trace* trace = nullptr,
                               QueryPlan* tombstone_out = nullptr) const;
-
- private:
-  PlannerOptions options_;
 };
 
 // Cache key of a (query, strategy) pair: the pattern's canonical structural

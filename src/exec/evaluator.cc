@@ -28,22 +28,6 @@ const PathIndex& BaseEvaluator::path_index() const {
   return *path_index_;
 }
 
-const TjFastEvaluator& BaseEvaluator::tjfast() const {
-  if (const TjFastEvaluator* built =
-          tjfast_published_.load(std::memory_order_acquire)) {
-    return *built;
-  }
-  // Resolve the shared node index before taking tjfast_mu_ so no thread
-  // ever holds tjfast_mu_ while acquiring node_mu_.
-  const NodeIndex& nodes = node_index();
-  MutexLock lock(&tjfast_mu_);
-  if (tjfast_ == nullptr) {
-    tjfast_ = std::make_unique<TjFastEvaluator>(tree_, nodes);
-    tjfast_published_.store(tjfast_.get(), std::memory_order_release);
-  }
-  return *tjfast_;
-}
-
 void BaseEvaluator::Warm(BaseStrategy strategy) const {
   switch (strategy) {
     case BaseStrategy::kNodeIndex:
@@ -51,9 +35,6 @@ void BaseEvaluator::Warm(BaseStrategy strategy) const {
       break;
     case BaseStrategy::kFullIndex:
       path_index();
-      break;
-    case BaseStrategy::kTjfast:
-      tjfast();
       break;
   }
 }
@@ -65,8 +46,6 @@ std::vector<NodeId> BaseEvaluator::Evaluate(const TreePattern& pattern,
       return node_index().Evaluate(pattern);
     case BaseStrategy::kFullIndex:
       return path_index().Evaluate(pattern);
-    case BaseStrategy::kTjfast:
-      return tjfast().Evaluate(pattern);
   }
   return {};
 }

@@ -16,7 +16,6 @@
 #include "common/thread_annotations.h"
 #include "exec/node_index.h"
 #include "exec/path_index.h"
-#include "exec/tjfast.h"
 #include "xml/xml_tree.h"
 
 namespace xvr {
@@ -24,7 +23,6 @@ namespace xvr {
 enum class BaseStrategy {
   kNodeIndex,  // BN
   kFullIndex,  // BF
-  kTjfast,     // BT: TJFast-style evaluation on extended Dewey codes [22]
 };
 
 class BaseEvaluator {
@@ -37,9 +35,6 @@ class BaseEvaluator {
 
   const NodeIndex& node_index() const XVR_EXCLUDES(node_mu_);
   const PathIndex& path_index() const XVR_EXCLUDES(path_mu_);
-  // Builds the node index first (TJFast shares it), so tjfast_mu_ is always
-  // acquired before node_mu_, never the other way around.
-  const TjFastEvaluator& tjfast() const XVR_EXCLUDES(tjfast_mu_, node_mu_);
 
   // Eagerly builds the index the strategy needs (call before fanning a
   // batch across threads to keep the first queries from paying the build).
@@ -52,13 +47,10 @@ class BaseEvaluator {
   // load pairs with the release store after construction).
   mutable Mutex node_mu_;
   mutable Mutex path_mu_;
-  mutable Mutex tjfast_mu_;
   mutable std::unique_ptr<NodeIndex> node_index_ XVR_GUARDED_BY(node_mu_);
   mutable std::unique_ptr<PathIndex> path_index_ XVR_GUARDED_BY(path_mu_);
-  mutable std::unique_ptr<TjFastEvaluator> tjfast_ XVR_GUARDED_BY(tjfast_mu_);
   mutable std::atomic<const NodeIndex*> node_published_{nullptr};
   mutable std::atomic<const PathIndex*> path_published_{nullptr};
-  mutable std::atomic<const TjFastEvaluator*> tjfast_published_{nullptr};
 };
 
 }  // namespace xvr

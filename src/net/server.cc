@@ -85,18 +85,15 @@ std::string StatusBody(const Status& status) {
   return ErrorBody(StatusCodeName(status.code()), status.message());
 }
 
-bool ParseStrategy(std::string_view name, AnswerStrategy* out) {
-  if (name == "BN") { *out = AnswerStrategy::kBaseNodeIndex; return true; }
-  if (name == "BF") { *out = AnswerStrategy::kBaseFullIndex; return true; }
-  if (name == "BT") { *out = AnswerStrategy::kBaseTjfast; return true; }
-  if (name == "MN") { *out = AnswerStrategy::kMinimumNoFilter; return true; }
-  if (name == "MV") { *out = AnswerStrategy::kMinimumFiltered; return true; }
-  if (name == "HV") { *out = AnswerStrategy::kHeuristicFiltered; return true; }
-  if (name == "HB") {
-    *out = AnswerStrategy::kHeuristicSmallFragments;
-    return true;
+// The request's "strategy" member, `fallback` when it has none. A member
+// that is not a strategy name is INVALID_ARGUMENT listing the valid ones.
+Result<AnswerStrategy> RequestStrategy(const JsonValue& root,
+                                       AnswerStrategy fallback) {
+  const JsonValue* name = root.Find("strategy");
+  if (name == nullptr) {
+    return fallback;
   }
-  return false;
+  return ParseAnswerStrategy(name->is_string() ? name->string_value : "");
 }
 
 // Strict non-negative integer header/JSON field, bounded to avoid overflow.
@@ -1072,13 +1069,11 @@ std::string HttpServer::HandleQuery(const Job& job, const QueryLimits& limits,
                      "body must be {\"xpath\": \"...\"} (non-empty, <= " +
                          std::to_string(kMaxXPathBytes) + " bytes)");
   }
-  AnswerStrategy strategy = options_.default_strategy;
-  if (const JsonValue* name = root.Find("strategy")) {
-    if (!name->is_string() || !ParseStrategy(name->string_value, &strategy)) {
-      *http_status = 400;
-      return ErrorBody("BAD_STRATEGY", "strategy must be one of "
-                                       "BN|BF|BT|MN|MV|HV|HB");
-    }
+  const Result<AnswerStrategy> strategy =
+      RequestStrategy(root, options_.default_strategy);
+  if (!strategy.ok()) {
+    *http_status = 400;
+    return ErrorBody("BAD_STRATEGY", strategy.status().message());
   }
   QueryLimits effective = limits;
   ApplyJsonLimits(root, &effective);
@@ -1093,7 +1088,7 @@ std::string HttpServer::HandleQuery(const Job& job, const QueryLimits& limits,
     return StatusBody(pattern.status());
   }
   const Result<Engine::Answer> answer =
-      engine_->AnswerQuery(*pattern, strategy, effective);
+      engine_->AnswerQuery(*pattern, *strategy, effective);
   if (!answer.ok()) {
     *http_status = HttpStatusFor(answer.status().code());
     return StatusBody(answer.status());
@@ -1122,13 +1117,11 @@ std::string HttpServer::HandleBatch(const Job& job, const QueryLimits& limits,
         "body must be {\"queries\": [...]} with 1 to " +
             std::to_string(options_.max_batch_queries) + " entries");
   }
-  AnswerStrategy strategy = options_.default_strategy;
-  if (const JsonValue* name = root.Find("strategy")) {
-    if (!name->is_string() || !ParseStrategy(name->string_value, &strategy)) {
-      *http_status = 400;
-      return ErrorBody("BAD_STRATEGY", "strategy must be one of "
-                                       "BN|BF|BT|MN|MV|HV|HB");
-    }
+  const Result<AnswerStrategy> strategy =
+      RequestStrategy(root, options_.default_strategy);
+  if (!strategy.ok()) {
+    *http_status = 400;
+    return ErrorBody("BAD_STRATEGY", strategy.status().message());
   }
   QueryLimits effective = limits;
   ApplyJsonLimits(root, &effective);
@@ -1165,7 +1158,7 @@ std::string HttpServer::HandleBatch(const Job& job, const QueryLimits& limits,
   // Sequential within this worker: cross-request parallelism comes from
   // the worker pool, and one runaway batch must not grab extra threads.
   const std::vector<Result<Engine::Answer>> answers =
-      engine_->BatchAnswer(valid, strategy, /*num_threads=*/0, effective);
+      engine_->BatchAnswer(valid, *strategy, /*num_threads=*/0, effective);
 
   std::string body = "{\"results\":[";
   size_t next_valid = 0;

@@ -196,10 +196,6 @@ bool ContainsCanonical(const TreePattern& container,
   return enumerator.ContainerMatchesAll();
 }
 
-bool EquivalentByHomomorphism(const TreePattern& a, const TreePattern& b) {
-  return ContainsByHomomorphism(a, b) && ContainsByHomomorphism(b, a);
-}
-
 bool EquivalentCanonical(const TreePattern& a, const TreePattern& b,
                          LabelDict* dict) {
   return ContainsCanonical(a, b, dict) && ContainsCanonical(b, a, dict);

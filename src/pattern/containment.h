@@ -39,7 +39,6 @@ namespace xvr {
                        const TreePattern& containee, LabelDict* dict);
 
 // Both-way containment.
-bool EquivalentByHomomorphism(const TreePattern& a, const TreePattern& b);
 bool EquivalentCanonical(const TreePattern& a, const TreePattern& b,
                          LabelDict* dict);
 

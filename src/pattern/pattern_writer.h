@@ -2,7 +2,7 @@
 #define XVR_PATTERN_PATTERN_WRITER_H_
 
 // Renders a TreePattern back to XPath syntax. Round-trips with ParseXPath
-// (up to predicate order; call SortCanonical first for a stable form).
+// up to predicate order (compare CanonicalKey for order-free equality).
 
 #include <string>
 

@@ -193,16 +193,6 @@ void TreePattern::RemoveSubtree(NodeIndex n) {
   answer_ = remap[static_cast<size_t>(answer_)];
 }
 
-void TreePattern::SortCanonical() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    auto& children = nodes_[i].children;
-    std::sort(children.begin(), children.end(),
-              [this](NodeIndex a, NodeIndex b) {
-                return SubtreeKey(a) < SubtreeKey(b);
-              });
-  }
-}
-
 std::string TreePattern::SubtreeKey(NodeIndex n) const {
   const PatternNode& pn = node(n);
   std::string key;

@@ -113,13 +113,10 @@ class TreePattern {
   // must not be the root). Node indices are re-assigned.
   void RemoveSubtree(NodeIndex n);
 
-  // Recursively orders children by a canonical key so that structurally
-  // equal patterns compare equal and print identically.
-  void SortCanonical();
-
   // A string key unique to the structure (labels, axes, answer position,
   // value predicates). Two patterns have the same key iff they are equal as
-  // unordered trees. Calls SortCanonical on a copy internally.
+  // unordered trees: each node's child keys are sorted before they are
+  // joined, so child order does not matter.
   std::string CanonicalKey() const;
 
  private:

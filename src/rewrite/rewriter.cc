@@ -21,6 +21,10 @@
 namespace xvr {
 namespace {
 
+// Cap on the path-match assignments enumerated per fragment (ambiguous //
+// anchor paths).
+constexpr size_t kMaxAssignmentsPerFragment = 256;
+
 // A signature prefix as a reference: the first `len` components of a
 // fragment's root code. Fragments are pinned by the catalog snapshot for
 // the duration of the query, so the pointed-at code is stable.
@@ -233,16 +237,21 @@ Status AnswerCore(
     return Status::InvalidArgument(
         "selection has no view covering the answer node");
   }
-  // Plan-hoisted compensating patterns: used only when positionally
-  // parallel to this selection (always true when the planner built both);
-  // otherwise fall back to per-call construction, so a null or mismatched
-  // options.compensation is still correct.
-  const PlanCompensation* hoisted =
-      options.compensation != nullptr &&
-              options.compensation->views.size() == selection.views.size() &&
-              options.compensation->has_extraction
-          ? options.compensation
-          : nullptr;
+  // Plan-hoisted compensating patterns; callers without a plan get
+  // call-local ones, as they get call-local scratch.
+  std::optional<PlanCompensation> local_compensation;
+  const PlanCompensation& compensation =
+      options.compensation != nullptr
+          ? *options.compensation
+          : local_compensation.emplace(
+                BuildPlanCompensation(query, selection));
+  if (compensation.views.size() != selection.views.size() ||
+      !compensation.has_extraction) {
+    return Status::Internal(
+        "plan compensation does not match the selection: " +
+        std::to_string(compensation.views.size()) + " views for " +
+        std::to_string(selection.views.size()) + " selected");
+  }
   const QueryLimits& limits = options.limits;
   InterruptTicker ticker(limits, /*stride=*/64);
   const Skeleton skeleton = BuildSkeleton(query, selection.views);
@@ -259,17 +268,8 @@ Status AnswerCore(
       return Status::NotFound("view " + std::to_string(sel.view_id) +
                               " is not materialized");
     }
-    const TreePattern::NodeIndex q_star = sel.cover.mapped_answer;
-    TreePattern refinement_storage;
-    PathPattern anchor_storage;
-    if (hoisted == nullptr) {
-      refinement_storage = RefinementPattern(query, q_star);
-      anchor_storage = PathTo(query, q_star);
-    }
-    const TreePattern& refinement =
-        hoisted != nullptr ? hoisted->views[vi].refinement : refinement_storage;
-    const PathPattern& anchor_path =
-        hoisted != nullptr ? hoisted->views[vi].anchor_path : anchor_storage;
+    const TreePattern& refinement = compensation.views[vi].refinement;
+    const PathPattern& anchor_path = compensation.views[vi].anchor_path;
 
     join_data.emplace_back(arena);
     ViewJoin& data = join_data.back();
@@ -291,8 +291,7 @@ Status AnswerCore(
                                 fragment.root_code().ToString());
       }
       MatchPathOnLabels(anchor_path, scratch.labels,
-                        options.max_assignments_per_fragment,
-                        &scratch.assignments);
+                        kMaxAssignmentsPerFragment, &scratch.assignments);
       if (scratch.assignments.empty()) {
         continue;  // the fragment root does not sit under Q's anchor path
       }
@@ -400,14 +399,7 @@ Status AnswerCore(
 
   // Phase 3: extraction over the surviving primary fragments.
   ScopedSpan extract_span(options.trace, "execute.extract");
-  TreePattern extraction_storage;
-  if (hoisted == nullptr) {
-    extraction_storage = ExtractionPattern(
-        query,
-        selection.views[static_cast<size_t>(primary)].cover.mapped_answer);
-  }
-  const TreePattern& extraction =
-      hoisted != nullptr ? hoisted->extraction : extraction_storage;
+  const TreePattern& extraction = compensation.extraction;
   size_t emitted = 0;
   for (const JoinFrag* jf : survivors) {
     XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.extract"));

@@ -63,9 +63,6 @@ struct RewriteScratch {
 };
 
 struct RewriteOptions {
-  // Cap on path-match assignments enumerated per fragment (ambiguous //
-  // paths); 0 = unlimited.
-  size_t max_assignments_per_fragment = 256;
   // Deadline/cancellation (checked inside the refinement and join loops)
   // and resource budgets: limits.max_join_fragments bounds how many refined
   // fragments a single view may feed the holistic join, and
@@ -81,10 +78,10 @@ struct RewriteOptions {
   RewriteScratch* scratch = nullptr;
   // Plan-hoisted compensating patterns (refinement/anchor-path per view,
   // extraction for the primary), built once by the planner so plan-cache
-  // hits rewrite with zero pattern construction. Must be positionally
-  // parallel to the selection passed in (the rewriter checks and falls back
-  // to per-call construction otherwise, so a null or mismatched value is
-  // always safe).
+  // hits rewrite with zero pattern construction. When null, the call builds
+  // its own with BuildPlanCompensation. A non-null value must be
+  // positionally parallel to the selection passed in; one that is not is
+  // INTERNAL.
   const PlanCompensation* compensation = nullptr;
 };
 

@@ -10,17 +10,8 @@ namespace xvr {
 
 Result<SelectionResult> SelectHeuristic(const TreePattern& query,
                                         const FilterResult& filtered,
-                                        const ViewLookup& lookup, Rng* rng) {
-  HeuristicOptions options;
-  options.rng = rng;
-  return SelectHeuristic(query, filtered, lookup, options);
-}
-
-Result<SelectionResult> SelectHeuristic(const TreePattern& query,
-                                        const FilterResult& filtered,
                                         const ViewLookup& lookup,
                                         const HeuristicOptions& options) {
-  Rng* rng = options.rng;
   // Candidate order per list: Algorithm 2's longest-path-first, or the
   // smallest-fragments-first cost-model variant.
   const auto ordered_list =
@@ -68,17 +59,10 @@ Result<SelectionResult> SelectHeuristic(const TreePattern& query,
   while ((uncovered & leaf_bits) != 0) {
     XVR_RETURN_IF_ERROR(
         CheckInterrupted(options.limits, "selection.heuristic"));
-    // Pick an uncovered leaf (randomly when an RNG is supplied).
-    std::vector<int> open;
-    for (size_t i = 0; i < universe.leaves.size(); ++i) {
-      if (uncovered & (uint64_t{1} << i)) {
-        open.push_back(static_cast<int>(i));
-      }
+    int pick = 0;
+    while ((uncovered & (uint64_t{1} << pick)) == 0) {
+      ++pick;
     }
-    const int pick =
-        rng == nullptr
-            ? open.front()
-            : open[static_cast<size_t>(rng->NextBounded(open.size()))];
     const TreePattern::NodeIndex leaf = universe.leaves[static_cast<size_t>(pick)];
 
     // The decomposition's leaves are Leaves(query) in the same order.

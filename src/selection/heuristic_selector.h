@@ -13,7 +13,6 @@
 // redundant selections.
 
 #include "common/deadline.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "pattern/tree_pattern.h"
 #include "selection/answerability.h"
@@ -31,9 +30,6 @@ struct HeuristicOptions {
   Order order = Order::kPathLength;
   // Materialized byte size per view id; consulted for kFragmentBytes.
   std::function<size_t(int32_t)> view_bytes;
-  // When non-null, uncovered leaves are picked randomly (the paper picks
-  // randomly; the default deterministic order aids testing).
-  Rng* rng = nullptr;
   // Marks codes-only views (§VII partial materialization extension).
   PartialLookup is_partial;
   // Deadline / cancellation, honored between cover computations. The greedy
@@ -43,16 +39,12 @@ struct HeuristicOptions {
 };
 
 // `filtered` must come from VFilter::Filter(query) (or a compatible
-// construction); `lookup` resolves candidate ids to patterns.
+// construction); `lookup` resolves candidate ids to patterns. Uncovered
+// leaves are taken in leaf order (the paper picks one at random).
 Result<SelectionResult> SelectHeuristic(const TreePattern& query,
                                         const FilterResult& filtered,
                                         const ViewLookup& lookup,
-                                        Rng* rng = nullptr);
-
-Result<SelectionResult> SelectHeuristic(const TreePattern& query,
-                                        const FilterResult& filtered,
-                                        const ViewLookup& lookup,
-                                        const HeuristicOptions& options);
+                                        const HeuristicOptions& options = {});
 
 }  // namespace xvr
 

@@ -66,20 +66,6 @@ CatalogWal::CatalogWal(std::string path, uint64_t last_seq, Env* env,
 
 CatalogWal::~CatalogWal() = default;
 
-const char* CatalogWalOpName(CatalogWalOp op) {
-  switch (op) {
-    case CatalogWalOp::kAddView:
-      return "add-view";
-    case CatalogWalOp::kAddViewCodesOnly:
-      return "add-view-codes-only";
-    case CatalogWalOp::kAddViewPattern:
-      return "add-view-pattern";
-    case CatalogWalOp::kRemoveView:
-      return "remove-view";
-  }
-  return "?";
-}
-
 std::string EncodeCatalogWalRecord(const CatalogWalRecord& record) {
   std::string body;
   PutScalar(record.seq, &body);

@@ -53,8 +53,6 @@ enum class CatalogWalOp : uint8_t {
   kRemoveView = 3,
 };
 
-const char* CatalogWalOpName(CatalogWalOp op);
-
 struct CatalogWalRecord {
   uint64_t seq = 0;
   CatalogWalOp op = CatalogWalOp::kAddView;

@@ -323,25 +323,6 @@ uint64_t CrashSimEnv::op_count() const {
   return op_count_;
 }
 
-Result<std::string> CrashSimEnv::DurableContents(
-    const std::string& path) const {
-  MutexLock lock(&mu_);
-  auto it = durable_.find(path);
-  if (it == durable_.end()) {
-    return Status::NotFound("sim.durable " + path + ": no durable entry");
-  }
-  return it->second->durable;
-}
-
-std::vector<std::string> CrashSimEnv::DurableFiles() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> paths;
-  for (const auto& entry : durable_) {
-    paths.push_back(entry.first);
-  }
-  return paths;
-}
-
 std::vector<std::string> CrashSimEnv::LiveFiles() const {
   MutexLock lock(&mu_);
   std::vector<std::string> paths;

@@ -104,11 +104,7 @@ class CrashSimEnv final : public Env {
   // Operations executed or failed so far (every Env/WritableFile call
   // counts exactly once).
   uint64_t op_count() const;
-  // Durable view of a file, as a post-crash reload would see it under the
-  // current TornTail policy applied to nothing (pure durable bytes).
-  // NOT_FOUND when the path has no durable directory entry.
-  Result<std::string> DurableContents(const std::string& path) const;
-  std::vector<std::string> DurableFiles() const;
+  // Paths with a live directory entry (what the running process sees).
   std::vector<std::string> LiveFiles() const;
 
  private:

@@ -31,12 +31,6 @@ int32_t VFilter::FindPredToken(const ValuePredicate& pred) const {
   return PredTokenFor(id);
 }
 
-std::vector<int32_t> VFilter::Tokens(const PathPattern& path) const {
-  std::vector<int32_t> tokens;
-  TokensInto(path, &tokens);
-  return tokens;
-}
-
 void VFilter::TokensInto(const PathPattern& path,
                          std::vector<int32_t>* out) const {
   out->clear();

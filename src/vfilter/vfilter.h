@@ -121,11 +121,9 @@ class VFilter {
   }
 
  private:
-  // Token string of a path: labels, '*', '#', plus pred tokens when the
-  // attribute extension is on.
-  std::vector<int32_t> Tokens(const PathPattern& path) const;
-  // Allocation-free form: rewrites `out` in place (the Filter hot loop
-  // reuses the buffers in NfaReadScratch::read_tokens).
+  // Token string of a path — labels, '*', '#', plus pred tokens when the
+  // attribute extension is on — written into `out` in place (the Filter hot
+  // loop reuses the buffers in NfaReadScratch::read_tokens).
   void TokensInto(const PathPattern& path, std::vector<int32_t>* out) const;
   int32_t InternPred(const ValuePredicate& pred);
   // Read-side variant: unknown predicates map to a fresh token that matches

@@ -134,7 +134,7 @@ TEST(CertifyAcceptTest, PredicatePlanCertifies) {
 }
 
 TEST(CertifyAcceptTest, BasePlanIsTriviallyCertified) {
-  PlanFixture f = MakePlan({}, kStructQuery, AnswerStrategy::kBaseTjfast);
+  PlanFixture f = MakePlan({}, kStructQuery, AnswerStrategy::kBaseFullIndex);
   ASSERT_TRUE(f.ok);
   ASSERT_FALSE(f.plan.uses_views);
   const Certificate cert = Certify(f);

@@ -79,13 +79,6 @@ TEST(DeadlineTest, InterruptTickerChecksOnStride) {
 // Engine-level limits. A small document with two independent view targets:
 // /r/s/p (two results) and /r/t/u (one result).
 
-constexpr AnswerStrategy kAllStrategies[] = {
-    AnswerStrategy::kBaseNodeIndex,       AnswerStrategy::kBaseFullIndex,
-    AnswerStrategy::kBaseTjfast,          AnswerStrategy::kMinimumNoFilter,
-    AnswerStrategy::kMinimumFiltered,     AnswerStrategy::kHeuristicFiltered,
-    AnswerStrategy::kHeuristicSmallFragments,
-};
-
 class FaultToleranceTest : public ::testing::Test {
  protected:
   static XmlTree MakeDoc() {
@@ -115,7 +108,7 @@ TEST_F(FaultToleranceTest, ExpiredDeadlineFailsEveryStrategy) {
   const TreePattern q = Parse("/r/s/p");
   QueryLimits limits;
   limits.deadline = Deadline::AfterMicros(-1);
-  for (AnswerStrategy strategy : kAllStrategies) {
+  for (AnswerStrategy strategy : kAllAnswerStrategies) {
     auto a = engine_.AnswerQuery(q, strategy, limits);
     ASSERT_FALSE(a.ok()) << AnswerStrategyName(strategy);
     EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded)
@@ -130,7 +123,7 @@ TEST_F(FaultToleranceTest, CancelTokenFailsEveryStrategy) {
   token.Cancel();
   QueryLimits limits;
   limits.cancel = &token;
-  for (AnswerStrategy strategy : kAllStrategies) {
+  for (AnswerStrategy strategy : kAllAnswerStrategies) {
     auto a = engine_.AnswerQuery(q, strategy, limits);
     ASSERT_FALSE(a.ok()) << AnswerStrategyName(strategy);
     EXPECT_EQ(a.status().code(), StatusCode::kCancelled)

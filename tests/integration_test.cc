@@ -8,6 +8,7 @@
 #include "pattern/xpath_parser.h"
 #include "pattern/evaluate.h"
 #include "storage/kv_store.h"
+#include "test_util.h"
 #include "vfilter/vfilter_serde.h"
 #include "workload/workloads.h"
 #include "workload/xmark.h"
@@ -95,7 +96,7 @@ TEST_F(PaperRunningExample, HeuristicUsesAtMostTwoViews) {
 }
 
 TEST(Integration, PersistenceRoundTripThroughKvStoreFile) {
-  const std::string path = "/tmp/xvr_integration_store.bin";
+  const std::string path = TestTempPath("store.bin");
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
 

@@ -378,8 +378,7 @@ XmlTree ObsDoc() {
 
 class EngineObservabilityTest : public ::testing::Test {
  protected:
-  explicit EngineObservabilityTest(EngineOptions options = {})
-      : engine_(ObsDoc(), options) {}
+  EngineObservabilityTest() : engine_(ObsDoc()) {}
   TreePattern Parse(const std::string& xpath) {
     auto r = engine_.Parse(xpath);
     EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
@@ -602,12 +601,7 @@ TEST_F(EngineObservabilityTest, ArenaGaugesTrackTheServingPath) {
 
 class EngineMetricsDisabledTest : public EngineObservabilityTest {
  protected:
-  static EngineOptions Disabled() {
-    EngineOptions options;
-    options.metrics_enabled = false;
-    return options;
-  }
-  EngineMetricsDisabledTest() : EngineObservabilityTest(Disabled()) {}
+  EngineMetricsDisabledTest() { engine_.metrics().SetEnabled(false); }
 };
 
 TEST_F(EngineMetricsDisabledTest, DisabledEngineStillServesAndCountsCache) {

@@ -2,6 +2,7 @@
 
 #include "pattern/evaluate.h"
 #include "pattern/xpath_parser.h"
+#include "rewrite/compensate.h"
 #include "rewrite/prefix_join.h"
 #include "rewrite/rewriter.h"
 #include "rewrite/skeleton.h"
@@ -96,12 +97,8 @@ class RewriteTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
     return std::move(r).value();
   }
-  // Materializes the views, selects a minimum set, rewrites, and returns
-  // the result codes.
-  Result<std::vector<DeweyCode>> Answer(
-      const std::string& query_xpath,
-      const std::vector<std::string>& view_xpaths,
-      RewriteStats* stats = nullptr) {
+  // Materializes the views into store_ (view i gets id i).
+  Status Materialize(const std::vector<std::string>& view_xpaths) {
     views_.clear();
     store_ = FragmentStore();
     for (size_t i = 0; i < view_xpaths.size(); ++i) {
@@ -112,17 +109,28 @@ class RewriteTest : public ::testing::Test {
       }
       store_.PutView(static_cast<int32_t>(i), std::move(frags).value());
     }
-    const TreePattern query = Parse(query_xpath);
+    return Status::Ok();
+  }
+  // A minimum view set for `query` over the materialized views.
+  Result<SelectionResult> Select(const TreePattern& query) {
     std::vector<int32_t> ids;
     for (size_t i = 0; i < views_.size(); ++i) {
       ids.push_back(static_cast<int32_t>(i));
     }
+    return SelectMinimum(query, ids, [this](int32_t id) {
+      return &views_[static_cast<size_t>(id)];
+    });
+  }
+  // Materializes the views, selects a minimum set, rewrites, and returns
+  // the result codes.
+  Result<std::vector<DeweyCode>> Answer(
+      const std::string& query_xpath,
+      const std::vector<std::string>& view_xpaths,
+      RewriteStats* stats = nullptr) {
+    XVR_RETURN_IF_ERROR(Materialize(view_xpaths));
+    const TreePattern query = Parse(query_xpath);
     SelectionResult selection;
-    XVR_ASSIGN_OR_RETURN(
-        selection,
-        SelectMinimum(query, ids, [this](int32_t id) {
-          return &views_[static_cast<size_t>(id)];
-        }));
+    XVR_ASSIGN_OR_RETURN(selection, Select(query));
     return AnswerWithViews(query, selection, store_, *tree_.fst(), stats);
   }
   // Ground truth via direct evaluation.
@@ -266,6 +274,29 @@ TEST_F(RewriteTest, StatsReported) {
   EXPECT_EQ(stats.fragments_scanned, 3u);  // 2 p's + 1 f
   EXPECT_GE(stats.fragments_after_refinement, 2u);
   EXPECT_EQ(stats.join_survivors, 1u);
+}
+
+TEST_F(RewriteTest, SuppliedCompensationMustMatchTheSelection) {
+  Load("<r><s><p/><f/></s><s><p/></s></r>");
+  ASSERT_TRUE(Materialize({"/r/s/p", "/r/s/f"}).ok());
+  const TreePattern q = Parse("/r/s[f]/p");
+  auto selection = Select(q);
+  ASSERT_TRUE(selection.ok()) << selection.status();
+  ASSERT_EQ(selection->views.size(), 2u);
+
+  PlanCompensation compensation = BuildPlanCompensation(q, *selection);
+  RewriteOptions options;
+  options.compensation = &compensation;
+  auto hoisted = AnswerWithViews(q, *selection, store_, *tree_.fst(),
+                                 nullptr, options);
+  ASSERT_TRUE(hoisted.ok()) << hoisted.status();
+  EXPECT_EQ(*hoisted, Direct("/r/s[f]/p"));
+
+  // A compensation that is not parallel to the selection is a caller bug.
+  compensation.views.pop_back();
+  auto mismatched = AnswerWithViews(q, *selection, store_, *tree_.fst(),
+                                    nullptr, options);
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInternal);
 }
 
 TEST_F(RewriteTest, SkeletonConstruction) {

@@ -264,20 +264,6 @@ TEST_F(SelectorTest, HeuristicNeedsDeltaProvider) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotAnswerable);
 }
 
-TEST_F(SelectorTest, HeuristicRandomLeafOrderStillCorrect) {
-  AddView("/a/c");
-  AddView("/a/b");
-  AddView("/a/d");
-  const TreePattern q = Parse("/a[b][d]/c");
-  Rng rng(123);
-  for (int trial = 0; trial < 10; ++trial) {
-    auto r = SelectHeuristic(q, filter_.Filter(q), Lookup(), &rng);
-    ASSERT_TRUE(r.ok()) << r.status();
-    LeafUniverse universe(q);
-    EXPECT_TRUE(CoversQuery(universe, r->views));
-  }
-}
-
 TEST_F(SelectorTest, SelectorsAgreeOnAnswerability) {
   AddView("//c");
   AddView("/a/b");

@@ -12,11 +12,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "net/admission.h"
 #include "net/client.h"
+#include "net/json.h"
 #include "net/server.h"
 #include "workload/workloads.h"
 
@@ -52,6 +54,26 @@ class ServerTest : public ::testing::Test {
         client.Connect("127.0.0.1", server.port());
     EXPECT_TRUE(connected.ok()) << connected;
     return client;
+  }
+
+  // POSTs `body` to `target` on a fresh connection; the parsed JSON reply
+  // goes to `*json` and the HTTP status is returned (-1 on a transport or
+  // JSON failure, which is also reported).
+  int PostJson(const HttpServer& server, const std::string& target,
+               const std::string& body, JsonValue* json) {
+    HttpClient client = ConnectTo(server);
+    auto response = client.Roundtrip("POST", target, body);
+    EXPECT_TRUE(response.ok()) << target << ": " << response.status();
+    if (!response.ok()) {
+      return -1;
+    }
+    Result<JsonValue> parsed = ParseJson(response->body);
+    EXPECT_TRUE(parsed.ok()) << response->body;
+    if (!parsed.ok()) {
+      return -1;
+    }
+    *json = std::move(parsed).value();
+    return response->status;
   }
 
   static PaperSetup* setup_;
@@ -145,6 +167,79 @@ TEST_F(ServerTest, RejectsBadInputsWithoutDying) {
   auto health = client.Roundtrip("GET", "/healthz", "");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health->status, 200);
+}
+
+// Q1 of the paper setup as a JSON string; its answer has more than one
+// code.
+constexpr char kQ1[] = "\"/site/people/person[profile/interest]/name\"";
+
+// A /query body for Q1, with `extra` members appended.
+std::string Q1Query(const std::string& extra = "") {
+  return std::string("{\"xpath\": ") + kQ1 + extra + "}";
+}
+
+// A /batch body with Q1 as its one slot, with `extra` members appended.
+std::string Q1Batch(const std::string& extra) {
+  return std::string("{\"queries\": [") + kQ1 + "]" + extra + "}";
+}
+
+TEST_F(ServerTest, RequestLimitsCapTheAnswer) {
+  auto server = StartServer();
+  JsonValue json;
+  ASSERT_EQ(PostJson(*server, "/query", Q1Query(), &json), 200);
+  ASSERT_GT(json.NumberOr("count", 0), 1);
+
+  const std::string capped = ", \"limits\": {\"max_result_codes\": 1}";
+  EXPECT_EQ(PostJson(*server, "/query", Q1Query(capped), &json), 422);
+  EXPECT_EQ(json.StringOr("error", ""), "RESOURCE_EXHAUSTED");
+
+  // In a batch the budget fails the slot, not the request.
+  ASSERT_EQ(PostJson(*server, "/batch", Q1Batch(capped), &json), 200);
+  const JsonValue* results = json.Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items.size(), 1u);
+  EXPECT_EQ(results->items[0].StringOr("error", ""), "RESOURCE_EXHAUSTED");
+}
+
+TEST_F(ServerTest, OutOfRangeRequestLimitsAreIgnored) {
+  auto server = StartServer();
+  JsonValue json;
+  ASSERT_EQ(PostJson(*server, "/query", Q1Query(), &json), 200);
+  const double full_count = json.NumberOr("count", 0);
+  ASSERT_GT(full_count, 1);
+  const char* kLimits[] = {
+      "{\"max_result_codes\": -1}",  "{\"max_result_codes\": \"1\"}",
+      "{\"max_result_codes\": null}", "{\"max_result_codes\": 1e9}",
+      "{\"max_result_codes\": 5e9}", "1",
+  };
+  for (const char* limits : kLimits) {
+    EXPECT_EQ(PostJson(*server, "/query",
+                       Q1Query(std::string(", \"limits\": ") + limits), &json),
+              200)
+        << limits;
+    EXPECT_EQ(json.NumberOr("count", 0), full_count) << limits;
+  }
+}
+
+TEST_F(ServerTest, UnknownStrategyListsTheValidNames) {
+  auto server = StartServer();
+  std::string names;
+  for (const AnswerStrategy strategy : kAllAnswerStrategies) {
+    names += names.empty() ? "" : "|";
+    names += AnswerStrategyName(strategy);
+  }
+  const std::pair<std::string, std::string> kRequests[] = {
+      {"/query", Q1Query(", \"strategy\": \"BT\"")},
+      {"/query", Q1Query(", \"strategy\": 7")},
+      {"/batch", Q1Batch(", \"strategy\": \"BT\"")},
+  };
+  for (const auto& [target, body] : kRequests) {
+    JsonValue json;
+    EXPECT_EQ(PostJson(*server, target, body, &json), 400) << body;
+    EXPECT_EQ(json.StringOr("error", ""), "BAD_STRATEGY") << body;
+    EXPECT_EQ(json.StringOr("message", ""), "strategy must be one of " + names)
+        << body;
+  }
 }
 
 TEST_F(ServerTest, MalformedWireImagesGetCleanErrors) {

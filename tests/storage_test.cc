@@ -7,6 +7,7 @@
 #include "storage/fragment_store.h"
 #include "storage/kv_store.h"
 #include "storage/materializer.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -71,7 +72,7 @@ TEST(KvStore, DeletePrefix) {
 }
 
 TEST(KvStore, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/xvr_kv_test.bin";
+  const std::string path = TestTempPath("kv.bin");
   KvStore kv;
   kv.Put("alpha", std::string(1000, 'a'));
   kv.Put("beta", "");
@@ -87,7 +88,7 @@ TEST(KvStore, SaveLoadRoundTrip) {
 }
 
 TEST(KvStore, LoadRejectsCorruption) {
-  const std::string path = "/tmp/xvr_kv_corrupt.bin";
+  const std::string path = TestTempPath("kv.bin");
   KvStore kv;
   kv.Put("k", "value");
   ASSERT_TRUE(kv.SaveToFile(path).ok());
@@ -102,7 +103,7 @@ TEST(KvStore, LoadRejectsCorruption) {
   KvStore loaded;
   EXPECT_FALSE(loaded.LoadFromFile(path).ok());
   std::remove(path.c_str());
-  EXPECT_FALSE(loaded.LoadFromFile("/tmp/xvr_missing_file.bin").ok());
+  EXPECT_FALSE(loaded.LoadFromFile(TestTempPath("missing.bin")).ok());
 }
 
 class FragmentTest : public ::testing::Test {
