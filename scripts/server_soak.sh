@@ -10,6 +10,9 @@
 # xvr_load already enforces the serving invariant ("every well-formed
 # request gets a response") by exiting nonzero on any unanswered
 # request, so this script only has to orchestrate and check exit codes.
+# Phase 1 also checks answers: with --verify, xvr_load asks every answered
+# /query again with strategy BN (base-document evaluation) and exits
+# nonzero on any difference in the codes.
 #
 # Usage: scripts/server_soak.sh BUILD_DIR [PORT]
 set -euo pipefail
@@ -53,8 +56,14 @@ for _ in $(seq 1 120); do
   sleep 0.5
 done
 
-echo "== phase 1: smoke (clean traffic)"
-"$LOAD" --port "$PORT" --threads 2 --requests 50 --deadline-ms 2000 --seed 1
+echo "== phase 1: smoke (clean traffic, answers checked against BN)"
+SUMMARY=$("$LOAD" --port "$PORT" --threads 2 --requests 50 --deadline-ms 2000 \
+  --seed 1 --verify)
+echo "$SUMMARY"
+if [[ $SUMMARY == *'"verified": 0,'* ]]; then
+  echo "smoke phase: no answer was checked against BN" >&2
+  exit 1
+fi
 
 echo "== phase 2: mixed soak (malformed + disconnects)"
 "$LOAD" --port "$PORT" --threads 8 --requests 150 --deadline-ms 2000 \

@@ -107,7 +107,9 @@ struct QueryLimits {
   // Cap on refined fragments a single view may contribute to the holistic
   // join — bounds the intermediate join width (0 = off).
   size_t max_join_fragments = 0;
-  // Cap on answer cardinality (0 = off).
+  // Cap on answer cardinality (0 = off). It bounds only the codes emitted:
+  // the rewriter keeps the answer nodes of every refined primary fragment
+  // before the join runs, whatever this cap (max_join_fragments bounds them).
   size_t max_result_codes = 0;
 
   // Deadline slice granted to exhaustive minimum-set selection before it

@@ -1028,6 +1028,8 @@ void ApplyJsonLimits(const JsonValue& root, QueryLimits* limits) {
 }
 
 void AppendAnswerJson(std::string* out, const QueryAnswer& answer) {
+  // About 16 bytes per quoted code, plus the fixed fields.
+  out->reserve(out->size() + 16 * answer.codes.size() + 160);
   out->append("{\"count\":");
   AppendJsonUint(out, answer.codes.size());
   out->append(",\"codes\":[");
@@ -1035,7 +1037,10 @@ void AppendAnswerJson(std::string* out, const QueryAnswer& answer) {
     if (i > 0) {
       out->push_back(',');
     }
-    AppendJsonString(out, answer.codes[i].ToString());
+    // Codes are digits and dots: nothing to escape.
+    out->push_back('"');
+    answer.codes[i].AppendTo(out);
+    out->push_back('"');
   }
   out->append("],\"stats\":{\"total_micros\":");
   AppendJsonNumber(out, answer.stats.total_micros);

@@ -16,7 +16,10 @@
 // signature prefixes are always prefixes of its own root code, so no
 // components are copied and no key strings are built — membership is a
 // binary search over a sorted row table, and the anchored fragment walks
-// reuse one epoched memo.
+// reuse one epoched memo. Per-fragment work follows what changes between
+// consecutive fragments of a view (stored in document order): each root
+// code is decoded only past its common prefix with the previous one, and
+// the anchor path is re-matched only when the decoded label path differs.
 
 namespace xvr {
 namespace {
@@ -66,12 +69,17 @@ struct JoinFrag {
   // Signature row range [sig_begin, sig_end) in the owning view's store.
   uint32_t sig_begin = 0;
   uint32_t sig_end = 0;
+  // Primary view only: the fragment's answer nodes, [node_begin, node_end)
+  // in the query's answer-node buffer.
+  uint32_t node_begin = 0;
+  uint32_t node_end = 0;
 };
 
 // Arena-resident join state of one view: its shared skeleton slots, refined
 // fragments and a flat store of signature rows (width = number of shared
-// nodes on the view's path), plus a sorted index over the rows for the
-// fully-bound membership probe.
+// nodes on the view's path), plus — for the views the join probes, i.e.
+// all but the primary — a sorted index over the rows for the fully-bound
+// membership probe.
 struct ViewJoin {
   explicit ViewJoin(Arena* arena)
       : shared_slot(ArenaAllocator<uint32_t>(arena)),
@@ -257,7 +265,12 @@ Status AnswerCore(
   const Skeleton skeleton = BuildSkeleton(query, selection.views);
   const size_t num_shared = skeleton.shared.size();
 
-  // Phase 1: per view, refine fragments and enumerate signature rows.
+  // Phase 1: per view, refine fragments and enumerate signature rows. The
+  // primary view refines by its extraction walk — the fragment root embeds
+  // the extraction pattern iff it embeds the refinement, the same subtree —
+  // and keeps the answer nodes the walk finds for phase 3.
+  const TreePattern& extraction = compensation.extraction;
+  ArenaVector<int32_t> answer_nodes{ArenaAllocator<int32_t>(arena)};
   ArenaVector<ViewJoin> join_data{ArenaAllocator<ViewJoin>(arena)};
   join_data.reserve(selection.views.size());
   ScopedSpan refine_span(options.trace, "execute.refine");
@@ -268,6 +281,7 @@ Status AnswerCore(
       return Status::NotFound("view " + std::to_string(sel.view_id) +
                               " is not materialized");
     }
+    const bool is_primary = vi == static_cast<size_t>(primary);
     const TreePattern& refinement = compensation.views[vi].refinement;
     const PathPattern& anchor_path = compensation.views[vi].anchor_path;
 
@@ -283,25 +297,48 @@ Status AnswerCore(
     }
     const size_t width = data.width();
 
+    // The previous fragment's root code; scratch.labels holds its decode
+    // and scratch.matched_labels the path scratch.assignments were matched
+    // on. Both restart with each view, whose anchor path is its own.
+    const DeweyCode* prev_code = nullptr;
     for (const Fragment& fragment : *fragments) {
       XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.refinement"));
       ++st->fragments_scanned;
-      if (!fst.Decode(fragment.root_code().components(), &scratch.labels)) {
+      const DeweyCode& code = fragment.root_code();
+      const size_t keep =
+          prev_code == nullptr ? 0 : code.CommonPrefixLength(*prev_code);
+      if (!fst.Decode(code.components(), &scratch.labels, keep)) {
         return Status::Internal("fragment code does not decode: " +
-                                fragment.root_code().ToString());
+                                code.ToString());
       }
-      MatchPathOnLabels(anchor_path, scratch.labels,
-                        kMaxAssignmentsPerFragment, &scratch.assignments);
+      // Equal-length codes can decode to different paths: compare them all.
+      if (prev_code == nullptr || scratch.labels != scratch.matched_labels) {
+        MatchPathOnLabels(anchor_path, scratch.labels,
+                          kMaxAssignmentsPerFragment, &scratch.assignments);
+        scratch.matched_labels = scratch.labels;
+      }
+      prev_code = &code;
       if (scratch.assignments.empty()) {
         continue;  // the fragment root does not sit under Q's anchor path
       }
-      if (!fragment.MatchesAnchored(refinement, &scratch.fragment)) {
+      JoinFrag jf;
+      jf.fragment = &fragment;
+      if (is_primary) {
+        scratch.extract_nodes.clear();
+        fragment.EvaluateAnchored(extraction, &scratch.fragment,
+                                  &scratch.extract_nodes);
+        if (scratch.extract_nodes.empty()) {
+          continue;  // compensating predicate fails inside the fragment
+        }
+        jf.node_begin = static_cast<uint32_t>(answer_nodes.size());
+        answer_nodes.insert(answer_nodes.end(), scratch.extract_nodes.begin(),
+                            scratch.extract_nodes.end());
+        jf.node_end = static_cast<uint32_t>(answer_nodes.size());
+      } else if (!fragment.MatchesAnchored(refinement, &scratch.fragment)) {
         continue;  // compensating predicate fails inside the fragment
       }
       ++st->fragments_after_refinement;
 
-      JoinFrag jf;
-      jf.fragment = &fragment;
       jf.sig_begin = data.num_rows;
       for (size_t ai = 0; ai < scratch.assignments.size(); ++ai) {
         const std::span<const int> a = scratch.assignments[ai];
@@ -311,7 +348,7 @@ Status AnswerCore(
         const size_t tail = data.sig_store.size();
         for (size_t s = 0; s < width; ++s) {
           const int pos = a[data.shared_path_pos[s]];
-          data.sig_store.push_back(PrefixRef{&fragment.root_code(),
+          data.sig_store.push_back(PrefixRef{&code,
                                              static_cast<uint32_t>(pos) + 1});
         }
         bool duplicate = false;
@@ -342,14 +379,22 @@ Status AnswerCore(
     if (data.fragments.empty()) {
       return Status::Ok();  // some view has no usable fragment -> empty
     }
+    if (is_primary) {
+      continue;  // the join binds from the primary's rows, never probes them
+    }
+    // Rows are prefixes of document-ordered codes, so they usually arrive
+    // sorted already.
     data.sorted_sigs.resize(data.num_rows);
     for (uint32_t r = 0; r < data.num_rows; ++r) {
       data.sorted_sigs[r] = r;
     }
-    std::sort(data.sorted_sigs.begin(), data.sorted_sigs.end(),
-              [&data, width](uint32_t a, uint32_t b) {
-                return RowCompare(data.Row(a), data.Row(b), width) < 0;
-              });
+    const auto row_less = [&data, width](uint32_t a, uint32_t b) {
+      return RowCompare(data.Row(a), data.Row(b), width) < 0;
+    };
+    if (!std::is_sorted(data.sorted_sigs.begin(), data.sorted_sigs.end(),
+                        row_less)) {
+      std::sort(data.sorted_sigs.begin(), data.sorted_sigs.end(), row_less);
+    }
   }
   refine_span.Stop();
 
@@ -397,16 +442,12 @@ Status AnswerCore(
   }
   join_span.Stop();
 
-  // Phase 3: extraction over the surviving primary fragments.
+  // Phase 3: emit the answer nodes phase 1 kept for each survivor.
   ScopedSpan extract_span(options.trace, "execute.extract");
-  const TreePattern& extraction = compensation.extraction;
   size_t emitted = 0;
   for (const JoinFrag* jf : survivors) {
     XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.extract"));
-    scratch.extract_nodes.clear();
-    jf->fragment->EvaluateAnchored(extraction, &scratch.fragment,
-                                   &scratch.extract_nodes);
-    for (int32_t node : scratch.extract_nodes) {
+    for (uint32_t n = jf->node_begin; n < jf->node_end; ++n) {
       if (limits.max_result_codes > 0 && emitted >= limits.max_result_codes) {
         return Status::ResourceExhausted(
             "answer exceeds the result budget of " +
@@ -414,6 +455,7 @@ Status AnswerCore(
             std::to_string(st->join_survivors) + " join survivors)");
       }
       ++emitted;
+      const int32_t node = answer_nodes[n];
       emit(jf->fragment->AbsoluteCode(node), *jf->fragment, node);
     }
   }
@@ -432,7 +474,10 @@ Result<std::vector<DeweyCode>> AnswerWithViews(
       [&result](DeweyCode code, const Fragment&, int32_t) {
         result.push_back(std::move(code));
       }));
-  std::sort(result.begin(), result.end());
+  // Survivors emit in document order unless their fragments nest.
+  if (!std::is_sorted(result.begin(), result.end())) {
+    std::sort(result.begin(), result.end());
+  }
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
 }
@@ -449,10 +494,13 @@ Result<std::vector<MaterializedAnswer>> AnswerWithViewsXml(
         result.push_back(
             MaterializedAnswer{std::move(code), fragment.ToXml(dict, node)});
       }));
-  std::sort(result.begin(), result.end(),
-            [](const MaterializedAnswer& a, const MaterializedAnswer& b) {
-              return a.code < b.code;
-            });
+  const auto by_code = [](const MaterializedAnswer& a,
+                          const MaterializedAnswer& b) {
+    return a.code < b.code;
+  };
+  if (!std::is_sorted(result.begin(), result.end(), by_code)) {
+    std::sort(result.begin(), result.end(), by_code);
+  }
   result.erase(std::unique(result.begin(), result.end(),
                            [](const MaterializedAnswer& a,
                               const MaterializedAnswer& b) {

@@ -13,7 +13,10 @@
 //      their Dewey codes assign the same concrete document position (code
 //      prefix) to every shared skeleton node of Q.
 //   3. Extraction: the answer is pulled out of the primary view's surviving
-//      fragments with the extraction pattern.
+//      fragments with the extraction pattern. The primary view is walked
+//      once: its refinement in step 1 runs the extraction pattern, which
+//      embeds at the fragment root iff the refinement does, and keeps the
+//      answer nodes; step 3 emits those of the join's survivors.
 //
 // The result is the set of extended Dewey codes of the query answers, which
 // the end-to-end tests compare against direct evaluation on the base data.
@@ -48,10 +51,13 @@ struct RewriteStats {
 // — after warm-up a steady query stream allocates nothing here.
 struct RewriteScratch {
   Arena arena;
-  // FST label-decode buffer (one fragment root code at a time).
+  // FST label-decode buffer (one fragment root code at a time; the next
+  // code of the same view decodes past their common prefix).
   std::vector<LabelId> labels;
-  // Flat path-assignment buffer for MatchPathOnLabels.
+  // Flat path-assignment buffer for MatchPathOnLabels, and the label path
+  // it was last matched on.
   AssignmentSet assignments;
+  std::vector<LabelId> matched_labels;
   // Epoched embedding memo + frontier buffers for the anchored walks.
   FragmentScratch fragment;
   // Extraction output buffer (fragment node indices).
@@ -66,9 +72,10 @@ struct RewriteOptions {
   // Deadline/cancellation (checked inside the refinement and join loops)
   // and resource budgets: limits.max_join_fragments bounds how many refined
   // fragments a single view may feed the holistic join, and
-  // limits.max_result_codes bounds the answer cardinality. Blown budgets
-  // return RESOURCE_EXHAUSTED with the work done so far accounted in
-  // RewriteStats.
+  // limits.max_result_codes bounds the answer cardinality (the codes
+  // emitted, not the answer nodes refinement keeps for the join's primary
+  // fragments). Blown budgets return RESOURCE_EXHAUSTED with the work done
+  // so far accounted in RewriteStats.
   QueryLimits limits;
   // When non-null, receives one span per pipeline phase: "execute.refine",
   // "execute.join", "execute.extract".

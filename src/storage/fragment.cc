@@ -149,15 +149,18 @@ const std::string* FlatFragment::attribute(int32_t i,
 }
 
 DeweyCode FlatFragment::AbsoluteCode(int32_t i) const {
-  std::vector<uint32_t> suffix;
+  size_t depth = root_code_.depth();
   for (int32_t cur = i; cur != 0; cur = node(cur).parent) {
-    suffix.push_back(node(cur).dewey_component);
+    ++depth;
   }
-  DeweyCode out = root_code_;
-  for (auto it = suffix.rbegin(); it != suffix.rend(); ++it) {
-    out.Append(*it);
+  // Sized once: the root code, then the path components filled bottom-up.
+  std::vector<uint32_t> components(depth);
+  std::copy(root_code_.components().begin(), root_code_.components().end(),
+            components.begin());
+  for (int32_t cur = i; cur != 0; cur = node(cur).parent) {
+    components[--depth] = node(cur).dewey_component;
   }
-  return out;
+  return DeweyCode(std::move(components));
 }
 
 bool FlatFragment::NodeMatches(const TreePattern& pattern,

@@ -1,5 +1,6 @@
 #include "xml/dewey.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace xvr {
@@ -43,11 +44,18 @@ size_t DeweyCode::CommonPrefixLength(const DeweyCode& other) const {
 
 std::string DeweyCode::ToString() const {
   std::string out;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) out.push_back('.');
-    out += std::to_string(components_[i]);
-  }
+  AppendTo(&out);
   return out;
+}
+
+void DeweyCode::AppendTo(std::string* out) const {
+  char buf[10];  // the digits of the largest uint32_t
+  for (size_t i = 0; i < components_.size(); ++i) {
+    if (i > 0) out->push_back('.');
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), components_[i]);
+    out->append(buf, r.ptr);
+  }
 }
 
 bool DeweyCode::FromString(const std::string& text, DeweyCode* out) {

@@ -46,6 +46,8 @@ class DeweyCode {
 
   // "0.8.6" (paper's notation); "" for the empty code.
   std::string ToString() const;
+  // Appends ToString()'s text to *out.
+  void AppendTo(std::string* out) const;
 
   // Parses "0.8.6". Returns false on malformed input.
   [[nodiscard]] static bool FromString(const std::string& text, DeweyCode* out);

@@ -1,5 +1,7 @@
 #include "xml/fst.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "xml/xml_tree.h"
 
@@ -13,9 +15,9 @@ Fst Fst::Build(const XmlTree& tree) {
   if (tree.root() == kNullNode) {
     return fst;
   }
-  // The virtual super-root has the document root as its only child label.
-  fst.children_[kInvalidLabel].push_back(tree.label(tree.root()));
-  fst.index_[Key(kInvalidLabel, tree.label(tree.root()))] = 0;
+  // Slot 0 is the super-root, whose only child label is the document root's.
+  fst.children_.resize(tree.labels().size() + 1);
+  fst.children_[0].push_back(tree.label(tree.root()));
 
   // DFS over the tree collecting, per label, child labels in first-appearance
   // order.
@@ -23,14 +25,12 @@ Fst Fst::Build(const XmlTree& tree) {
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const LabelId parent_label = tree.label(id);
+    std::vector<LabelId>& list =
+        fst.children_[static_cast<size_t>(tree.label(id)) + 1];
     for (NodeId c = tree.node(id).first_child; c != kNullNode;
          c = tree.node(c).next_sibling) {
       const LabelId child_label = tree.label(c);
-      const int64_t key = Key(parent_label, child_label);
-      if (fst.index_.find(key) == fst.index_.end()) {
-        auto& list = fst.children_[parent_label];
-        fst.index_[key] = static_cast<int>(list.size());
+      if (std::find(list.begin(), list.end(), child_label) == list.end()) {
         list.push_back(child_label);
       }
       stack.push_back(c);
@@ -40,28 +40,30 @@ Fst Fst::Build(const XmlTree& tree) {
 }
 
 const std::vector<LabelId>& Fst::ChildLabels(LabelId parent) const {
-  auto it = children_.find(parent);
-  return it == children_.end() ? kEmptyLabels : it->second;
+  // kInvalidLabel (-1) wraps to slot 0; kWildcardLabel (-2) to no slot.
+  const size_t slot = static_cast<size_t>(parent) + 1;
+  return slot < children_.size() ? children_[slot] : kEmptyLabels;
 }
 
 int Fst::ChildIndex(LabelId parent, LabelId child) const {
-  auto it = index_.find(Key(parent, child));
-  return it == index_.end() ? -1 : it->second;
+  const std::vector<LabelId>& labels = ChildLabels(parent);
+  const auto it = std::find(labels.begin(), labels.end(), child);
+  return it == labels.end() ? -1 : static_cast<int>(it - labels.begin());
 }
 
-bool Fst::Decode(const std::vector<uint32_t>& code,
-                 std::vector<LabelId>* path) const {
-  path->clear();
+bool Fst::Decode(const std::vector<uint32_t>& code, std::vector<LabelId>* path,
+                 size_t keep) const {
+  XVR_DCHECK(keep <= code.size() && keep <= path->size());
+  path->resize(keep);
   path->reserve(code.size());
-  LabelId state = kInvalidLabel;
-  for (uint32_t component : code) {
+  LabelId state = keep == 0 ? kInvalidLabel : (*path)[keep - 1];
+  for (size_t i = keep; i < code.size(); ++i) {
     const std::vector<LabelId>& labels = ChildLabels(state);
     if (labels.empty()) {
       return false;
     }
-    const LabelId next = labels[component % labels.size()];
-    path->push_back(next);
-    state = next;
+    state = labels[code[i] % labels.size()];
+    path->push_back(state);
   }
   return true;
 }

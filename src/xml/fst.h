@@ -9,7 +9,8 @@
 // decodes as b/s/s because 8 mod 3 = 2 picks `s` under `b`, and 6 mod 4 = 2
 // picks `s` under `s`.
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "xml/label_dict.h"
@@ -26,7 +27,8 @@ class Fst {
 
   // Distinct child labels of `parent` in first-appearance order. `parent` ==
   // kInvalidLabel denotes the virtual super-root (its children are the
-  // possible document root labels).
+  // possible document root labels). Labels the schema never saw as a parent
+  // (including ones interned after Build) have none.
   const std::vector<LabelId>& ChildLabels(LabelId parent) const;
 
   // Index of `child` in ChildLabels(parent), or -1 if not in the schema.
@@ -34,24 +36,19 @@ class Fst {
 
   size_t ChildCount(LabelId parent) const { return ChildLabels(parent).size(); }
 
-  // Decodes `code` into the root-to-node label path. Returns false if the
-  // code is not derivable from this schema.
+  // Decodes `code` into the root-to-node label path. The first `keep`
+  // entries of *path must already be the decode of the first `keep`
+  // components (e.g. the previous code's path, keep = the codes' common
+  // prefix length); only the rest is decoded. Returns false if the code is
+  // not derivable from this schema.
   [[nodiscard]] bool Decode(const std::vector<uint32_t>& code,
-              std::vector<LabelId>* path) const;
-
-  // Number of labels with a non-empty child list (states with transitions).
-  size_t num_states() const { return children_.size(); }
+                            std::vector<LabelId>* path,
+                            size_t keep = 0) const;
 
  private:
-  // parent label (kInvalidLabel for the super-root) -> ordered child labels.
-  std::unordered_map<LabelId, std::vector<LabelId>> children_;
-  // (parent, child) -> index, flattened for O(1) ChildIndex.
-  std::unordered_map<int64_t, int> index_;
-
-  static int64_t Key(LabelId parent, LabelId child) {
-    return (static_cast<int64_t>(parent) << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(child));
-  }
+  // children_[parent + 1] = ordered child labels of `parent`; slot 0 is the
+  // super-root (kInvalidLabel == -1).
+  std::vector<std::vector<LabelId>> children_;
 };
 
 }  // namespace xvr

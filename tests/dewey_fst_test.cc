@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "workload/xmark.h"
@@ -30,6 +32,22 @@ TEST(DeweyCode, Ordering) {
   EXPECT_LT(DeweyCode({0}), DeweyCode({0, 1}));
   EXPECT_LT(DeweyCode({0, 1}), DeweyCode({0, 2}));
   EXPECT_LT(DeweyCode({0, 1, 5}), DeweyCode({0, 2}));
+}
+
+TEST(DeweyCode, AppendToWritesThePaperNotation) {
+  std::string out = "x";
+  DeweyCode({0}).AppendTo(&out);
+  EXPECT_EQ(out, "x0");
+  out.clear();
+  DeweyCode({4294967295u}).AppendTo(&out);
+  EXPECT_EQ(out, "4294967295");
+  out.clear();
+  DeweyCode({7, 0, 4294967295u, 12}).AppendTo(&out);
+  EXPECT_EQ(out, "7.0.4294967295.12");
+  out.clear();
+  DeweyCode().AppendTo(&out);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(DeweyCode({0, 8, 6}).ToString(), "0.8.6");
 }
 
 TEST(DeweyCode, FromStringRoundTrip) {
@@ -96,6 +114,12 @@ TEST(Fst, PaperExampleResidues) {
   EXPECT_EQ(fst->ChildIndex(b, s), 2);
   // s's children: t, f, p, s (first appearance order).
   ASSERT_EQ(fst->ChildCount(s), 4u);
+  // A label interned after the FST was built has no children in it, and is
+  // no one's child.
+  const LabelId late = tree->labels().Intern("late");
+  EXPECT_EQ(fst->ChildCount(late), 0u);
+  EXPECT_EQ(fst->ChildIndex(late, s), -1);
+  EXPECT_EQ(fst->ChildIndex(b, late), -1);
   // Like Example 2.1, the code of a nested s decodes to b/s/s.
   for (size_t i = 0; i < tree->size(); ++i) {
     const auto n = static_cast<NodeId>(i);
@@ -124,6 +148,59 @@ TEST(Fst, RejectsUnderivableCode) {
       EXPECT_FALSE(tree->fst()->Decode(code, &path));
       return;
     }
+  }
+  FAIL() << "no i node found";
+}
+
+TEST(Fst, KeptPrefixDecodeEqualsFullDecodeInDocumentOrder) {
+  XmarkOptions options;
+  options.scale = 0.1;
+  options.seed = 11;
+  XmlTree tree = GenerateXmark(options);
+  ASSERT_TRUE(tree.has_dewey());
+  std::vector<DeweyCode> codes;
+  for (size_t i = 0; i < tree.size(); ++i) {
+    codes.push_back(tree.dewey(static_cast<NodeId>(i)));
+  }
+  std::sort(codes.begin(), codes.end());
+  ASSERT_GT(codes.size(), 500u);
+  // Walk every node in document order, decoding each code only past its
+  // common prefix with the previous one, as the rewriter does.
+  std::vector<LabelId> incremental;
+  const DeweyCode* prev = nullptr;
+  for (const DeweyCode& code : codes) {
+    const size_t keep = prev == nullptr ? 0 : code.CommonPrefixLength(*prev);
+    ASSERT_TRUE(tree.fst()->Decode(code.components(), &incremental, keep))
+        << code.ToString();
+    std::vector<LabelId> full;
+    ASSERT_TRUE(tree.fst()->Decode(code.components(), &full));
+    ASSERT_EQ(incremental, full) << code.ToString() << " kept " << keep;
+    prev = &code;
+  }
+}
+
+TEST(Fst, KeptPrefixDecodeRejectsUnderivableSuffix) {
+  auto tree = BookTree();
+  ASSERT_TRUE(tree.ok());
+  tree->AssignDeweyCodes();
+  const Fst* fst = tree->fst();
+  // b/s/f/i: decodes in full; extending past the leaf i does not, whether
+  // the prefix is decoded again or kept.
+  for (size_t n = 0; n < tree->size(); ++n) {
+    if (tree->label_name(static_cast<NodeId>(n)) != "i") {
+      continue;
+    }
+    const std::vector<uint32_t> leaf =
+        tree->dewey(static_cast<NodeId>(n)).components();
+    std::vector<uint32_t> beyond = leaf;
+    beyond.push_back(0);
+    beyond.push_back(0);
+    for (size_t keep = 0; keep <= leaf.size(); ++keep) {
+      std::vector<LabelId> path;
+      ASSERT_TRUE(fst->Decode(leaf, &path));
+      EXPECT_FALSE(fst->Decode(beyond, &path, keep)) << "kept " << keep;
+    }
+    return;
   }
   FAIL() << "no i node found";
 }

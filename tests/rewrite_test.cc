@@ -177,6 +177,70 @@ TEST_F(RewriteTest, AnchorPathCheckedOnCodes) {
   EXPECT_EQ(stats.fragments_after_refinement, 1u);
 }
 
+TEST_F(RewriteTest, AnchorPathRecheckedWhenTheRootPathChanges) {
+  // The three //d roots have codes of equal length whose label paths are
+  // a/b/d, a/x/d, a/b/d: each change of path must re-match the anchor.
+  Load("<a><b><d/></b><x><d/></x><b><d/></b></a>");
+  RewriteStats stats;
+  auto result = Answer("/a/b/d", {"//d"}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/a/b/d"));
+  EXPECT_EQ(result->size(), 2u);
+  EXPECT_EQ(stats.fragments_scanned, 3u);
+  EXPECT_EQ(stats.fragments_after_refinement, 2u);
+}
+
+TEST_F(RewriteTest, UndecodableFragmentCodeIsInternal) {
+  // Fragments answered with the transducer of another document: the first
+  // root (a/b/d) decodes, the second stops decoding under x, a leaf there.
+  Load("<a><b><d/></b><x><d/></x></a>");
+  ASSERT_TRUE(Materialize({"//d"}).ok());
+  auto other = ParseXml("<a><b><d/></b><x/></a>");
+  ASSERT_TRUE(other.ok()) << other.status();
+  other->AssignDeweyCodes();
+  const TreePattern q = Parse("//d");
+  auto selection = Select(q);
+  ASSERT_TRUE(selection.ok()) << selection.status();
+  auto result = AnswerWithViews(q, *selection, store_, *other->fst());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("does not decode"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST_F(RewriteTest, PrimaryFragmentsFailingTheJoinEmitNothing) {
+  // Every p root passes refinement; only the p's of the s with an f
+  // survive the join, and only they count against the result budget.
+  Load("<r><s><p/><p/></s><s><p/><f/></s><s><p/><p/><p/></s></r>");
+  ASSERT_TRUE(Materialize({"/r/s/p", "/r/s/f"}).ok());
+  const TreePattern q = Parse("/r/s[f]/p");
+  auto selection = Select(q);
+  ASSERT_TRUE(selection.ok()) << selection.status();
+  ASSERT_EQ(selection->views.size(), 2u);
+  RewriteStats stats;
+  RewriteOptions options;
+  options.limits.max_result_codes = 1;
+  auto result = AnswerWithViews(q, *selection, store_, *tree_.fst(), &stats,
+                                options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/r/s[f]/p"));
+  EXPECT_EQ(result->size(), 1u);
+  EXPECT_EQ(stats.fragments_after_refinement, 7u);  // 6 p's + 1 f
+  EXPECT_EQ(stats.join_survivors, 1u);
+
+  // Two survivors over a budget of one still trip it.
+  Load("<r><s><p/><p/></s><s><p/><f/><p/></s></r>");
+  ASSERT_TRUE(Materialize({"/r/s/p", "/r/s/f"}).ok());
+  const TreePattern q2 = Parse("/r/s[f]/p");
+  selection = Select(q2);
+  ASSERT_TRUE(selection.ok()) << selection.status();
+  auto over = AnswerWithViews(q2, *selection, store_, *tree_.fst(), &stats,
+                              options);
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted)
+      << over.status();
+  EXPECT_EQ(stats.join_survivors, 2u);
+}
+
 TEST_F(RewriteTest, TwoViewJoinOnSharedParent) {
   // Example 4.2-style: the join must pair fragments under the SAME parent.
   Load(
@@ -228,6 +292,16 @@ TEST_F(RewriteTest, JoinUnderDescendantAxisWithRepeatedLabels) {
   auto result = Answer("//s[f]/p", {"//s/p", "//s/f"});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(*result, Direct("//s[f]/p"));
+}
+
+TEST_F(RewriteTest, JoinFindsRowsProbedOutOfDocumentOrder) {
+  // Primary d's in document order probe the //a/b/c rows at the inner a,
+  // then at the outer a, which sorts before it.
+  Load("<r><a><a><d/><b><c/></b></a><d/><b><c/></b></a></r>");
+  auto result = Answer("//a[b/c]/d", {"//a/d", "//a/b/c"});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("//a[b/c]/d"));
+  EXPECT_EQ(result->size(), 2u);
 }
 
 TEST_F(RewriteTest, EmptyWhenSomeViewHasNoUsableFragment) {

@@ -9,11 +9,16 @@
 // the tool exits nonzero if any went unanswered, which is exactly the
 // "zero requests dropped without a response" acceptance bar.
 //
+// With --verify, every /query answered 200 is asked again with
+// "strategy": "BN" (evaluation over the base document, no views) and the
+// tool exits nonzero if the two code arrays differ in any way.
+//
 //   xvr_load --port P [--threads N] [--requests R] [--deadline-ms MS]
-//            [--malformed-pct X] [--disconnect-pct Y] [--seed S]
+//            [--malformed-pct X] [--disconnect-pct Y] [--seed S] [--verify]
 //
 // Prints a one-line JSON summary (counts by status class, shed count,
-// latency percentiles) for scripts to parse.
+// verified and mismatched answers, latency percentiles) for scripts to
+// parse.
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +27,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,6 +46,7 @@ struct LoadOptions {
   int malformed_pct = 0;
   int disconnect_pct = 0;
   uint64_t seed = 1;
+  bool verify = false;
 };
 
 struct Tally {
@@ -51,6 +58,8 @@ struct Tally {
   uint64_t server_err = 0;   // other 5xx
   uint64_t unanswered = 0;   // well-formed request, no response
   uint64_t disconnects = 0;  // deliberate mid-flight closes
+  uint64_t verified = 0;     // 200 answers BN re-answered with equal codes
+  uint64_t mismatched = 0;   // 200 answers BN re-answered differently
   std::vector<int64_t> latencies_micros;
 };
 
@@ -61,13 +70,21 @@ const char* kQueries[] = {
     "//person[profile/interest]/name",
 };
 
-std::string QueryBody(Rng* rng, int64_t deadline_ms) {
-  (void)deadline_ms;
-  const char* xpath =
-      kQueries[rng->NextBounded(sizeof(kQueries) / sizeof(kQueries[0]))];
+const char* PickQuery(Rng* rng) {
+  return kQueries[rng->NextBounded(sizeof(kQueries) / sizeof(kQueries[0]))];
+}
+
+// {"xpath": X}, or {"xpath": X, "strategy": S} with a strategy.
+std::string QueryBody(std::string_view xpath, std::string_view strategy = "") {
   std::string body = "{\"xpath\": \"";
   body += xpath;
-  body += "\"}";
+  body += "\"";
+  if (!strategy.empty()) {
+    body += ", \"strategy\": \"";
+    body += strategy;
+    body += "\"";
+  }
+  body += "}";
   return body;
 }
 
@@ -79,12 +96,23 @@ std::string BatchBody(Rng* rng) {
       body += ", ";
     }
     body += "\"";
-    body += kQueries[rng->NextBounded(sizeof(kQueries) /
-                                      sizeof(kQueries[0]))];
+    body += PickQuery(rng);
     body += "\"";
   }
   body += "]}";
   return body;
+}
+
+// The raw "codes" array of a /query response, or "" if there is none. Every
+// strategy's answer goes through one serializer, so equal code sets give
+// equal bytes.
+std::string_view CodesArray(std::string_view body) {
+  constexpr std::string_view kKey = "\"codes\":[";
+  const size_t begin = body.find(kKey);
+  const size_t end =
+      begin == std::string_view::npos ? begin : body.find(']', begin);
+  return end == std::string_view::npos ? std::string_view()
+                                       : body.substr(begin, end + 1 - begin);
 }
 
 // A grab-bag of requests the parser must reject without crashing.
@@ -128,7 +156,7 @@ void WorkerLoop(const LoadOptions& opts, uint64_t seed, Tally* tally) {
     }
     if (roll < opts.malformed_pct + opts.disconnect_pct) {
       // Mid-flight disconnect: send a valid request, hang up immediately.
-      std::string body = QueryBody(&rng, opts.deadline_ms);
+      std::string body = QueryBody(PickQuery(&rng));
       std::string wire = "POST /query HTTP/1.1\r\nHost: load\r\n"
                          "Content-Length: " +
                          std::to_string(body.size()) + "\r\n\r\n" + body;
@@ -141,6 +169,7 @@ void WorkerLoop(const LoadOptions& opts, uint64_t seed, Tally* tally) {
 
     std::string target = "/query";
     std::string body;
+    const char* xpath = nullptr;
     if (roll >= 95) {
       target = "/metrics";
       body.clear();
@@ -148,7 +177,8 @@ void WorkerLoop(const LoadOptions& opts, uint64_t seed, Tally* tally) {
       target = "/batch";
       body = BatchBody(&rng);
     } else {
-      body = QueryBody(&rng, opts.deadline_ms);
+      xpath = PickQuery(&rng);
+      body = QueryBody(xpath);
     }
     const std::string method = target == "/metrics" ? "GET" : "POST";
     const std::string deadline_header =
@@ -184,6 +214,31 @@ void WorkerLoop(const LoadOptions& opts, uint64_t seed, Tally* tally) {
     if (const std::string* connection = response->Header("connection")) {
       if (*connection == "close") {
         client.Close();
+        continue;
+      }
+    }
+    if (opts.verify && xpath != nullptr && status == 200) {
+      Result<HttpResponse> base =
+          client.Roundtrip("POST", "/query", QueryBody(xpath, "BN"),
+                           deadline_header, opts.deadline_ms * 4 + 2000);
+      if (!base.ok()) {
+        tally->unanswered++;
+        client.Close();
+        continue;
+      }
+      const std::string_view codes = CodesArray(response->body);
+      if (base->status == 200 && !codes.empty() &&
+          codes == CodesArray(base->body)) {
+        tally->verified++;
+      } else if (base->status == 200) {
+        tally->mismatched++;
+        std::cerr << "answer mismatch for " << xpath << ": "
+                  << response->body << " vs BN " << base->body << "\n";
+      }
+      if (const std::string* connection = base->Header("connection")) {
+        if (*connection == "close") {
+          client.Close();
+        }
       }
     }
   }
@@ -225,6 +280,8 @@ int Main(int argc, char** argv) {
       opts.disconnect_pct = static_cast<int>(next());
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       opts.seed = static_cast<uint64_t>(next());
+    } else if (std::strcmp(argv[i], "--verify") == 0) {
+      opts.verify = true;
     } else {
       std::cerr << "unknown flag " << argv[i] << "\n";
       return 2;
@@ -257,6 +314,8 @@ int Main(int argc, char** argv) {
     total.server_err += tally.server_err;
     total.unanswered += tally.unanswered;
     total.disconnects += tally.disconnects;
+    total.verified += tally.verified;
+    total.mismatched += tally.mismatched;
     total.latencies_micros.insert(total.latencies_micros.end(),
                                   tally.latencies_micros.begin(),
                                   tally.latencies_micros.end());
@@ -271,9 +330,11 @@ int Main(int argc, char** argv) {
             << ", \"server_err\": " << total.server_err
             << ", \"unanswered\": " << total.unanswered
             << ", \"disconnects\": " << total.disconnects
+            << ", \"verified\": " << total.verified
+            << ", \"mismatched\": " << total.mismatched
             << ", \"p50_micros\": " << p50 << ", \"p99_micros\": " << p99
             << "}\n";
-  return total.unanswered == 0 ? 0 : 1;
+  return total.unanswered == 0 && total.mismatched == 0 ? 0 : 1;
 }
 
 }  // namespace
