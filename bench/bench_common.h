@@ -15,16 +15,8 @@
 // Environment knobs (all optional):
 //   XVR_BENCH_VIEWS     number of materialized views for §VI-A (default 1000)
 //   XVR_BENCH_SCALE     document scale (default 12.0)
-//   XVR_BENCH_TRIALS    A/B trial pairs for RunInterleavedAB (default 9)
-//   XVR_BENCH_JSON_DIR  where BenchJson writes BENCH_<name>.json (default .)
-//
-// It also provides the statistically honest A/B harness: fixed-work
-// interleaved trials summarized as median with interquartile range, and a
-// machine-readable JSON emitter so CI can diff runs against a committed
-// baseline (scripts/bench_diff.py).
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -108,137 +100,6 @@ inline std::unique_ptr<xvr::VFilter> BuildFilter(
   }
   return filter;
 }
-
-// --- statistically honest A/B comparisons ----------------------------------
-//
-// A single timed run of A followed by a single timed run of B is not a
-// measurement: whichever side runs later inherits warmer caches, thermal
-// throttling and whatever else the machine was doing. The harness below
-// runs FIXED WORK per trial, strictly interleaves the two sides (A B A B
-// ...) so drift lands on both equally, and reports medians with the
-// interquartile range instead of best-of-N. A claimed speedup is honest
-// when the two IQRs do not overlap.
-
-struct TrialStats {
-  double median = 0;
-  double q25 = 0;
-  double q75 = 0;
-  size_t trials = 0;
-};
-
-// Linear-interpolation quantile of an ascending-sorted sample.
-inline double SortedQuantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-inline TrialStats Summarize(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  TrialStats s;
-  s.trials = samples.size();
-  s.median = SortedQuantile(samples, 0.5);
-  s.q25 = SortedQuantile(samples, 0.25);
-  s.q75 = SortedQuantile(samples, 0.75);
-  return s;
-}
-
-struct ABComparison {
-  TrialStats a;        // side-A rate: work_units / elapsed, per trial
-  TrialStats b;        // side-B rate
-  TrialStats speedup;  // per-trial-pair ratio rate_a / rate_b
-  // The honesty gate: A's slow quartile still beats B's fast quartile.
-  bool NonOverlappingIqr() const { return a.q25 > b.q75; }
-};
-
-// Runs `trials` interleaved pairs (one untimed warmup pair first). Each
-// closure performs the same fixed amount of work and returns its elapsed
-// seconds; `work_units` is that amount (e.g. queries per run), so rates
-// come out in units/sec. The speedup distribution pairs trial i of A with
-// trial i of B — adjacent in time, so a machine-wide hiccup cancels out of
-// the ratio instead of counting against one side.
-template <typename FnA, typename FnB>
-inline ABComparison RunInterleavedAB(size_t trials, double work_units,
-                                     FnA&& run_a, FnB&& run_b) {
-  run_a();
-  run_b();
-  std::vector<double> a_rates, b_rates, ratios;
-  a_rates.reserve(trials);
-  b_rates.reserve(trials);
-  ratios.reserve(trials);
-  for (size_t t = 0; t < trials; ++t) {
-    const double sa = run_a();
-    const double sb = run_b();
-    const double ra = sa > 0 ? work_units / sa : 0;
-    const double rb = sb > 0 ? work_units / sb : 0;
-    a_rates.push_back(ra);
-    b_rates.push_back(rb);
-    ratios.push_back(rb > 0 ? ra / rb : 0);
-  }
-  ABComparison out;
-  out.a = Summarize(std::move(a_rates));
-  out.b = Summarize(std::move(b_rates));
-  out.speedup = Summarize(std::move(ratios));
-  return out;
-}
-
-// Machine-readable results: one JSON file per bench binary, written to
-// $XVR_BENCH_JSON_DIR (default: the working directory) as
-// BENCH_<name>.json. The schema is flat on purpose — scripts/bench_diff.py
-// and the committed baselines under bench/baselines/ parse it.
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
-
-  void AddAB(const std::string& row_name, const std::string& a_label,
-             const std::string& b_label, const std::string& units,
-             const ABComparison& ab) {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"units\": \"%s\", \"trials\": %zu,\n"
-        "     \"a\": {\"label\": \"%s\", \"median\": %.6g, \"q25\": %.6g, "
-        "\"q75\": %.6g},\n"
-        "     \"b\": {\"label\": \"%s\", \"median\": %.6g, \"q25\": %.6g, "
-        "\"q75\": %.6g},\n"
-        "     \"speedup\": {\"median\": %.6g, \"q25\": %.6g, \"q75\": %.6g},\n"
-        "     \"iqr_separated\": %s}",
-        row_name.c_str(), units.c_str(), ab.speedup.trials, a_label.c_str(),
-        ab.a.median, ab.a.q25, ab.a.q75, b_label.c_str(), ab.b.median,
-        ab.b.q25, ab.b.q75, ab.speedup.median, ab.speedup.q25, ab.speedup.q75,
-        ab.NonOverlappingIqr() ? "true" : "false");
-    rows_.emplace_back(buf);
-  }
-
-  // Writes the file and returns its path ("" on I/O failure).
-  std::string Write() const {
-    const char* dir = std::getenv("XVR_BENCH_JSON_DIR");
-    const std::string path =
-        std::string(dir != nullptr ? dir : ".") + "/BENCH_" + bench_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return "";
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
-                 bench_.c_str());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "%s%s\n", rows_[i].c_str(),
-                   i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return path;
-  }
-
- private:
-  std::string bench_;
-  std::vector<std::string> rows_;
-};
 
 }  // namespace xvr_bench
 

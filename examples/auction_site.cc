@@ -68,29 +68,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Ad-hoc query: best-effort answering tries the equivalent rewriting and
-  // falls back to the sound contained rewriting, then to base data.
-  auto odd = engine.Parse("/site/categories/category[name]/description");
+  // Ad-hoc query: answered from the views when a view set covers it, on
+  // base data otherwise.
+  const char* adhoc = "/site/categories/category[name]/description";
+  auto odd = engine.Parse(adhoc);
   if (odd.ok()) {
-    const xvr::Engine::BestEffortAnswer best = engine.AnswerBestEffort(*odd);
-    std::printf("\nAd-hoc query %s:\n",
-                "/site/categories/category[name]/description");
-    if (best.exact) {
-      std::printf("  answered exactly from %zu view(s): %zu results\n",
-                  best.views_used, best.codes.size());
-    } else if (!best.codes.empty()) {
-      std::printf("  contained rewriting: %zu guaranteed results from %zu "
-                  "view(s); completing on base data...\n",
-                  best.codes.size(), best.views_used);
-    } else {
-      std::printf("  no view coverage; executing on base data...\n");
-    }
-    if (!best.exact) {
+    std::printf("\nAd-hoc query %s:\n", adhoc);
+    auto hv = engine.AnswerQuery(*odd, xvr::AnswerStrategy::kHeuristicFiltered);
+    if (hv.ok()) {
+      std::printf("  answered from %zu view(s): %zu results\n",
+                  hv->stats.views_selected, hv->codes.size());
+    } else if (hv.status().code() == xvr::StatusCode::kNotAnswerable) {
+      std::printf("  no view set covers it; executing on base data...\n");
       auto bf = engine.AnswerQuery(*odd, xvr::AnswerStrategy::kBaseFullIndex);
       if (bf.ok()) {
         std::printf("  base-data answer: %zu results in %.1f us\n",
                     bf->codes.size(), bf->stats.total_micros);
       }
+    } else {
+      std::printf("  failed: %s\n", hv.status().ToString().c_str());
     }
   }
   return 0;

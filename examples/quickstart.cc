@@ -15,7 +15,6 @@
 #include "core/engine.h"
 #include "pattern/pattern_writer.h"
 #include "xml/xml_parser.h"
-#include "xml/xml_writer.h"
 
 namespace {
 
@@ -99,16 +98,11 @@ int main() {
                  answer.status().ToString().c_str());
     return 1;
   }
-  // The result XML comes out of the fragments themselves — the base
-  // document is never touched on the answering path.
-  auto materialized = engine.AnswerQueryXml(
-      *query, xvr::AnswerStrategy::kHeuristicFiltered);
-  std::printf("\nAnswer (extended Dewey codes, XML from fragments):\n");
-  if (materialized.ok()) {
-    for (const xvr::MaterializedAnswer& item : *materialized) {
-      std::printf("  %-8s -> %s\n", item.code.ToString().c_str(),
-                  item.xml.c_str());
-    }
+  // The answer comes out of the fragments themselves — the base document
+  // is never touched on the answering path.
+  std::printf("\nAnswer (extended Dewey codes):\n");
+  for (const xvr::DeweyCode& code : answer->codes) {
+    std::printf("  %s\n", code.ToString().c_str());
   }
 
   // Cross-check against direct evaluation on base data.

@@ -8,7 +8,6 @@
 //   drop <id>             remove a view
 //   q <xpath>             answer with HV and cross-check against base data
 //   q! <strategy> <xpath> answer with BN|BF|MN|MV|HV|HB
-//   best <xpath>          best-effort answering (contained fallback)
 //   filter <xpath>        show VFILTER candidates and LIST(P_i)
 //   explain <xpath>       show selection (views, covers, anchors)
 //   save <file> / open <file>   persist / restore the engine state
@@ -96,7 +95,7 @@ class Shell {
     if (cmd == "help") {
       std::printf(
           "gen [scale] | load <file> | view <xpath> | views | drop <id>\n"
-          "q <xpath> | q! <BN|BF|MN|MV|HV|HB> <xpath> | best <xpath>\n"
+          "q <xpath> | q! <BN|BF|MN|MV|HV|HB> <xpath>\n"
           "filter <xpath> | explain <xpath> | save <file> | open <file>\n"
           "stats | \\metrics [json] | quit\n");
       return true;
@@ -259,13 +258,6 @@ class Shell {
         return true;
       }
       PrintAnswer(*answer, cmd == "q");
-      return true;
-    }
-    if (cmd == "best") {
-      const auto best = engine_->AnswerBestEffort(*last_query_);
-      std::printf("%s: %zu result(s) from %zu view(s)\n",
-                  best.exact ? "exact" : "contained (partial)",
-                  best.codes.size(), best.views_used);
       return true;
     }
     if (cmd == "filter") {

@@ -305,31 +305,6 @@ std::vector<Result<Engine::Answer>> Engine::BatchAnswer(
   return pipeline_->BatchAnswer(queries, strategy, num_threads, limits);
 }
 
-Result<std::vector<MaterializedAnswer>> Engine::AnswerQueryXml(
-    const TreePattern& query, AnswerStrategy strategy) const {
-  // Unlimited convenience API: loops only walk the already-computed answer
-  // (lint:deadline-ok).
-  if (IsBaseStrategy(strategy)) {
-    Answer answer;
-    XVR_ASSIGN_OR_RETURN(answer, AnswerQuery(query, strategy));
-    std::vector<MaterializedAnswer> out;
-    out.reserve(answer.codes.size());
-    for (const DeweyCode& code : answer.codes) {
-      const NodeId node = doc_.FindByDewey(code);
-      out.push_back(MaterializedAnswer{code, WriteXml(doc_, node)});
-    }
-    return out;
-  }
-  ExecutionContext ctx;
-  std::shared_ptr<const QueryPlan> plan;
-  XVR_ASSIGN_OR_RETURN(plan, pipeline_->Plan(query, strategy, &ctx));
-  // Plan pinned the snapshot it planned against into ctx; materialize the
-  // answer from the same snapshot's fragments.
-  return AnswerWithViewsXml(plan->query, plan->selection,
-                            ctx.catalog->fragments, *doc_.fst(),
-                            doc_.labels());
-}
-
 Status Engine::SaveState(const std::string& path) const {
   // The writer mutex makes the saved image + checkpoint atomic with respect
   // to concurrent mutations (answering is unaffected: it reads snapshots).
@@ -550,27 +525,6 @@ ServerStats Engine::ServerStats() const {
   out.server_read_timeout = metrics_->server_read_timeout->Value();
   out.server_drain = metrics_->server_drain->Value();
   out.server_queue_wait = metrics_->server_queue_wait->TakeSnapshot();
-  return out;
-}
-
-Engine::BestEffortAnswer Engine::AnswerBestEffort(
-    const TreePattern& query) const {
-  BestEffortAnswer out;
-  Result<Answer> exact =
-      AnswerQuery(query, AnswerStrategy::kHeuristicFiltered);
-  if (exact.ok()) {
-    out.codes = std::move(exact->codes);
-    out.exact = true;
-    out.views_used = exact->stats.views_selected;
-    return out;
-  }
-  // One snapshot for the whole fallback rewriting.
-  const CatalogRef catalog = Catalog();
-  ContainedRewriteResult contained = ContainedRewrite(
-      query, catalog->view_ids(), catalog->MakeLookup(), catalog->fragments);
-  out.codes = std::move(contained.codes);
-  out.exact = false;
-  out.views_used = contained.views_used.size();
   return out;
 }
 

@@ -59,7 +59,6 @@
 #include "obs/engine_metrics.h"
 #include "obs/metrics.h"
 #include "pattern/tree_pattern.h"
-#include "rewrite/contained.h"
 #include "rewrite/rewriter.h"
 #include "selection/answerability.h"
 #include "storage/catalog_wal.h"
@@ -84,9 +83,8 @@ struct EngineOptions {
 };
 
 // A point-in-time view of the engine's serving health, assembled from the
-// metrics registry and the plan cache. Counter-derived fields are zero when
-// the registry was disabled while the traffic ran; the plan-cache block
-// comes from PlanCache's own stats and is always populated.
+// metrics registry and the plan cache. The plan-cache block comes from
+// PlanCache's own stats.
 struct ServerStats {
   uint64_t queries_total = 0;
   uint64_t queries_ok = 0;
@@ -241,22 +239,6 @@ class Engine {
       std::span<const TreePattern> queries, AnswerStrategy strategy,
       int num_threads = 0, const QueryLimits& limits = QueryLimits()) const;
 
-  // Answers and materializes each result as XML text: from the document for
-  // base strategies, from the view fragments (no base access) for view
-  // strategies.
-  Result<std::vector<MaterializedAnswer>> AnswerQueryXml(
-      const TreePattern& query, AnswerStrategy strategy) const;
-
-  // Best-effort answering (§VII future work): tries the equivalent
-  // multi-view rewriting first; when the query is not answerable, falls
-  // back to the sound contained rewriting over all materialized views.
-  struct BestEffortAnswer {
-    std::vector<DeweyCode> codes;
-    bool exact = false;           // true: equivalent rewriting succeeded
-    size_t views_used = 0;
-  };
-  BestEffortAnswer AnswerBestEffort(const TreePattern& query) const;
-
   // Selection only ("lookup" in the paper's Fig. 9). Valid for the three
   // view strategies. The query is used as given (no minimization): the
   // cover node indices in the result refer to it.
@@ -323,8 +305,7 @@ class Engine {
   //
   // The engine owns one MetricsRegistry; the whole serving path records
   // into it (see obs/engine_metrics.h for the metric catalog). Recording is
-  // lock-free and sharded; metrics().SetEnabled(false) turns every record
-  // into one relaxed load, and SetEnabled(true) turns recording back on.
+  // lock-free and sharded.
 
   MetricsRegistry& metrics() const { return metrics_registry_; }
 

@@ -290,15 +290,12 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     return results;
   }
   // Queue-wait accounting: every query "arrives" when the batch is
-  // submitted, so its wait is pickup time minus batch start. Priced only
-  // when the registry records anything (one bool, hoisted off the loop).
+  // submitted, so its wait is pickup time minus batch start.
   const EngineMetrics* metrics = deps_.metrics;
-  const bool record_wait =
-      metrics != nullptr && metrics->registry->enabled();
   if (metrics != nullptr) {
     metrics->batch_queries->Add(queries.size());
   }
-  const int64_t batch_start_nanos = record_wait ? MonotonicNanos() : 0;
+  const int64_t batch_start_nanos = metrics != nullptr ? MonotonicNanos() : 0;
 
   // Build any lazily-constructed shared state up front so workers only ever
   // read it.
@@ -318,7 +315,7 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     ExecutionContext ctx;
     ctx.limits = limits;
     for (size_t i = 0; i < queries.size(); ++i) {
-      if (record_wait) {
+      if (metrics != nullptr) {
         metrics->batch_queue_wait->RecordNanos(MonotonicNanos() -
                                                batch_start_nanos);
       }
@@ -334,7 +331,7 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < queries.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (record_wait) {
+      if (metrics != nullptr) {
         metrics->batch_queue_wait->RecordNanos(MonotonicNanos() -
                                                batch_start_nanos);
       }

@@ -442,12 +442,6 @@ void PlanCache::OnCatalogPublish(uint64_t version, const CatalogDelta& delta) {
   }
 }
 
-void PlanCache::Clear() {
-  MutexLock lock(&mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 size_t PlanCache::size() const {
   MutexLock lock(&mu_);
   return lru_.size();
@@ -470,11 +464,6 @@ std::vector<std::shared_ptr<const QueryPlan>> PlanCache::SampleEntries(
 PlanCache::Stats PlanCache::stats() const {
   MutexLock lock(&mu_);
   return stats_;
-}
-
-void PlanCache::ResetStats() {
-  MutexLock lock(&mu_);
-  stats_ = Stats{};
 }
 
 void PlanCache::BindMetrics(const MetricSinks& sinks) {

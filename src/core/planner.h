@@ -249,8 +249,6 @@ class PlanCache {
   // pins the new version can never pick up a retired plan.
   void OnCatalogPublish(uint64_t version, const CatalogDelta& delta);
 
-  void Clear();
-
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
@@ -287,12 +285,9 @@ class PlanCache {
     }
   };
   Stats stats() const;
-  void ResetStats();
 
   // Engine-wide counters mirroring every stats_ increment (all non-null
-  // when bound; publish_entries_swept has no mirror). ResetStats() clears
-  // only stats_, never the counters, so the registry keeps lifetime totals
-  // across bench-style resets.
+  // when bound; publish_entries_swept has no mirror).
   struct MetricSinks {
     Counter* lookups = nullptr;
     Counter* hits = nullptr;

@@ -17,7 +17,7 @@ constexpr const char* kStageNames[] = {
 
 }  // namespace
 
-EngineMetrics::EngineMetrics(MetricsRegistry* registry) : registry(registry) {
+EngineMetrics::EngineMetrics(MetricsRegistry* registry) {
   queries_total = registry->GetCounter("xvr.queries.total");
   queries_ok = registry->GetCounter("xvr.queries.ok");
   queries_failed = registry->GetCounter("xvr.queries.failed");
@@ -105,9 +105,6 @@ LatencyHistogram* EngineMetrics::StageHistogram(const char* name) const {
 }
 
 void EngineMetrics::RollUpTrace(const Trace& trace) const {
-  if (!registry->enabled()) {
-    return;
-  }
   const size_t n = trace.size();
   for (size_t i = 0; i < n; ++i) {
     const SpanRecord& span = trace.record(i);

@@ -81,10 +81,8 @@ struct EngineMetrics {
   LatencyHistogram* StageHistogram(const char* name) const;
 
   // Feeds every retained span of a completed query into its stage
-  // histogram. No-op while the registry is disabled.
+  // histogram.
   void RollUpTrace(const Trace& trace) const;
-
-  MetricsRegistry* registry;
 
   Counter* queries_total;
   Counter* queries_ok;

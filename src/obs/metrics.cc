@@ -122,7 +122,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(&mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Counter>(&enabled_);
+    slot = std::make_unique<Counter>();
   }
   return slot.get();
 }
@@ -131,7 +131,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   MutexLock lock(&mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Gauge>(&enabled_);
+    slot = std::make_unique<Gauge>();
   }
   return slot.get();
 }
@@ -140,7 +140,7 @@ LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(&mu_);
   auto& slot = histograms_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<LatencyHistogram>(&enabled_);
+    slot = std::make_unique<LatencyHistogram>();
   }
   return slot.get();
 }

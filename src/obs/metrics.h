@@ -12,11 +12,6 @@
 // and may race with writers — totals are monotone and each cell is
 // atomic, so a read sees a consistent-enough point-in-time sum.
 //
-// Every instrument holds a pointer to its registry's enabled flag; when
-// the registry is disabled, Record/Add is one relaxed load and a branch
-// (the <2% overhead budget's fast path). Instruments constructed outside
-// a registry (tests) have no flag and are always on.
-//
 // Histograms bucket nanosecond durations logarithmically: exact buckets
 // below 4 ns, then 4 linear sub-buckets per power-of-two octave, giving
 // <=25% relative bucket width over the full int64 range in 248 buckets.
@@ -49,15 +44,7 @@ uint32_t ThisThreadShard();
 // Monotone event counter.
 class Counter {
  public:
-  // `enabled` may be null (always on); otherwise recording is skipped
-  // while it holds false.
-  explicit Counter(const std::atomic<bool>* enabled = nullptr)
-      : enabled_(enabled) {}
-
   void Add(uint64_t n = 1) {
-    if (enabled_ != nullptr && !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
     cells_[obs_internal::ThisThreadShard()].value.fetch_add(
         n, std::memory_order_relaxed);
   }
@@ -74,34 +61,19 @@ class Counter {
   struct alignas(64) Cell {
     std::atomic<uint64_t> value{0};
   };
-  const std::atomic<bool>* enabled_;
   Cell cells_[kMetricShards];
 };
 
 // Last-write-wins instantaneous value (e.g. catalog view count).
 class Gauge {
  public:
-  explicit Gauge(const std::atomic<bool>* enabled = nullptr)
-      : enabled_(enabled) {}
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
 
-  void Set(int64_t v) {
-    if (enabled_ != nullptr && !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    value_.store(v, std::memory_order_relaxed);
-  }
-
-  void Add(int64_t n) {
-    if (enabled_ != nullptr && !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  const std::atomic<bool>* enabled_;
   std::atomic<int64_t> value_{0};
 };
 
@@ -124,13 +96,7 @@ class LatencyHistogram {
     double p99_micros = 0;
   };
 
-  explicit LatencyHistogram(const std::atomic<bool>* enabled = nullptr)
-      : enabled_(enabled) {}
-
   void RecordNanos(int64_t nanos) {
-    if (enabled_ != nullptr && !enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
     const uint64_t n = nanos > 0 ? static_cast<uint64_t>(nanos) : 0;
     Cell& cell = cells_[obs_internal::ThisThreadShard()];
     cell.count.fetch_add(1, std::memory_order_relaxed);
@@ -171,7 +137,6 @@ class LatencyHistogram {
     std::atomic<uint32_t> buckets[kBuckets]{};
   };
 
-  const std::atomic<bool>* enabled_;
   Cell cells_[kMetricShards];
 };
 
@@ -186,13 +151,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Disabling turns every Record/Add on this registry's instruments into
-  // a relaxed load + branch. Existing values are retained, not reset.
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   LatencyHistogram* GetHistogram(const std::string& name);
@@ -206,7 +164,6 @@ class MetricsRegistry {
   std::string JsonExposition() const;
 
  private:
-  std::atomic<bool> enabled_{true};
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
       XVR_GUARDED_BY(mu_);

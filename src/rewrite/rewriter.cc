@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 
@@ -221,13 +220,12 @@ bool Satisfiable(const ViewJoin* const* views, size_t num_views,
   return false;
 }
 
-// Refinement, join and extraction; every extracted answer is reported
-// through `emit(code, fragment, node)`.
-Status AnswerCore(
-    const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* stats,
-    const RewriteOptions& options,
-    const std::function<void(DeweyCode, const Fragment&, int32_t)>& emit) {
+// Refinement, join and extraction; every extracted answer's code is
+// appended to `out`.
+Status AnswerCore(const TreePattern& query, const SelectionResult& selection,
+                  const FragmentStore& store, const Fst& fst,
+                  RewriteStats* stats, const RewriteOptions& options,
+                  std::vector<DeweyCode>* out) {
   RewriteStats local_stats;
   RewriteStats* st = stats != nullptr ? stats : &local_stats;
   *st = RewriteStats{};
@@ -455,8 +453,7 @@ Status AnswerCore(
             std::to_string(st->join_survivors) + " join survivors)");
       }
       ++emitted;
-      const int32_t node = answer_nodes[n];
-      emit(jf->fragment->AbsoluteCode(node), *jf->fragment, node);
+      out->push_back(jf->fragment->AbsoluteCode(answer_nodes[n]));
     }
   }
   return Status::Ok();
@@ -469,44 +466,13 @@ Result<std::vector<DeweyCode>> AnswerWithViews(
     const FragmentStore& store, const Fst& fst, RewriteStats* stats,
     const RewriteOptions& options) {
   std::vector<DeweyCode> result;
-  XVR_RETURN_IF_ERROR(AnswerCore(
-      query, selection, store, fst, stats, options,
-      [&result](DeweyCode code, const Fragment&, int32_t) {
-        result.push_back(std::move(code));
-      }));
+  XVR_RETURN_IF_ERROR(
+      AnswerCore(query, selection, store, fst, stats, options, &result));
   // Survivors emit in document order unless their fragments nest.
   if (!std::is_sorted(result.begin(), result.end())) {
     std::sort(result.begin(), result.end());
   }
   result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-Result<std::vector<MaterializedAnswer>> AnswerWithViewsXml(
-    const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, const LabelDict& dict,
-    RewriteStats* stats, const RewriteOptions& options) {
-  std::vector<MaterializedAnswer> result;
-  XVR_RETURN_IF_ERROR(AnswerCore(
-      query, selection, store, fst, stats, options,
-      [&result, &dict](DeweyCode code, const Fragment& fragment,
-                       int32_t node) {
-        result.push_back(
-            MaterializedAnswer{std::move(code), fragment.ToXml(dict, node)});
-      }));
-  const auto by_code = [](const MaterializedAnswer& a,
-                          const MaterializedAnswer& b) {
-    return a.code < b.code;
-  };
-  if (!std::is_sorted(result.begin(), result.end(), by_code)) {
-    std::sort(result.begin(), result.end(), by_code);
-  }
-  result.erase(std::unique(result.begin(), result.end(),
-                           [](const MaterializedAnswer& a,
-                              const MaterializedAnswer& b) {
-                             return a.code == b.code;
-                           }),
-               result.end());
   return result;
 }
 

@@ -99,18 +99,6 @@ Result<std::vector<DeweyCode>> AnswerWithViews(
     const FragmentStore& store, const Fst& fst,
     RewriteStats* stats = nullptr, const RewriteOptions& options = {});
 
-// Like AnswerWithViews, additionally materializing every answer's XML text
-// from the primary view's fragments (still no base-data access). The two
-// output vectors are parallel and sorted by code.
-struct MaterializedAnswer {
-  DeweyCode code;
-  std::string xml;
-};
-Result<std::vector<MaterializedAnswer>> AnswerWithViewsXml(
-    const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, const LabelDict& dict,
-    RewriteStats* stats = nullptr, const RewriteOptions& options = {});
-
 }  // namespace xvr
 
 #endif  // XVR_REWRITE_REWRITER_H_

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "common/logging.h"
-#include "xml/xml_writer.h"
 
 namespace xvr {
 namespace {
@@ -455,44 +453,6 @@ size_t FlatFragment::ByteSize() const {
     }
   }
   return bytes;
-}
-
-std::string FlatFragment::ToXml(const LabelDict& dict, int32_t from) const {
-  std::string out;
-  // Recursive render without building an XmlTree.
-  std::function<void(int32_t)> render = [&](int32_t i) {
-    out.push_back('<');
-    out.append(dict.Name(node(i).label));
-    if (const std::vector<XmlAttribute>* list = FindAttrs(i)) {
-      for (const XmlAttribute& a : *list) {
-        out.push_back(' ');
-        out.append(a.name);
-        out.append("=\"");
-        out.append(EscapeAttribute(a.value));
-        out.push_back('"');
-      }
-    }
-    const std::string* t = text(i);
-    if (children(i).empty() && t == nullptr) {
-      out.append("/>");
-      return;
-    }
-    out.push_back('>');
-    if (t != nullptr) {
-      out.append(EscapeText(*t));
-    }
-    for (int32_t c : children(i)) {
-      render(c);
-    }
-    out.append("</");
-    out.append(dict.Name(node(i).label));
-    out.push_back('>');
-  };
-  if (!nodes_.empty() && from >= 0 &&
-      static_cast<size_t>(from) < nodes_.size()) {
-    render(from);
-  }
-  return out;
 }
 
 }  // namespace xvr

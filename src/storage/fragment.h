@@ -146,11 +146,6 @@ class FlatFragment {
   // Bytes the fragment occupies when serialized (the 128 KB budget metric).
   size_t ByteSize() const;
 
-  // Serializes the subtree rooted at fragment node `from` (default: the
-  // whole fragment) back to XML text — this is how query results are
-  // materialized without touching base data.
-  std::string ToXml(const LabelDict& dict, int32_t from = 0) const;
-
  private:
   bool NodeMatches(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn) const;

@@ -7,8 +7,6 @@
 #include "pattern/evaluate.h"
 #include "pattern/homomorphism.h"
 #include "pattern/xpath_parser.h"
-#include "rewrite/contained.h"
-#include "storage/materializer.h"
 #include "test_util.h"
 #include "vfilter/vfilter.h"
 #include "vfilter/vfilter_serde.h"
@@ -182,135 +180,7 @@ TEST(QueryGenAttributes, OffByDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Contained rewriting (§VII).
-
-class ContainedRewriteTest : public ::testing::Test {
- protected:
-  void Load(const std::string& xml) {
-    auto r = ParseXml(xml);
-    ASSERT_TRUE(r.ok()) << r.status();
-    tree_ = std::move(r).value();
-    tree_.AssignDeweyCodes();
-  }
-  TreePattern Parse(const std::string& xpath) {
-    auto r = ParseXPath(xpath, &tree_.labels());
-    EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
-    return std::move(r).value();
-  }
-  ContainedRewriteResult Run(const std::string& query,
-                             const std::vector<std::string>& views) {
-    views_.clear();
-    store_ = FragmentStore();
-    std::vector<int32_t> ids;
-    for (size_t i = 0; i < views.size(); ++i) {
-      views_.push_back(Parse(views[i]));
-      auto frags = MaterializeView(views_.back(), tree_);
-      if (frags.ok()) {
-        store_.PutView(static_cast<int32_t>(i), std::move(frags).value());
-        ids.push_back(static_cast<int32_t>(i));
-      }
-    }
-    return ContainedRewrite(Parse(query), ids,
-                            [this](int32_t id) {
-                              return &views_[static_cast<size_t>(id)];
-                            },
-                            store_);
-  }
-  std::vector<DeweyCode> Direct(const std::string& query) {
-    std::vector<DeweyCode> codes;
-    for (NodeId n : EvaluatePattern(Parse(query), tree_)) {
-      codes.push_back(tree_.dewey(n));
-    }
-    std::sort(codes.begin(), codes.end());
-    return codes;
-  }
-  XmlTree tree_;
-  std::vector<TreePattern> views_;
-  FragmentStore store_;
-};
-
-TEST_F(ContainedRewriteTest, EquivalentViewGivesFullAnswer) {
-  Load("<a><b><c/><d/></b><b><d/></b></a>");
-  const auto result = Run("/a/b/d", {"/a/b/d"});
-  EXPECT_EQ(result.codes, Direct("/a/b/d"));
-  EXPECT_EQ(result.views_used.size(), 1u);
-}
-
-TEST_F(ContainedRewriteTest, MoreRestrictiveViewGivesSoundSubset) {
-  Load("<a><b><c/><d/></b><b><d/></b></a>");
-  // View restricted to b's having c; query wants all b/d.
-  const auto result = Run("/a/b/d", {"/a/b[c]/d"});
-  const auto all = Direct("/a/b/d");
-  EXPECT_EQ(result.codes.size(), 1u);  // only the first b qualifies
-  for (const DeweyCode& code : result.codes) {
-    EXPECT_TRUE(std::find(all.begin(), all.end(), code) != all.end());
-  }
-}
-
-TEST_F(ContainedRewriteTest, UnionsMultipleRestrictiveViews) {
-  Load("<a><b><c/><d/></b><b><e/><d/></b><b><d/></b></a>");
-  const auto result = Run("/a/b/d", {"/a/b[c]/d", "/a/b[e]/d"});
-  EXPECT_EQ(result.codes.size(), 2u);
-  EXPECT_EQ(result.views_used.size(), 2u);
-  const auto all = Direct("/a/b/d");
-  for (const DeweyCode& code : result.codes) {
-    EXPECT_TRUE(std::find(all.begin(), all.end(), code) != all.end());
-  }
-}
-
-TEST_F(ContainedRewriteTest, WeakerViewContributesNothing) {
-  // View is WEAKER than the query (no hom Q -> V): cannot guarantee answers.
-  Load("<a><b><c/><d/></b><b><d/></b></a>");
-  const auto result = Run("/a/b[c]/d", {"/a/b/d"});
-  EXPECT_TRUE(result.codes.empty());
-}
-
-TEST_F(ContainedRewriteTest, WitnessDeeperInsideFragment) {
-  Load("<a><b><m><d/></m></b><b><m/></b></a>");
-  // View materializes b's (with an m/d below); query answer d.
-  const auto result = Run("/a/b/m/d", {"/a/b[m/d]"});
-  EXPECT_EQ(result.codes, Direct("/a/b/m/d"));
-}
-
-TEST_F(ContainedRewriteTest, SubsetPropertyOnXmark) {
-  XmarkOptions doc_options;
-  doc_options.scale = 0.1;
-  tree_ = GenerateXmark(doc_options);
-  QueryGenerator generator(tree_, {});
-  Rng rng(31);
-  views_.clear();
-  store_ = FragmentStore();
-  std::vector<int32_t> ids;
-  for (int i = 0; i < 80; ++i) {
-    TreePattern v = generator.Generate(&rng);
-    auto frags = MaterializeView(v, tree_);
-    if (frags.ok()) {
-      views_.push_back(std::move(v));
-      const auto id = static_cast<int32_t>(views_.size() - 1);
-      store_.PutView(id, std::move(frags).value());
-      ids.push_back(id);
-    }
-  }
-  for (int i = 0; i < 30; ++i) {
-    const TreePattern query = generator.Generate(&rng);
-    const auto result = ContainedRewrite(
-        query, ids,
-        [this](int32_t id) { return &views_[static_cast<size_t>(id)]; },
-        store_);
-    std::vector<DeweyCode> truth;
-    for (NodeId n : EvaluatePattern(query, tree_)) {
-      truth.push_back(tree_.dewey(n));
-    }
-    std::sort(truth.begin(), truth.end());
-    for (const DeweyCode& code : result.codes) {
-      EXPECT_TRUE(std::binary_search(truth.begin(), truth.end(), code))
-          << code.ToString();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Engine: HB strategy, best-effort answering, persistence.
+// Engine: HB strategy, persistence.
 
 TEST(EngineExtensions, SmallFragmentStrategyAgrees) {
   XmarkOptions doc_options;
@@ -332,29 +202,6 @@ TEST(EngineExtensions, SmallFragmentStrategyAgrees) {
   EXPECT_EQ(hv->codes, hb->codes);
   EXPECT_STREQ(AnswerStrategyName(AnswerStrategy::kHeuristicSmallFragments),
                "HB");
-}
-
-TEST(EngineExtensions, BestEffortFallsBackToContained) {
-  auto parsed = ParseXml("<a><b><c/><d/></b><b><d/></b></a>");
-  ASSERT_TRUE(parsed.ok());
-  Engine engine(std::move(parsed).value());
-  auto view = engine.Parse("/a/b[c]/d");
-  ASSERT_TRUE(view.ok());
-  ASSERT_TRUE(engine.AddView(std::move(view).value()).ok());
-
-  // Exactly answerable query.
-  auto q1 = engine.Parse("/a/b[c]/d");
-  auto exact = engine.AnswerBestEffort(*q1);
-  EXPECT_TRUE(exact.exact);
-  EXPECT_EQ(exact.codes.size(), 1u);
-
-  // Broader query: not answerable exactly, contained fallback returns the
-  // sound subset.
-  auto q2 = engine.Parse("/a/b/d");
-  auto partial = engine.AnswerBestEffort(*q2);
-  EXPECT_FALSE(partial.exact);
-  EXPECT_EQ(partial.codes.size(), 1u);
-  EXPECT_EQ(partial.views_used, 1u);
 }
 
 TEST(EngineExtensions, SaveLoadStateRoundTrip) {
@@ -528,46 +375,6 @@ TEST(PartialViewXmark, TableIIIQ4FromCodesOnlyViews) {
   EXPECT_EQ(hv->codes, bn->codes);
   EXPECT_FALSE(hv->codes.empty());
   EXPECT_GT(partial_bytes, 0u);
-}
-
-TEST(EngineExtensions, AnswerQueryXmlFromFragmentsMatchesBase) {
-  auto parsed = ParseXml(
-      "<a><b k=\"1\"><c>hello</c><d/></b><b k=\"2\"><d/></b></a>");
-  ASSERT_TRUE(parsed.ok());
-  Engine engine(std::move(parsed).value());
-  auto view = engine.Parse("/a/b");
-  ASSERT_TRUE(view.ok());
-  ASSERT_TRUE(engine.AddView(std::move(view).value()).ok());
-  auto q = engine.Parse("/a/b[c]/d");
-  ASSERT_TRUE(q.ok());
-
-  auto from_views =
-      engine.AnswerQueryXml(*q, AnswerStrategy::kHeuristicFiltered);
-  auto from_base = engine.AnswerQueryXml(*q, AnswerStrategy::kBaseNodeIndex);
-  ASSERT_TRUE(from_views.ok()) << from_views.status();
-  ASSERT_TRUE(from_base.ok());
-  ASSERT_EQ(from_views->size(), 1u);
-  ASSERT_EQ(from_base->size(), 1u);
-  EXPECT_EQ((*from_views)[0].code, (*from_base)[0].code);
-  EXPECT_EQ((*from_views)[0].xml, (*from_base)[0].xml);
-  EXPECT_EQ((*from_views)[0].xml, "<d/>");
-}
-
-TEST(EngineExtensions, AnswerQueryXmlCarriesTextAndAttributes) {
-  auto parsed = ParseXml(
-      "<a><b><c id=\"7\">payload</c></b></a>");
-  ASSERT_TRUE(parsed.ok());
-  Engine engine(std::move(parsed).value());
-  auto view = engine.Parse("/a/b");
-  ASSERT_TRUE(view.ok());
-  ASSERT_TRUE(engine.AddView(std::move(view).value()).ok());
-  auto q = engine.Parse("/a/b/c");
-  ASSERT_TRUE(q.ok());
-  auto answers =
-      engine.AnswerQueryXml(*q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  ASSERT_EQ(answers->size(), 1u);
-  EXPECT_EQ((*answers)[0].xml, "<c id=\"7\">payload</c>");
 }
 
 TEST(EngineExtensions, RedundantQueryBranchesMinimizedAway) {

@@ -317,23 +317,6 @@ TEST(MetricsRegistry, SameNameReturnsSameInstrument) {
   EXPECT_NE(registry.GetCounter("a"), registry.GetCounter("b"));
 }
 
-TEST(MetricsRegistry, DisabledRegistryDropsRecordsAndKeepsValues) {
-  MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("c");
-  counter->Add(2);
-  registry.SetEnabled(false);
-  counter->Add(5);
-  registry.GetGauge("g")->Set(7);
-  registry.GetHistogram("h")->RecordNanos(100);
-  EXPECT_EQ(counter->Value(), 2u);
-  EXPECT_EQ(registry.GetGauge("g")->Value(), 0);
-  EXPECT_EQ(registry.GetHistogram("h")->TakeSnapshot().count, 0u);
-  // Re-enabling resumes recording without resetting retained values.
-  registry.SetEnabled(true);
-  counter->Add(1);
-  EXPECT_EQ(counter->Value(), 3u);
-}
-
 // --- engine metric catalog ---------------------------------------------------
 
 TEST(EngineMetricsTest, RollUpTraceFeedsStageHistograms) {
@@ -351,17 +334,6 @@ TEST(EngineMetricsTest, RollUpTraceFeedsStageHistograms) {
   EXPECT_EQ(metrics.query_latency->TakeSnapshot().count, 1u);
   EXPECT_EQ(metrics.StageHistogram("query"), nullptr);
   EXPECT_EQ(metrics.StageHistogram("no.such.stage"), nullptr);
-}
-
-TEST(EngineMetricsTest, RollUpIsNoOpWhileDisabled) {
-  MetricsRegistry registry;
-  EngineMetrics metrics(&registry);
-  registry.SetEnabled(false);
-  Trace trace;
-  trace.Record("execute", 0, 5000, 0);
-  metrics.RollUpTrace(trace);
-  registry.SetEnabled(true);
-  EXPECT_EQ(metrics.StageHistogram("execute")->TakeSnapshot().count, 0u);
 }
 
 // --- engine integration ------------------------------------------------------
@@ -597,35 +569,6 @@ TEST_F(EngineObservabilityTest, ArenaGaugesTrackTheServingPath) {
             engine_.metrics().GetGauge("xvr.arena.bytes_allocated")->Value());
   EXPECT_NE(engine_.MetricsJson().find("\"xvr.arena.high_water\":"),
             std::string::npos);
-}
-
-class EngineMetricsDisabledTest : public EngineObservabilityTest {
- protected:
-  EngineMetricsDisabledTest() { engine_.metrics().SetEnabled(false); }
-};
-
-TEST_F(EngineMetricsDisabledTest, DisabledEngineStillServesAndCountsCache) {
-  AddViews();
-  const TreePattern q = Parse("/r/s[f]/p");
-  ASSERT_TRUE(engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered).ok());
-  auto second = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->stats.plan_cache_hit);
-
-  xvr::ServerStats stats = engine_.ServerStats();
-  // Registry-derived fields stayed dark...
-  EXPECT_EQ(stats.queries_total, 0u);
-  EXPECT_EQ(stats.query_latency.count, 0u);
-  // ...but the plan-cache block comes from the cache itself.
-  EXPECT_EQ(stats.plan_cache.lookups, 2u);
-  EXPECT_EQ(stats.plan_cache.hits, 1u);
-
-  // Runtime re-enable starts recording from here on.
-  engine_.metrics().SetEnabled(true);
-  ASSERT_TRUE(engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered).ok());
-  stats = engine_.ServerStats();
-  EXPECT_EQ(stats.queries_total, 1u);
-  EXPECT_EQ(stats.query_latency.count, 1u);
 }
 
 }  // namespace

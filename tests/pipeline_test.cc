@@ -464,8 +464,6 @@ TEST_F(BatchTest, ConcurrentBatchMatchesSequentialForAllStrategies) {
 
 TEST_F(BatchTest, BatchSeesPlanCacheHitsOnRepeats) {
   ASSERT_NE(setup_.engine->plan_cache(), nullptr);
-  setup_.engine->plan_cache()->Clear();
-  setup_.engine->plan_cache()->ResetStats();
   auto results = setup_.engine->BatchAnswer(
       batch_, AnswerStrategy::kHeuristicFiltered, /*num_threads=*/4);
   for (const auto& r : results) {

@@ -211,14 +211,6 @@ TEST_F(FragmentTest, SerializeRoundTrip) {
   EXPECT_FALSE(Fragment::Deserialize(bytes.substr(0, 7)).ok());
 }
 
-TEST_F(FragmentTest, ToXmlParsesBack) {
-  Fragment frag = Fragment::FromTree(tree_, FirstS());
-  const std::string xml = frag.ToXml(tree_.labels());
-  auto reparsed = ParseXml(xml);
-  ASSERT_TRUE(reparsed.ok()) << xml;
-  EXPECT_EQ(reparsed->size(), frag.size());
-}
-
 TEST_F(FragmentTest, MaterializeView) {
   const TreePattern view = Parse("/b/s[t]/p");
   auto fragments = MaterializeView(view, tree_);
