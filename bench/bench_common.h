@@ -43,15 +43,16 @@ inline size_t EnvSize(const char* name, size_t fallback) {
 
 // --- §VI-A: materialized setup ---------------------------------------------
 
+inline xvr::PaperSetup* NewQuerySetup(xvr::EngineOptions options = {}) {
+  xvr::XmarkOptions doc;
+  doc.scale = EnvDouble("XVR_BENCH_SCALE", 12.0);
+  doc.seed = 42;
+  return new xvr::PaperSetup(xvr::BuildPaperSetup(
+      doc, EnvSize("XVR_BENCH_VIEWS", 1000), /*seed=*/20080407, options));
+}
+
 inline xvr::PaperSetup& QuerySetup() {
-  static xvr::PaperSetup* setup = [] {
-    xvr::XmarkOptions doc;
-    doc.scale = EnvDouble("XVR_BENCH_SCALE", 12.0);
-    doc.seed = 42;
-    auto* s = new xvr::PaperSetup(xvr::BuildPaperSetup(
-        doc, EnvSize("XVR_BENCH_VIEWS", 1000), /*seed=*/20080407));
-    return s;
-  }();
+  static xvr::PaperSetup* setup = NewQuerySetup();
   return *setup;
 }
 

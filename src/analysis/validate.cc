@@ -273,6 +273,38 @@ Status ValidateVFilter(const VFilter& filter) {
   const auto in_range = [&](StateId s) {
     return s >= 0 && s < static_cast<StateId>(states.size());
   };
+  // The slot table first (the accept checks below index it): every held
+  // slot maps back to its view and they are all the registered views; every
+  // freed slot is empty and listed once.
+  const std::vector<ViewSlot>& slots = filter.slots();
+  size_t held = 0;
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot].view_id < 0) {
+      continue;
+    }
+    ++held;
+    if (filter.SlotOf(slots[slot].view_id) != static_cast<int32_t>(slot)) {
+      return Violation("slot " + std::to_string(slot) + " holds view " +
+                       std::to_string(slots[slot].view_id) +
+                       ", whose slot is " +
+                       std::to_string(filter.SlotOf(slots[slot].view_id)));
+    }
+  }
+  if (held != filter.num_views()) {
+    return Violation(std::to_string(filter.num_views()) +
+                     " registered views hold " + std::to_string(held) +
+                     " slots");
+  }
+  std::vector<bool> freed(slots.size(), false);
+  for (const int32_t slot : filter.free_slots()) {
+    if (slot < 0 || static_cast<size_t>(slot) >= slots.size() ||
+        freed[static_cast<size_t>(slot)] ||
+        slots[static_cast<size_t>(slot)].view_id >= 0) {
+      return Violation("freed slot " + std::to_string(slot) +
+                       " is out of range, listed twice or holds a view");
+    }
+    freed[static_cast<size_t>(slot)] = true;
+  }
   // (view_id, path_id) -> how often it is registered; must be exactly once.
   std::map<std::pair<int32_t, int32_t>, int> registrations;
   for (size_t si = 0; si < states.size(); ++si) {
@@ -322,16 +354,21 @@ Status ValidateVFilter(const VFilter& filter) {
       return Violation(where + ": is_accepting disagrees with accept list");
     }
     for (const AcceptEntry& e : s.accepts) {
-      const auto it = filter.view_path_counts().find(e.view_id);
-      if (it == filter.view_path_counts().end()) {
+      const int32_t num_paths = filter.NumPathsOf(e.view_id);
+      if (num_paths < 0) {
         return Violation(where + ": accept entry for unregistered view " +
                          std::to_string(e.view_id));
       }
-      if (e.path_id < 0 || e.path_id >= it->second) {
+      if (e.path_id < 0 || e.path_id >= num_paths) {
         return Violation(where + ": accept path id " +
                          std::to_string(e.path_id) + " outside |D(V)|=" +
-                         std::to_string(it->second) + " of view " +
+                         std::to_string(num_paths) + " of view " +
                          std::to_string(e.view_id));
+      }
+      if (e.slot != filter.SlotOf(e.view_id)) {
+        return Violation(where + ": accept entry of view " +
+                         std::to_string(e.view_id) + " carries slot " +
+                         std::to_string(e.slot) + ", not its view's");
       }
       if (e.length <= 0) {
         return Violation(where + ": accept entry with non-positive length");
@@ -342,7 +379,7 @@ Status ValidateVFilter(const VFilter& filter) {
   // Every distinct path of every registered view is accepted — once for its
   // raw form, plus once more when normalization changed it (both insertions
   // share the path id; see VFilter::AddView).
-  for (const auto& [view_id, num_paths] : filter.view_path_counts()) {
+  for (const auto& [view_id, num_paths] : filter.ViewPathCounts()) {
     if (num_paths <= 0) {
       return Violation("view " + std::to_string(view_id) +
                        " registered with non-positive |D(V)|");
@@ -434,8 +471,7 @@ Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog) {
     }
   }
   // The VFILTER registry must index exactly the serving views.
-  const auto& registry = catalog.vfilter.view_path_counts();
-  for (const auto& [id, num_paths] : registry) {  // lint:ordered-ok
+  for (const auto& [id, num_paths] : catalog.vfilter.ViewPathCounts()) {
     (void)num_paths;
     if (catalog.views.count(id) == 0) {
       return Violation("VFILTER indexes unknown view " + std::to_string(id));
@@ -452,7 +488,8 @@ Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog) {
                        " >= next_view_id " +
                        std::to_string(catalog.next_view_id));
     }
-    if (catalog.quarantined_views.count(id) == 0 && registry.count(id) == 0) {
+    if (catalog.quarantined_views.count(id) == 0 &&
+        catalog.vfilter.SlotOf(id) < 0) {
       return Violation("serving view " + std::to_string(id) +
                        " is missing from VFILTER");
     }

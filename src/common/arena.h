@@ -2,10 +2,12 @@
 #define XVR_COMMON_ARENA_H_
 
 // A per-query bump allocator (the hot-path memory architecture's base
-// layer). One Arena lives in each ExecutionContext; Answer() calls Reset()
-// on entry, so every transient allocation made while answering one query —
-// join tables, signature stores, recursion scratch — is a pointer bump into
-// memory that is already warm from the previous query on the same thread.
+// layer). One Arena lives in each ExecutionContext — Engine::AnswerQuery
+// keeps one per calling thread, BatchAnswer one per worker — and the
+// rewrite calls Reset() on entry, so every transient allocation made while
+// answering one query — join tables, signature stores, recursion scratch —
+// is a pointer bump into memory that is already warm from the previous
+// query on the same thread.
 //
 // Properties:
 //   - chunked growth: allocation never moves existing objects (chunks are

@@ -51,7 +51,16 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
   XVR_CHECK(views_.find(view_id) == views_.end())
       << "view " << view_id << " already indexed";
   Decomposition d = Decompose(view);
-  views_[view_id] = static_cast<int32_t>(d.paths.size());
+  int32_t slot = static_cast<int32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  views_[view_id] = slot;
+  slots_[static_cast<size_t>(slot)] =
+      ViewSlot{view_id, static_cast<int32_t>(d.paths.size())};
   for (size_t i = 0; i < d.paths.size(); ++i) {
     // Index the raw form (so prefix containments that rely on the original
     // child edges keep their homomorphism) and, when normalization is on
@@ -65,26 +74,57 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
       };
     }
     nfa_.Insert(d.paths[i], view_id, static_cast<int32_t>(i),
-                options_.share_prefixes, interner);
+                options_.share_prefixes, interner, slot);
     if (options_.normalize) {
       const PathPattern normalized = NormalizePath(d.paths[i]);
       if (!(normalized == d.paths[i])) {
         nfa_.Insert(normalized, view_id, static_cast<int32_t>(i),
-                    options_.share_prefixes, interner);
+                    options_.share_prefixes, interner, slot);
       }
     }
   }
 }
 
 void VFilter::RemoveView(int32_t view_id) {
-  if (views_.erase(view_id) > 0) {
-    nfa_.RemoveView(view_id);
+  auto it = views_.find(view_id);
+  if (it == views_.end()) {
+    return;
   }
+  slots_[static_cast<size_t>(it->second)] = ViewSlot{};
+  free_slots_.push_back(it->second);
+  views_.erase(it);
+  nfa_.RemoveView(view_id);
+}
+
+int32_t VFilter::SlotOf(int32_t view_id) const {
+  auto it = views_.find(view_id);
+  return it == views_.end() ? -1 : it->second;
 }
 
 int32_t VFilter::NumPathsOf(int32_t view_id) const {
-  auto it = views_.find(view_id);
-  return it == views_.end() ? -1 : it->second;
+  const int32_t slot = SlotOf(view_id);
+  return slot < 0 ? -1 : slots_[static_cast<size_t>(slot)].num_paths;
+}
+
+std::vector<std::pair<int32_t, int32_t>> VFilter::ViewPathCounts() const {
+  std::vector<std::pair<int32_t, int32_t>> counts;
+  counts.reserve(views_.size());
+  for (const ViewSlot& entry : slots_) {
+    if (entry.view_id >= 0) {
+      counts.emplace_back(entry.view_id, entry.num_paths);
+    }
+  }
+  std::sort(counts.begin(), counts.end());
+  return counts;
+}
+
+void VFilter::RestoreViews(
+    const std::vector<std::pair<int32_t, int32_t>>& views) {
+  XVR_CHECK(views_.empty() && slots_.empty());
+  for (const auto& [view_id, num_paths] : views) {
+    views_[view_id] = static_cast<int32_t>(slots_.size());
+    slots_.push_back(ViewSlot{view_id, num_paths});
+  }
 }
 
 FilterResult VFilter::Filter(const TreePattern& query,
@@ -102,17 +142,24 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
   const size_t num_query_paths = result.decomposition.paths.size();
   result.lists.resize(num_query_paths);
 
-  // Per view: which of its path patterns accepted at least one query path
-  // (as a bitmask; views rarely have more than a handful of paths), or a
-  // plain counter in the paper-literal ablation mode.
-  std::unordered_map<int32_t, uint64_t> covered;
-  std::unordered_map<int32_t, int32_t> counters;
+  // Per view, indexed by slot: which of its path patterns accepted at least
+  // one query path (a bitmask; views rarely have more than a handful of
+  // paths), the paper-literal counter, and its entry in the current
+  // LIST(P_i). The call takes one stamp and each query path another, so
+  // records of earlier calls (of any filter) are stale without clearing.
+  // Restart the stamps, clearing the records, before they could wrap.
+  std::vector<NfaReadScratch::SlotRecord>& records = scratch->slot_records;
+  if (scratch->filter_stamp >= UINT32_MAX - num_query_paths - 1) {
+    records.assign(records.size(), NfaReadScratch::SlotRecord{});
+    scratch->filter_stamp = 0;
+  }
+  if (records.size() < slots_.size()) {
+    records.resize(slots_.size());
+  }
+  const uint32_t call = ++scratch->filter_stamp;
+  std::vector<int32_t>& touched = scratch->touched_slots;
+  touched.clear();
 
-  // Per query path: view -> longest accepting view-path length.
-  std::vector<std::unordered_map<int32_t, int32_t>> list_maps(
-      num_query_paths);
-
-  std::vector<const AcceptEntry*> hits;
   for (size_t i = 0; i < num_query_paths; ++i) {
     // One NFA read is bounded work; checking between paths keeps the worst
     // overrun to a single path read.
@@ -142,58 +189,70 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
     } else {
       add_read(raw);
     }
+    // LIST(P_i) holds slots until the candidates are known.
+    std::vector<ViewLengthEntry>& list = result.lists[i];
+    const uint32_t path = ++scratch->filter_stamp;
     // Each distinct (view path, query path) acceptance counts once, even if
-    // both reads hit it. The pair list is tiny (one entry per accepting
-    // view path), so a linear scan beats a hash set.
+    // both reads hit it: path_bits dedupes ids < 64, and the rare larger
+    // ids (counter mode only; they have no mask bit) scan a short list.
     std::vector<int64_t>& pairs_hit = scratch->pairs_hit;
     pairs_hit.clear();
     for (size_t ri = 0; ri < num_reads; ++ri) {
-      const std::vector<int32_t>& tokens = reads[ri];
-      nfa_.Read(tokens, &hits, scratch);
-      for (const AcceptEntry* e : hits) {
-        auto [it, inserted] = list_maps[i].emplace(e->view_id, e->length);
-        if (!inserted && e->length > it->second) {
-          it->second = e->length;
+      nfa_.Read(reads[ri], &scratch->hits, scratch);
+      for (const AcceptEntry* e : scratch->hits) {
+        NfaReadScratch::SlotRecord& r = records[static_cast<size_t>(e->slot)];
+        if (r.call != call) {
+          r.call = call;
+          r.mask = 0;
+          r.counter = 0;
+          touched.push_back(e->slot);
         }
-        const int64_t pair_key =
-            (static_cast<int64_t>(e->view_id) << 20) | e->path_id;
-        if (std::find(pairs_hit.begin(), pairs_hit.end(), pair_key) !=
-            pairs_hit.end()) {
-          continue;
+        if (r.path != path) {
+          r.path = path;
+          r.path_bits = 0;
+          r.list_pos = static_cast<int32_t>(list.size());
+          list.push_back(ViewLengthEntry{e->slot, e->length});
+        } else {
+          int32_t& length = list[static_cast<size_t>(r.list_pos)].length;
+          length = std::max(length, e->length);
         }
-        pairs_hit.push_back(pair_key);
-        if (options_.counter_mode) {
-          ++counters[e->view_id];
-        } else if (e->path_id < 64) {
-          covered[e->view_id] |= uint64_t{1} << e->path_id;
+        if (e->path_id < 64) {
+          const uint64_t bit = uint64_t{1} << e->path_id;
+          r.counter += (r.path_bits & bit) == 0 ? 1 : 0;
+          r.path_bits |= bit;
+          r.mask |= bit;
+        } else if (options_.counter_mode) {
+          const int64_t pair_key =
+              (static_cast<int64_t>(e->slot) << 32) | e->path_id;
+          if (std::find(pairs_hit.begin(), pairs_hit.end(), pair_key) ==
+              pairs_hit.end()) {
+            pairs_hit.push_back(pair_key);
+            ++r.counter;
+          }
         }
       }
     }
   }
 
   // A view is a candidate iff every path of D(V) accepted some query path.
-  // Only views with at least one hit can qualify, so iterate the hit maps
-  // rather than the full registry (keeps Filter sub-linear in |V|).
-  if (options_.counter_mode) {
-    for (const auto& [view_id, count] : counters) {
-      auto it = views_.find(view_id);
-      if (it != views_.end() && count == it->second) {
-        result.candidates.push_back(view_id);
-      }
+  // Only touched slots can qualify, which keeps Filter sub-linear in |V|.
+  const auto view_of = [&](int32_t slot) {
+    return slots_[static_cast<size_t>(slot)].view_id;
+  };
+  const auto is_candidate = [&](int32_t slot) {
+    const NfaReadScratch::SlotRecord& r = records[static_cast<size_t>(slot)];
+    const int32_t num_paths = slots_[static_cast<size_t>(slot)].num_paths;
+    if (options_.counter_mode) {
+      return r.counter == num_paths;
     }
-  } else {
-    for (const auto& [view_id, mask] : covered) {
-      auto it = views_.find(view_id);
-      if (it == views_.end()) {
-        continue;
-      }
-      const int32_t num_paths = it->second;
-      const uint64_t want = (num_paths >= 64)
-                                ? ~uint64_t{0}
-                                : ((uint64_t{1} << num_paths) - 1);
-      if ((mask & want) == want) {
-        result.candidates.push_back(view_id);
-      }
+    const uint64_t want = (num_paths >= 64)
+                              ? ~uint64_t{0}
+                              : ((uint64_t{1} << num_paths) - 1);
+    return (r.mask & want) == want;
+  };
+  for (const int32_t slot : touched) {
+    if (is_candidate(slot)) {
+      result.candidates.push_back(view_of(slot));
     }
   }
   std::sort(result.candidates.begin(), result.candidates.end());
@@ -205,20 +264,16 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
         std::to_string(limits.max_candidates));
   }
 
-  // Build LIST(P_i): drop non-candidates, sort by length descending (ties by
-  // view id for determinism).
-  std::unordered_map<int32_t, bool> is_candidate;
-  is_candidate.reserve(result.candidates.size() * 2);
-  for (int32_t v : result.candidates) {
-    is_candidate[v] = true;
-  }
-  for (size_t i = 0; i < num_query_paths; ++i) {
-    auto& list = result.lists[i];
-    for (const auto& [view_id, length] : list_maps[i]) {
-      if (is_candidate.count(view_id) > 0) {
-        list.push_back(ViewLengthEntry{view_id, length});
+  // Finish LIST(P_i): keep candidates, map slots back to view ids, sort by
+  // length descending (ties by view id for determinism).
+  for (std::vector<ViewLengthEntry>& list : result.lists) {
+    size_t kept = 0;
+    for (const ViewLengthEntry& entry : list) {
+      if (is_candidate(entry.view_id)) {
+        list[kept++] = ViewLengthEntry{view_of(entry.view_id), entry.length};
       }
     }
+    list.resize(kept);
     std::sort(list.begin(), list.end(),
               [](const ViewLengthEntry& a, const ViewLengthEntry& b) {
                 if (a.length != b.length) return a.length > b.length;

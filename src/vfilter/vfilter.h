@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -52,6 +53,13 @@ struct ViewLengthEntry {
   int32_t length = 0;
 };
 
+// One slot of a VFilter's view registry: the view indexed there and its
+// |D(V)|, or view id -1 once RemoveView has freed the slot.
+struct ViewSlot {
+  int32_t view_id = -1;
+  int32_t num_paths = 0;
+};
+
 struct FilterResult {
   // Views for which every path pattern of D(V) contains some path of D(Q).
   std::vector<int32_t> candidates;
@@ -66,15 +74,18 @@ class VFilter {
  public:
   explicit VFilter(VFilterOptions options = {});
 
-  // Indexes `view`. `view_id` must be unique and non-negative.
+  // Indexes `view`. `view_id` must be unique and non-negative. The view
+  // gets the slot RemoveView freed last, or a new one.
   void AddView(int32_t view_id, const TreePattern& view);
 
   // Logically removes a view (its accept entries disappear; trie states are
-  // retained).
+  // retained) and frees its slot.
   void RemoveView(int32_t view_id);
 
   // Runs VIEWFILTERING(Q, V, A). Thread-safe: the index is read-only here
-  // and all NFA runtime state lives in `scratch` (one per thread).
+  // and all runtime state lives in `scratch` (one per thread; any filter
+  // may share it). Per accept entry the cost is one access to the entry's
+  // slot record in the scratch.
   FilterResult Filter(const TreePattern& query,
                       NfaReadScratch* scratch) const;
 
@@ -100,16 +111,26 @@ class VFilter {
   PathNfa& mutable_nfa() { return nfa_; }
   const VFilterOptions& options() const { return options_; }
 
-  // Number of distinct path patterns of an indexed view (|D(V)|).
+  // Number of distinct path patterns of an indexed view (|D(V)|), or -1.
   int32_t NumPathsOf(int32_t view_id) const;
 
-  // Registry access for (de)serialization.
-  const std::unordered_map<int32_t, int32_t>& view_path_counts() const {
-    return views_;
-  }
-  std::unordered_map<int32_t, int32_t>& mutable_view_path_counts() {
-    return views_;
-  }
+  // --- registry -------------------------------------------------------------
+  //
+  // Each indexed view holds a dense slot, and its accept entries carry it,
+  // so Filter's bookkeeping is an array indexed by slot. Slots are derived:
+  // the image stores only the (id, |D(V)|) list.
+
+  // The view's slot, or -1 when it is not indexed.
+  int32_t SlotOf(int32_t view_id) const;
+  const std::vector<ViewSlot>& slots() const { return slots_; }
+  // Slots freed by RemoveView; AddView reuses the last one first.
+  const std::vector<int32_t>& free_slots() const { return free_slots_; }
+  // (view id, |D(V)|) of every indexed view, sorted by id.
+  std::vector<std::pair<int32_t, int32_t>> ViewPathCounts() const;
+  // Deserialization: installs `views` (sorted, as ViewPathCounts returns
+  // them) into an empty registry, giving them slots 0, 1, ... in order.
+  // The caller stamps the accept entries of mutable_nfa() with SlotOf.
+  void RestoreViews(const std::vector<std::pair<int32_t, int32_t>>& views);
 
   // Pred dictionary (attribute extension): interned predicate keys. Exposed
   // for serialization.
@@ -132,7 +153,9 @@ class VFilter {
 
   VFilterOptions options_;
   PathNfa nfa_;
-  std::unordered_map<int32_t, int32_t> views_;  // view_id -> |D(V)|
+  std::unordered_map<int32_t, int32_t> views_;  // view_id -> slot
+  std::vector<ViewSlot> slots_;
+  std::vector<int32_t> free_slots_;
   std::unordered_map<std::string, int32_t> pred_ids_;
 };
 

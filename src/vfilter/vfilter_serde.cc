@@ -135,14 +135,17 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   if (!r.ReadU32(&num_views) || num_views > payload.size() / 8) {
     return Status::ParseError("truncated VFilter image (views)");
   }
+  std::vector<std::pair<int32_t, int32_t>> registry(num_views);
   for (uint32_t i = 0; i < num_views; ++i) {
-    int32_t view_id = 0;
-    int32_t num_paths = 0;
-    if (!r.ReadI32(&view_id) || !r.ReadI32(&num_paths)) {
+    if (!r.ReadI32(&registry[i].first) || !r.ReadI32(&registry[i].second)) {
       return Status::ParseError("truncated VFilter image (view entry)");
     }
-    filter.mutable_view_path_counts()[view_id] = num_paths;
+    // The writer sorts the registry, so a repeated id is corruption.
+    if (i > 0 && registry[i].first <= registry[i - 1].first) {
+      return Status::ParseError("corrupt VFilter image (view registry order)");
+    }
   }
+  filter.RestoreViews(registry);
 
   uint32_t num_states = 0;
   if (!r.ReadU32(&num_states) || num_states > payload.size() / 8) {
@@ -196,6 +199,14 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
           !r.ReadI32(&e.length)) {
         return Status::ParseError("truncated VFilter image (accept entry)");
       }
+      // Slots are derived: the entry takes its view's. An entry outside the
+      // registry (unknown view, or path id outside [0, |D(V)|)) would index
+      // past Filter's per-slot bookkeeping.
+      if (e.path_id < 0 || e.path_id >= filter.NumPathsOf(e.view_id)) {
+        return Status::ParseError(
+            "corrupt VFilter image (accept entry outside the view registry)");
+      }
+      e.slot = filter.SlotOf(e.view_id);
       s.accepts.push_back(e);
     }
   }
@@ -247,10 +258,11 @@ std::string SerializeVFilter(const VFilter& filter) {
     payload.append(key);
     PutI32(id, &payload);
   }
-  // View registry.
-  PutU32(static_cast<uint32_t>(filter.view_path_counts().size()), &payload);
-  for (const auto& [view_id, num_paths] :
-       SortedEntries(filter.view_path_counts())) {
+  // View registry (slots are derived, not stored).
+  const std::vector<std::pair<int32_t, int32_t>> registry =
+      filter.ViewPathCounts();
+  PutU32(static_cast<uint32_t>(registry.size()), &payload);
+  for (const auto& [view_id, num_paths] : registry) {
     PutI32(view_id, &payload);
     PutI32(num_paths, &payload);
   }

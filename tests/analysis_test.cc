@@ -226,6 +226,31 @@ TEST(ValidateVFilterTest, RejectsAcceptBookkeepingDrift) {
   EXPECT_FALSE(ValidateVFilter(flag_drift).ok());
 }
 
+TEST(ValidateVFilterTest, RejectsSlotDrift) {
+  LabelDict dict;
+  VFilter filter;
+  for (const char* xpath : {"//a/b", "/a[c]/d", "//d"}) {
+    auto view = ParseXPath(xpath, &dict);
+    ASSERT_TRUE(view.ok());
+    filter.AddView(static_cast<int32_t>(filter.num_views()), *view);
+  }
+  filter.RemoveView(1);
+  auto readded = ParseXPath("/a/c", &dict);
+  ASSERT_TRUE(readded.ok());
+  filter.AddView(7, *readded);  // takes view 1's freed slot
+  EXPECT_EQ(filter.SlotOf(7), 1);
+  ASSERT_TRUE(ValidateVFilter(filter).ok());
+  // An accept entry of view 7 carrying view 0's slot.
+  for (auto& state : filter.mutable_nfa().mutable_states()) {
+    for (AcceptEntry& e : state.accepts) {
+      if (e.view_id == 7) {
+        e.slot = filter.SlotOf(0);
+      }
+    }
+  }
+  EXPECT_FALSE(ValidateVFilter(filter).ok());
+}
+
 TEST(ValidateFragmentStoreTest, RejectsOutOfOrderAndForeignFragments) {
   Engine engine(SmallXmark());
   auto pattern = engine.Parse("//person[profile/interest]/name");
