@@ -234,6 +234,9 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
                                           AnswerStrategy strategy,
                                           ExecutionContext* ctx) const {
   ctx->trace.Clear();
+  // The context may carry the thread's previous query (of any engine);
+  // rewinding the arena here makes the footprint below this call's alone.
+  ctx->rewrite_scratch.Reset();
   Result<QueryAnswer> answer = AnswerTraced(query, strategy, ctx);
   if (const EngineMetrics* m = deps_.metrics) {
     m->queries_total->Add();
@@ -263,14 +266,13 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
     }
     m->RollUpTrace(ctx->trace);
     // Arena footprint of this query (last-writer-wins across contexts; the
-    // high-water gauge only ratchets up).
+    // high-water gauge ratchets over this engine's queries only, not over
+    // the arena's, which a thread shares between engines).
     const int64_t used =
         static_cast<int64_t>(ctx->rewrite_scratch.arena.bytes_allocated());
-    const int64_t high =
-        static_cast<int64_t>(ctx->rewrite_scratch.arena.high_water());
     m->arena_bytes_allocated->Set(used);
-    if (high > m->arena_high_water->Value()) {
-      m->arena_high_water->Set(high);
+    if (used > m->arena_high_water->Value()) {
+      m->arena_high_water->Set(used);
     }
   }
   return answer;

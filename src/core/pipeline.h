@@ -41,8 +41,9 @@ namespace xvr {
 struct ExecutionContext {
   // NFA runtime state for VFilter::Filter (frontier, visited epochs).
   NfaReadScratch nfa_scratch;
-  // Per-query arena + reusable buffers for the rewrite; Execute() hands it
-  // to the rewriter, which resets it on entry.
+  // Per-query arena + reusable buffers for the rewrite; Answer() rewinds
+  // the arena on entry, and Execute() hands it to the rewriter, which
+  // rewinds it again.
   RewriteScratch rewrite_scratch;
   // Deadline, cancellation and resource budgets for calls made with this
   // context. Checked at stage boundaries and inside the hot loops; see
