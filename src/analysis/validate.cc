@@ -6,6 +6,8 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "pattern/normalize.h"
@@ -266,34 +268,35 @@ Status ValidatePathPattern(const PathPattern& path, bool require_normalized) {
 
 Status ValidateVFilter(const VFilter& filter) {
   const PathNfa& nfa = filter.nfa();
-  const std::vector<PathNfa::State>& states = nfa.states();
+  const CowTable<PathNfa::State>& states = nfa.states();
   if (states.empty()) {
     return Violation("NFA has no start state");
   }
   const auto in_range = [&](StateId s) {
     return s >= 0 && s < static_cast<StateId>(states.size());
   };
-  // The slot table first (the accept checks below index it): every held
-  // slot maps back to its view and they are all the registered views; every
-  // freed slot is empty and listed once.
+  // The slot table first (the accept checks below index it): each view
+  // holds one slot, every freed slot is empty and listed once, and the
+  // rest are held.
   const std::vector<ViewSlot>& slots = filter.slots();
-  size_t held = 0;
+  std::unordered_map<int32_t, int32_t> slot_of;  // view id -> its slot
   for (size_t slot = 0; slot < slots.size(); ++slot) {
-    if (slots[slot].view_id < 0) {
+    const int32_t view_id = slots[slot].view_id;
+    if (view_id < 0) {
       continue;
     }
-    ++held;
-    if (filter.SlotOf(slots[slot].view_id) != static_cast<int32_t>(slot)) {
+    const auto [it, inserted] =
+        slot_of.emplace(view_id, static_cast<int32_t>(slot));
+    if (!inserted) {
       return Violation("slot " + std::to_string(slot) + " holds view " +
-                       std::to_string(slots[slot].view_id) +
-                       ", whose slot is " +
-                       std::to_string(filter.SlotOf(slots[slot].view_id)));
+                       std::to_string(view_id) + ", whose slot is " +
+                       std::to_string(it->second));
     }
   }
-  if (held != filter.num_views()) {
+  if (slot_of.size() != filter.num_views()) {
     return Violation(std::to_string(filter.num_views()) +
-                     " registered views hold " + std::to_string(held) +
-                     " slots");
+                     " registered views hold " +
+                     std::to_string(slot_of.size()) + " slots");
   }
   std::vector<bool> freed(slots.size(), false);
   for (const int32_t slot : filter.free_slots()) {
@@ -307,8 +310,7 @@ Status ValidateVFilter(const VFilter& filter) {
   }
   // (view_id, path_id) -> how often it is registered; must be exactly once.
   std::map<std::pair<int32_t, int32_t>, int> registrations;
-  for (size_t si = 0; si < states.size(); ++si) {
-    const PathNfa::State& s = states[si];
+  for (const auto& [si, s] : states) {
     const std::string where = "NFA state " + std::to_string(si);
     for (const auto& [label, targets] : s.label_trans) {
       if (label < 0 && label != kWildcardLabel) {
@@ -333,7 +335,7 @@ Status ValidateVFilter(const VFilter& filter) {
         return Violation(where + ": dangling '//' loop edge to state " +
                          std::to_string(t));
       }
-      if (!states[static_cast<size_t>(t)].is_loop) {
+      if (!states[t].is_loop) {
         return Violation(where + ": loop edge to non-loop state " +
                          std::to_string(t));
       }
@@ -354,18 +356,20 @@ Status ValidateVFilter(const VFilter& filter) {
       return Violation(where + ": is_accepting disagrees with accept list");
     }
     for (const AcceptEntry& e : s.accepts) {
-      const int32_t num_paths = filter.NumPathsOf(e.view_id);
-      if (num_paths < 0) {
+      const auto slot = slot_of.find(e.view_id);
+      if (slot == slot_of.end()) {
         return Violation(where + ": accept entry for unregistered view " +
                          std::to_string(e.view_id));
       }
+      const int32_t num_paths =
+          slots[static_cast<size_t>(slot->second)].num_paths;
       if (e.path_id < 0 || e.path_id >= num_paths) {
         return Violation(where + ": accept path id " +
                          std::to_string(e.path_id) + " outside |D(V)|=" +
                          std::to_string(num_paths) + " of view " +
                          std::to_string(e.view_id));
       }
-      if (e.slot != filter.SlotOf(e.view_id)) {
+      if (e.slot != slot->second) {
         return Violation(where + ": accept entry of view " +
                          std::to_string(e.view_id) + " carries slot " +
                          std::to_string(e.slot) + ", not its view's");
@@ -465,38 +469,39 @@ Status ValidateAnswerCodes(const std::vector<DeweyCode>& codes) {
 
 Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog) {
   for (const int32_t id : catalog.quarantined_views) {  // lint:ordered-ok
-    if (catalog.views.count(id) == 0) {
+    if (!catalog.views.Contains(id)) {
       return Violation("quarantined view " + std::to_string(id) +
                        " is not in the views map");
     }
   }
   // The VFILTER registry must index exactly the serving views.
+  std::unordered_set<int32_t> indexed;
   for (const auto& [id, num_paths] : catalog.vfilter.ViewPathCounts()) {
     (void)num_paths;
-    if (catalog.views.count(id) == 0) {
+    if (!catalog.views.Contains(id)) {
       return Violation("VFILTER indexes unknown view " + std::to_string(id));
     }
     if (catalog.quarantined_views.count(id) > 0) {
       return Violation("VFILTER indexes quarantined view " +
                        std::to_string(id));
     }
+    indexed.insert(id);
   }
-  for (const auto& [id, pattern] : catalog.views) {  // lint:ordered-ok
+  for (const auto& [id, pattern] : catalog.views) {
     (void)pattern;
     if (id >= catalog.next_view_id) {
       return Violation("view id " + std::to_string(id) +
                        " >= next_view_id " +
                        std::to_string(catalog.next_view_id));
     }
-    if (catalog.quarantined_views.count(id) == 0 &&
-        catalog.vfilter.SlotOf(id) < 0) {
+    if (catalog.quarantined_views.count(id) == 0 && indexed.count(id) == 0) {
       return Violation("serving view " + std::to_string(id) +
                        " is missing from VFILTER");
     }
   }
   // Fragments belong to serving views; partial views are materialized.
   for (const int32_t id : catalog.fragments.view_ids()) {
-    if (catalog.views.count(id) == 0) {
+    if (!catalog.views.Contains(id)) {
       return Violation("fragment store holds unknown view " +
                        std::to_string(id));
     }

@@ -27,6 +27,24 @@ std::string Join(const std::vector<std::string>& pieces,
   return out;
 }
 
+bool ParseBoundedId(std::string_view s, int64_t limit, int32_t* id) {
+  if (s.empty() || s.size() > 10) {
+    return false;
+  }
+  int64_t value = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    value = value * 10 + (c - '0');
+  }
+  if (value >= limit || value > INT32_MAX) {
+    return false;
+  }
+  *id = static_cast<int32_t>(value);
+  return true;
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -3,6 +3,7 @@
 
 // Small string helpers shared across modules.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 // Trims ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
+
+// Parses `s` as an id in [0, limit): one to ten decimal digits, no sign or
+// space. Returns false, leaving `*id` alone, when `s` is not one.
+[[nodiscard]] bool ParseBoundedId(std::string_view s, int64_t limit,
+                                  int32_t* id);
 
 // Formats a byte count as "12.3 KB" / "4.5 MB".
 std::string HumanBytes(size_t bytes);

@@ -13,7 +13,6 @@ std::vector<int32_t> CatalogSnapshot::view_ids() const {
       ids.push_back(id);
     }
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

@@ -16,17 +16,20 @@
 // the cache invalidates only the plans that actually depend on the delta
 // and re-stamps the rest.
 //
-// Copies are cheap where it matters: the FragmentStore shares the
-// per-view fragment vectors between snapshots (copy-on-write at view
-// granularity), so a successor snapshot costs O(#views) bookkeeping plus
-// one VFILTER NFA copy — not a re-materialization.
+// Copies are cheap: the per-view and per-state maps — the view patterns,
+// the fragment store's views and the VFILTER NFA's states — are
+// copy-on-write tables (common/cow_table.h). A successor snapshot shares
+// their chunks of 64 entries with its predecessor and clones only the
+// chunks its mutation writes, so a publication copies a few dozen chunk
+// pointers plus VFILTER's small slot and dispatch arrays, never a pattern,
+// a fragment or an NFA state it does not change.
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/cow_table.h"
 #include "pattern/tree_pattern.h"
 #include "selection/answerability.h"
 #include "storage/fragment_store.h"
@@ -35,9 +38,9 @@
 namespace xvr {
 
 struct CatalogSnapshot {
-  // All known view patterns, including quarantined ones (kept for
-  // diagnosis; excluded from everything selection-facing).
-  std::unordered_map<int32_t, TreePattern> views;
+  // All known view patterns by view id, including quarantined ones (kept
+  // for diagnosis; excluded from everything selection-facing).
+  CowTable<TreePattern> views;
   // Views materialized codes-only (§VII partial materialization).
   std::unordered_set<int32_t> partial_views;
   // Views LoadState dropped from serving (corrupt fragments).
@@ -54,10 +57,7 @@ struct CatalogSnapshot {
   explicit CatalogSnapshot(VFilterOptions vfilter_options)
       : vfilter(vfilter_options) {}
 
-  const TreePattern* view(int32_t id) const {
-    auto it = views.find(id);
-    return it == views.end() ? nullptr : &it->second;
-  }
+  const TreePattern* view(int32_t id) const { return views.Find(id); }
 
   bool IsViewPartial(int32_t id) const { return partial_views.count(id) > 0; }
   bool IsViewQuarantined(int32_t id) const {

@@ -6,6 +6,7 @@
 
 #include "analysis/validate.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/plan_deps.h"
 #include "pattern/pattern_writer.h"
@@ -83,8 +84,8 @@ Result<TreePattern> Engine::Parse(const std::string& xpath) {
 
 CatalogSnapshot Engine::CloneCatalog() const {
   // The writer mutex is held, so nobody can publish underneath us; the copy
-  // shares fragment vectors with the current snapshot (see
-  // storage/fragment_store.h) and is private to this writer until Publish.
+  // shares its table chunks with the current snapshot (see core/catalog.h)
+  // and is private to this writer until Publish.
   return *Catalog();
 }
 
@@ -103,10 +104,16 @@ void Engine::PublishCatalog(CatalogSnapshot next, CatalogDelta delta) {
   // Build the successor off-lock; only the pointer install sits inside the
   // readers' critical section.
   auto published = std::make_shared<const CatalogSnapshot>(std::move(next));
+  CatalogRef retired;
   {
     MutexLock lock(&published_mu_);
+    retired = std::move(catalog_);
     catalog_ = std::move(published);
   }
+  // Released after the unlock: when no query pins the predecessor, its
+  // destructor frees what it alone held (a removed view's fragments, the
+  // chunks this mutation cloned) while readers pin the successor.
+  retired.reset();
   metrics_->catalog_publishes->Add();
   metrics_->catalog_version->Set(static_cast<int64_t>(version));
   metrics_->catalog_views->Set(static_cast<int64_t>(views));
@@ -117,7 +124,7 @@ void Engine::PublishCatalog(CatalogSnapshot next, CatalogDelta delta) {
 }
 
 Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
-                                      int32_t forced_id, bool log_to_wal) {
+                                      bool log_to_wal) {
   MinimizePattern(&view);
   // Materialize before touching any shared state: a failed materialization
   // leaves no trace in the catalog and never reaches the WAL.
@@ -129,8 +136,7 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
     XVR_ASSIGN_OR_RETURN(fragments, MaterializeView(view, doc_, mat_options));
   }
   CatalogSnapshot next = CloneCatalog();
-  const int32_t id = forced_id >= 0 ? forced_id : next.next_view_id;
-  next.next_view_id = std::max(next.next_view_id, id + 1);
+  const int32_t id = next.next_view_id++;
   if (log_to_wal && wal_ != nullptr) {
     // Log before publish: once the mutation is visible to readers it must
     // survive a crash. A failed append aborts the whole mutation.
@@ -151,7 +157,7 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
   // filter — the index the summarized candidacy must mirror.
   auto publication = std::make_shared<const ViewPublication>(
       MakeViewPublication(id, view, next.vfilter.options()));
-  next.views.emplace(id, std::move(view));
+  next.views.Set(id, std::move(view));
   PublishCatalog(std::move(next), CatalogDelta::Added(std::move(publication)));
   XVR_DEBUG_VALIDATE(ValidateVFilter(Catalog()->vfilter));
   if (materialize) {
@@ -164,7 +170,7 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
 
 Status Engine::RemoveViewLocked(int32_t id, bool log_to_wal) {
   CatalogSnapshot next = CloneCatalog();
-  if (next.views.count(id) == 0) {
+  if (!next.views.Contains(id)) {
     return Status::NotFound("no view with id " + std::to_string(id));
   }
   if (log_to_wal && wal_ != nullptr) {
@@ -173,7 +179,7 @@ Status Engine::RemoveViewLocked(int32_t id, bool log_to_wal) {
     XVR_RETURN_IF_ERROR(seq.status());
     metrics_->wal_appends->Add();
   }
-  next.views.erase(id);
+  next.views.Erase(id);
   next.vfilter.RemoveView(id);
   next.fragments.RemoveView(id);
   next.partial_views.erase(id);
@@ -186,19 +192,19 @@ Status Engine::RemoveViewLocked(int32_t id, bool log_to_wal) {
 Result<int32_t> Engine::AddView(TreePattern view) {
   MutexLock lock(&catalog_mu_);
   return AddViewLocked(std::move(view), CatalogWalOp::kAddView,
-                       /*forced_id=*/-1, /*log_to_wal=*/true);
+                       /*log_to_wal=*/true);
 }
 
 Result<int32_t> Engine::AddViewCodesOnly(TreePattern view) {
   MutexLock lock(&catalog_mu_);
   return AddViewLocked(std::move(view), CatalogWalOp::kAddViewCodesOnly,
-                       /*forced_id=*/-1, /*log_to_wal=*/true);
+                       /*log_to_wal=*/true);
 }
 
 Result<int32_t> Engine::AddViewPattern(TreePattern view) {
   MutexLock lock(&catalog_mu_);
   return AddViewLocked(std::move(view), CatalogWalOp::kAddViewPattern,
-                       /*forced_id=*/-1, /*log_to_wal=*/true);
+                       /*log_to_wal=*/true);
 }
 
 Status Engine::RemoveView(int32_t id) {
@@ -213,15 +219,24 @@ Status Engine::ApplyWalRecordLocked(const CatalogWalRecord& record) {
     case CatalogWalOp::kAddView:
     case CatalogWalOp::kAddViewCodesOnly:
     case CatalogWalOp::kAddViewPattern: {
+      // Ids are issued in order and every logged add was published, so a
+      // replayed add carries the next id. Any other id is a corrupt record;
+      // it must neither re-add a view nor size the catalog's id tables.
+      const int32_t next_id = Catalog()->next_view_id;
+      if (record.view_id != next_id) {
+        return Status::ParseError(
+            "WAL record " + std::to_string(record.seq) + " adds view " +
+            std::to_string(record.view_id) + ", but the next view id is " +
+            std::to_string(next_id));
+      }
       // Replay is deterministic: the pattern re-parses against the same
       // document and re-materializes the same fragments the original
       // mutation produced (the original append only happened after a
       // successful materialization).
       Result<TreePattern> pattern = ParseXPath(record.xpath, &doc_.labels());
       XVR_RETURN_IF_ERROR(pattern.status());
-      const Result<int32_t> id =
-          AddViewLocked(std::move(pattern).value(), record.op,
-                        /*forced_id=*/record.view_id, /*log_to_wal=*/false);
+      const Result<int32_t> id = AddViewLocked(
+          std::move(pattern).value(), record.op, /*log_to_wal=*/false);
       return id.status();
     }
   }
@@ -315,17 +330,10 @@ Status Engine::SaveState(const std::string& path) const {
   const CatalogRef catalog = Catalog();  // lint:catalog-pin-ok (save source)
   KvStore kv;
   kv.Put("meta/doc", WriteXml(doc_, doc_.root()));
-  // All views, including quarantined ones — their patterns survive the
-  // round trip, marked so the restored engine quarantines them again.
-  std::vector<int32_t> all_ids;
-  all_ids.reserve(catalog->views.size());
-  for (const auto& [id, pattern] : catalog->views) {  // sorted below (lint:ordered-ok)
-    (void)pattern;
-    all_ids.push_back(id);
-  }
-  std::sort(all_ids.begin(), all_ids.end());
-  for (const int32_t id : all_ids) {
-    const TreePattern& pattern = catalog->views.at(id);
+  // All views in ascending id order, including quarantined ones — their
+  // patterns survive the round trip, marked so the restored engine
+  // quarantines them again.
+  for (const auto& [id, pattern] : catalog->views) {
     const std::string key =
         "view/" + std::string(10 - std::min<size_t>(
                                        10, std::to_string(id).size()),
@@ -390,30 +398,62 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   // end: a reader of the returned engine only ever sees the complete state.
   CatalogSnapshot next(engine->options_.vfilter);
 
+  // Every id the image names must be one its catalog issued, below
+  // next_view_id, before it indexes a table: the id tables size themselves
+  // to the largest id they hold. Without the key the catalog issued none.
+  const std::string* next_id = kv.Get("meta/next_view_id");
+  if (next_id != nullptr && !ParseBoundedId(*next_id, int64_t{INT32_MAX} + 1,
+                                            &next.next_view_id)) {
+    return Status::ParseError("engine image has a malformed next view id " +
+                              *next_id);
+  }
   // Restore views (patterns re-parsed against the restored dictionary).
   Status status = Status::Ok();
   kv.ScanPrefix("view/", [&](const std::string& key,
                              const std::string& xpath) {
-    const int32_t id =
-        static_cast<int32_t>(std::atoi(key.substr(5).c_str()));
+    int32_t id = 0;
+    if (!ParseBoundedId(std::string_view(key).substr(5), next.next_view_id,
+                        &id)) {
+      status = Status::ParseError("engine image key " + key +
+                                  " names no view id below the next id " +
+                                  std::to_string(next.next_view_id));
+      return false;
+    }
     Result<TreePattern> pattern = engine->Parse(xpath);
     if (!pattern.ok()) {
       status = pattern.status();
       return false;
     }
-    next.views.emplace(id, std::move(pattern).value());
+    next.views.Set(id, std::move(pattern).value());
     return true;
   });
   XVR_RETURN_IF_ERROR(status);
   // Fault-tolerant fragment load: a view with corrupt fragments is
   // quarantined (dropped from serving with a warning) instead of failing
-  // the whole restore.
+  // the whole restore. Fragments and markers must name views the image
+  // holds; anything else means its keys disagree with each other.
   std::vector<int32_t> frag_quarantined;
-  XVR_RETURN_IF_ERROR(next.fragments.LoadFrom(kv, &frag_quarantined));
+  XVR_RETURN_IF_ERROR(
+      next.fragments.LoadFrom(kv, next.next_view_id, &frag_quarantined));
+  std::vector<int32_t> frag_ids = next.fragments.view_ids();
+  frag_ids.insert(frag_ids.end(), frag_quarantined.begin(),
+                  frag_quarantined.end());
+  for (const int32_t id : frag_ids) {
+    if (!next.views.Contains(id)) {
+      return Status::ParseError("engine image holds fragments of unknown view " +
+                                std::to_string(id));
+    }
+  }
   kv.ScanPrefix("viewmeta/", [&](const std::string& key,
                                  const std::string& value) {
-    const int32_t id =
-        static_cast<int32_t>(std::atoi(key.substr(9).c_str()));
+    int32_t id = 0;
+    if (!ParseBoundedId(std::string_view(key).substr(9), next.next_view_id,
+                        &id) ||
+        !next.views.Contains(id)) {
+      status = Status::ParseError("engine image key " + key +
+                                  " marks no stored view");
+      return false;
+    }
     if (value == "codes-only") {
       next.partial_views.insert(id);
     } else if (value == "quarantined") {
@@ -422,6 +462,7 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
     }
     return true;
   });
+  XVR_RETURN_IF_ERROR(status);
   // The VFILTER image is an index over the view catalog, so a corrupt or
   // missing image is recoverable: rebuild the filter from the restored
   // patterns instead of failing the load.
@@ -437,7 +478,7 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
                      << filter.status().message();
     next.vfilter = VFilter(engine->options_.vfilter);
     for (const int32_t id : next.view_ids()) {
-      next.vfilter.AddView(id, next.views.at(id));
+      next.vfilter.AddView(id, next.views[id]);
     }
     engine->vfilter_rebuilt_ = true;
   }
@@ -450,9 +491,6 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
     next.vfilter.RemoveView(id);
     next.fragments.RemoveView(id);
     next.partial_views.erase(id);
-  }
-  if (const std::string* next_id = kv.Get("meta/next_view_id")) {
-    next.next_view_id = static_cast<int32_t>(std::atoi(next_id->c_str()));
   }
   uint64_t wal_checkpoint = 0;
   if (const std::string* wal_seq = kv.Get("meta/wal_seq")) {

@@ -337,22 +337,23 @@ class Engine {
   PlanCache* plan_cache() const { return plan_cache_.get(); }
 
  private:
-  // Deep-copies the current snapshot as the writer's successor scratch
-  // (fragment vectors shared, everything else copied).
+  // Copies the current snapshot as the writer's successor scratch: the
+  // copy shares every table chunk (core/catalog.h), and the mutation clones
+  // only the chunks it writes.
   CatalogSnapshot CloneCatalog() const XVR_REQUIRES(catalog_mu_);
 
   // Stamps the successor's version, sweeps the plan cache with `delta`
   // (targeted invalidation, before the swap so readers of the successor
-  // never pick up a retired plan) and swaps the snapshot in.
+  // never pick up a retired plan) and swaps the snapshot in. The retired
+  // snapshot is released after the readers' lock.
   void PublishCatalog(CatalogSnapshot next, CatalogDelta delta)
       XVR_REQUIRES(catalog_mu_);
 
-  // The shared mutation body: installs `view` under `forced_id` (or the
-  // next free id when < 0), appends to the WAL when `log_to_wal`, then
-  // publishes. `op` selects full/codes-only/pattern-only materialization.
+  // The shared mutation body: installs `view` under the next view id,
+  // appends to the WAL when `log_to_wal`, then publishes. `op` selects
+  // full/codes-only/pattern-only materialization.
   Result<int32_t> AddViewLocked(TreePattern view, CatalogWalOp op,
-                                int32_t forced_id, bool log_to_wal)
-      XVR_REQUIRES(catalog_mu_);
+                                bool log_to_wal) XVR_REQUIRES(catalog_mu_);
   Status RemoveViewLocked(int32_t id, bool log_to_wal)
       XVR_REQUIRES(catalog_mu_);
 
@@ -383,7 +384,8 @@ class Engine {
   // its load() with memory_order_relaxed, which leaves the internal pointer
   // read/write pair without a happens-before edge — a C++-level data race
   // that ThreadSanitizer (correctly) reports. Old snapshots die when the
-  // last pinned reader drops them. Lock order: catalog_mu_ → published_mu_.
+  // last pinned reader drops them, or in PublishCatalog after the unlock.
+  // Lock order: catalog_mu_ → published_mu_.
   mutable Mutex published_mu_;
   CatalogRef catalog_ XVR_GUARDED_BY(published_mu_);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -34,137 +34,59 @@ void SortByRoot(std::vector<Fragment>* fragments) {
 
 }  // namespace
 
-// The special members never hold two byte_size_mu_ instances at once: the
-// memo is read out under the source's lock, then installed under the
-// destination's. Nesting them (in any fixed order between two specific
-// objects) would put cycles into the process-wide lock-order graph as soon
-// as snapshots are cloned and moved in both directions.
-
-FragmentStore::FragmentStore(const FragmentStore& other)
-    : views_(other.views_) {
-  std::unordered_map<int32_t, size_t> memo;
-  {
-    MutexLock lock_other(&other.byte_size_mu_);
-    memo = other.byte_size_memo_;
-  }
-  MutexLock lock_this(&byte_size_mu_);
-  byte_size_memo_ = std::move(memo);
-}
-
-FragmentStore& FragmentStore::operator=(const FragmentStore& other) {
-  if (this != &other) {
-    views_ = other.views_;
-    std::unordered_map<int32_t, size_t> memo;
-    {
-      MutexLock lock_other(&other.byte_size_mu_);
-      memo = other.byte_size_memo_;
-    }
-    MutexLock lock_this(&byte_size_mu_);
-    byte_size_memo_ = std::move(memo);
-  }
-  return *this;
-}
-
-FragmentStore::FragmentStore(FragmentStore&& other) noexcept
-    : views_(std::move(other.views_)) {
-  std::unordered_map<int32_t, size_t> memo;
-  {
-    MutexLock lock_other(&other.byte_size_mu_);
-    memo = std::move(other.byte_size_memo_);
-    other.byte_size_memo_.clear();
-  }
-  MutexLock lock_this(&byte_size_mu_);
-  byte_size_memo_ = std::move(memo);
-}
-
-FragmentStore& FragmentStore::operator=(FragmentStore&& other) noexcept {
-  if (this != &other) {
-    views_ = std::move(other.views_);
-    std::unordered_map<int32_t, size_t> memo;
-    {
-      MutexLock lock_other(&other.byte_size_mu_);
-      memo = std::move(other.byte_size_memo_);
-      other.byte_size_memo_.clear();
-    }
-    MutexLock lock_this(&byte_size_mu_);
-    byte_size_memo_ = std::move(memo);
-  }
-  return *this;
-}
-
 void FragmentStore::PutView(int32_t view_id,
                             std::vector<Fragment> fragments) {
   SortByRoot(&fragments);
-  views_[view_id] =
-      std::make_shared<const std::vector<Fragment>>(std::move(fragments));
-  MutexLock lock(&byte_size_mu_);
-  byte_size_memo_.erase(view_id);
+  size_t bytes = 0;
+  for (const Fragment& f : fragments) {
+    bytes += f.ByteSize();
+  }
+  views_.Set(view_id,
+             StoredView{std::make_shared<const std::vector<Fragment>>(
+                            std::move(fragments)),
+                        bytes});
 }
 
 const std::vector<Fragment>* FragmentStore::GetView(int32_t view_id) const {
-  auto it = views_.find(view_id);
-  return it == views_.end() ? nullptr : it->second.get();
+  const StoredView* view = views_.Find(view_id);
+  return view == nullptr ? nullptr : view->fragments.get();
 }
 
 bool FragmentStore::HasView(int32_t view_id) const {
-  return views_.find(view_id) != views_.end();
+  return views_.Contains(view_id);
 }
 
-void FragmentStore::RemoveView(int32_t view_id) {
-  views_.erase(view_id);
-  MutexLock lock(&byte_size_mu_);
-  byte_size_memo_.erase(view_id);
-}
+void FragmentStore::RemoveView(int32_t view_id) { views_.Erase(view_id); }
 
 size_t FragmentStore::ViewByteSize(int32_t view_id) const {
-  {
-    MutexLock lock(&byte_size_mu_);
-    auto it = byte_size_memo_.find(view_id);
-    if (it != byte_size_memo_.end()) {
-      return it->second;
-    }
-  }
-  // Computed outside the lock: views_ is immutable once the store is
-  // published in a snapshot, and a racing duplicate computation just
-  // inserts the same value twice.
-  const std::vector<Fragment>* fragments = GetView(view_id);
-  if (fragments == nullptr) {
-    return 0;
-  }
-  size_t bytes = 0;
-  for (const Fragment& f : *fragments) {
-    bytes += f.ByteSize();
-  }
-  MutexLock lock(&byte_size_mu_);
-  byte_size_memo_[view_id] = bytes;
-  return bytes;
+  const StoredView* view = views_.Find(view_id);
+  return view == nullptr ? 0 : view->byte_size;
 }
 
 std::vector<int32_t> FragmentStore::view_ids() const {
   std::vector<int32_t> ids;
   ids.reserve(views_.size());
-  for (const auto& [view_id, fragments] : views_) {
-    (void)fragments;
+  for (const auto& [view_id, view] : views_) {
+    (void)view;
     ids.push_back(view_id);
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 size_t FragmentStore::TotalByteSize() const {
   size_t bytes = 0;
-  for (const auto& [view_id, fragments] : views_) {
-    (void)fragments;
-    bytes += ViewByteSize(view_id);
+  for (const auto& [view_id, view] : views_) {
+    (void)view_id;
+    bytes += view.byte_size;
   }
   return bytes;
 }
 
 Status FragmentStore::SaveTo(KvStore* kv) const {
-  // Sorted view order: the KvStore orders keys anyway, but inserting
+  // Ascending view order: the KvStore orders keys anyway, but inserting
   // deterministically keeps the save path reproducible across platforms.
-  for (const int32_t view_id : view_ids()) {
-    const std::vector<Fragment>& fragments = *views_.at(view_id);
+  for (const auto& [view_id, view] : views_) {
+    const std::vector<Fragment>& fragments = *view.fragments;
     kv->DeletePrefix(ViewPrefix(view_id));
     for (size_t i = 0; i < fragments.size(); ++i) {
       kv->Put(FragmentKey(view_id, i), fragments[i].Serialize());
@@ -173,24 +95,20 @@ Status FragmentStore::SaveTo(KvStore* kv) const {
   return Status::Ok();
 }
 
-Status FragmentStore::LoadFrom(const KvStore& kv) {
-  return LoadFromImpl(kv, /*quarantined=*/nullptr);
+Status FragmentStore::LoadFrom(const KvStore& kv, int32_t id_limit) {
+  return LoadFromImpl(kv, id_limit, /*quarantined=*/nullptr);
 }
 
-Status FragmentStore::LoadFrom(const KvStore& kv,
+Status FragmentStore::LoadFrom(const KvStore& kv, int32_t id_limit,
                                std::vector<int32_t>* quarantined) {
   XVR_CHECK(quarantined != nullptr);
   quarantined->clear();
-  return LoadFromImpl(kv, quarantined);
+  return LoadFromImpl(kv, id_limit, quarantined);
 }
 
-Status FragmentStore::LoadFromImpl(const KvStore& kv,
+Status FragmentStore::LoadFromImpl(const KvStore& kv, int32_t id_limit,
                                    std::vector<int32_t>* quarantined) {
-  views_.clear();
-  {
-    MutexLock lock(&byte_size_mu_);
-    byte_size_memo_.clear();
-  }
+  views_ = CowTable<StoredView>();
   // Accumulated per view, then installed as shared immutable vectors.
   std::unordered_map<int32_t, std::vector<Fragment>> loading;
   // Views already seen to be corrupt; later fragments of the same view are
@@ -201,7 +119,9 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
                              const std::string& value) {
     // key = frag/<view>/<seq>
     const std::vector<std::string> parts = Split(key, '/');
-    if (parts.size() != 3) {
+    int32_t view_id = 0;
+    if (parts.size() != 3 ||
+        !ParseBoundedId(parts[1], int64_t{INT32_MAX} + 1, &view_id)) {
       if (quarantined != nullptr) {
         // Garbage we cannot attribute to a view: skip it and keep loading.
         XVR_LOG(WARNING) << "skipping malformed fragment key " << key;
@@ -210,7 +130,14 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
       status = Status::ParseError("malformed fragment key " + key);
       return false;
     }
-    const int32_t view_id = static_cast<int32_t>(std::atoi(parts[1].c_str()));
+    if (view_id >= id_limit) {
+      // An id the catalog never issued: the image contradicts itself, and
+      // the id must not size the view table.
+      status = Status::ParseError("fragment key " + key +
+                                  " names a view id not below " +
+                                  std::to_string(id_limit));
+      return false;
+    }
     if (bad_views.count(view_id) != 0) {
       return true;
     }
@@ -240,12 +167,10 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
     std::sort(quarantined->begin(), quarantined->end());
   }
   // Keys scan in order, so per-view fragments are already Dewey-sorted only
-  // if sequence order matched; re-sort to be safe. Per-view work, order of
-  // iteration does not reach the output.  // lint:ordered-ok
+  // if sequence order matched; PutView re-sorts to be safe. Per-view work,
+  // order of iteration does not reach the output.  // lint:ordered-ok
   for (auto& [view_id, fragments] : loading) {
-    SortByRoot(&fragments);
-    views_[view_id] =
-        std::make_shared<const std::vector<Fragment>>(std::move(fragments));
+    PutView(view_id, std::move(fragments));
   }
   return status;
 }

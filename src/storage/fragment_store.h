@@ -8,20 +8,17 @@
 // Thread-safety: a FragmentStore embedded in a published CatalogSnapshot is
 // immutable — mutations (PutView/RemoveView/LoadFrom) only ever run on the
 // writer's private successor copy, never on a store readers can see
-// (src/core/catalog.h). Copies are cheap: the per-view fragment vectors are
-// immutable once installed and shared between copies, so a snapshot copy is
-// O(#views) shared_ptr bookkeeping, not a fragment deep copy. The only
-// state mutated through a const store is the per-view byte-size memo
-// (ViewByteSize is called during planning by the HB strategy), which is
-// internally synchronized and annotated for the thread-safety analysis.
+// (src/core/catalog.h). Copies are cheap: the views live in a copy-on-write
+// table (common/cow_table.h) whose chunks of 64 views a copy shares, and a
+// view's fragment vector is immutable once installed and shared by every
+// chunk that holds it. A copy costs a few dozen chunk pointers; a later
+// write clones one chunk of entries, never a fragment.
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
+#include "common/cow_table.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "storage/fragment.h"
 #include "storage/kv_store.h"
 
@@ -29,20 +26,10 @@ namespace xvr {
 
 class FragmentStore {
  public:
-  FragmentStore() = default;
-
-  // Copyable: fragment vectors are shared (immutable once installed), the
-  // byte-size memo is copied under the source's lock. This is what makes
-  // copy-on-write catalog snapshots affordable.
-  FragmentStore(const FragmentStore& other);
-  FragmentStore& operator=(const FragmentStore& other);
-  FragmentStore(FragmentStore&& other) noexcept;
-  FragmentStore& operator=(FragmentStore&& other) noexcept;
-
-  // Installs the fragments of `view_id` (replacing any previous ones).
-  // Fragments are sorted by root code internally. Stores sharing a fragment
-  // vector with this one are unaffected (the old vector stays alive for
-  // them).
+  // Installs the fragments of `view_id` (>= 0), replacing any previous
+  // ones, and computes their serialized byte size once. Fragments are
+  // sorted by root code internally. Stores sharing the view's old entry
+  // with this one are unaffected.
   void PutView(int32_t view_id, std::vector<Fragment> fragments);
 
   // nullptr when the view is not materialized. The pointee is immutable and
@@ -54,20 +41,23 @@ class FragmentStore {
   void RemoveView(int32_t view_id);
 
   // Serialized byte size of one view's fragments (the 128 KB cap metric and
-  // the HB planning order). Memoized: computed once per view, invalidated
-  // when the view's fragments change. Safe to call from concurrent readers.
-  size_t ViewByteSize(int32_t view_id) const XVR_EXCLUDES(byte_size_mu_);
+  // the HB planning order), 0 for an unknown view. A lookup: PutView
+  // computed it.
+  size_t ViewByteSize(int32_t view_id) const;
 
   size_t num_views() const { return views_.size(); }
   size_t TotalByteSize() const;
 
-  // Ids of all materialized views, sorted ascending (deterministic
-  // iteration for persistence and validation).
+  // Ids of all materialized views, ascending (deterministic iteration for
+  // persistence and validation).
   std::vector<int32_t> view_ids() const;
 
   // Persistence: keys are "frag/<view_id>/<seq>"; the image round-trips.
+  // A view id must lie in [0, id_limit), the ids the catalog that wrote the
+  // image had issued: any other id fails the load with PARSE_ERROR, so no
+  // key can size the view table past them.
   Status SaveTo(KvStore* kv) const;
-  Status LoadFrom(const KvStore& kv);
+  Status LoadFrom(const KvStore& kv, int32_t id_limit);
 
   // Fault-tolerant load: a view with any corrupt fragment is *quarantined*
   // — none of its fragments are installed, its id is appended to
@@ -75,18 +65,19 @@ class FragmentStore {
   // remaining views instead of failing the whole store. Unattributable
   // garbage under the "frag/" prefix (malformed keys) is skipped the same
   // way. `quarantined` must be non-null.
-  Status LoadFrom(const KvStore& kv, std::vector<int32_t>* quarantined);
+  Status LoadFrom(const KvStore& kv, int32_t id_limit,
+                  std::vector<int32_t>* quarantined);
 
  private:
-  using FragmentsRef = std::shared_ptr<const std::vector<Fragment>>;
+  struct StoredView {
+    std::shared_ptr<const std::vector<Fragment>> fragments;
+    size_t byte_size = 0;  // serialized size of the fragments
+  };
 
-  Status LoadFromImpl(const KvStore& kv, std::vector<int32_t>* quarantined);
+  Status LoadFromImpl(const KvStore& kv, int32_t id_limit,
+                      std::vector<int32_t>* quarantined);
 
-  std::unordered_map<int32_t, FragmentsRef> views_;
-  // view_id -> serialized size of its fragments, filled on first use.
-  mutable Mutex byte_size_mu_;
-  mutable std::unordered_map<int32_t, size_t> byte_size_memo_
-      XVR_GUARDED_BY(byte_size_mu_);
+  CowTable<StoredView> views_;
 };
 
 }  // namespace xvr

@@ -11,8 +11,9 @@ PathNfa::PathNfa() {
 }
 
 StateId PathNfa::NewState() {
-  states_.emplace_back();
-  return static_cast<StateId>(states_.size() - 1);
+  const StateId id = static_cast<StateId>(states_.size());
+  states_.Set(id, State{});
+  return id;
 }
 
 StateId PathNfa::Step(StateId from, const PathStep& step, bool share) {
@@ -20,38 +21,37 @@ StateId PathNfa::Step(StateId from, const PathStep& step, bool share) {
   StateId source = from;
   if (step.axis == Axis::kDescendant) {
     StateId loop = kNoState;
-    if (share && !states_[static_cast<size_t>(from)].loop_states.empty()) {
-      loop = states_[static_cast<size_t>(from)].loop_states.front();
+    if (share && !states_[from].loop_states.empty()) {
+      loop = states_[from].loop_states.front();
     } else {
       loop = NewState();
-      states_[static_cast<size_t>(loop)].is_loop = true;
-      states_[static_cast<size_t>(from)].loop_states.push_back(loop);
+      states_.Mutable(loop).is_loop = true;
+      states_.Mutable(from).loop_states.push_back(loop);
     }
     source = loop;
   }
   if (step.label == kWildcardLabel) {
-    auto& stars = states_[static_cast<size_t>(source)].star_trans;
+    const std::vector<StateId>& stars = states_[source].star_trans;
     if (share && !stars.empty()) {
       return stars.front();
     }
     const StateId next = NewState();
-    states_[static_cast<size_t>(source)].star_trans.push_back(next);
+    states_.Mutable(source).star_trans.push_back(next);
     return next;
   }
-  auto& trans = states_[static_cast<size_t>(source)].label_trans;
+  const auto& trans = states_[source].label_trans;
   auto it = trans.find(step.label);
   if (share && it != trans.end() && !it->second.empty()) {
     return it->second.front();
   }
   const StateId next = NewState();
-  states_[static_cast<size_t>(source)].label_trans[step.label].push_back(
-      next);
+  states_.Mutable(source).label_trans[step.label].push_back(next);
   NoteTransition(source, step.label, next);
   return next;
 }
 
 void PathNfa::BuildDenseFor(StateId s) {
-  const State& state = states_[static_cast<size_t>(s)];
+  const State& state = states_[s];
   if (dense_index_.size() < states_.size()) {
     dense_index_.resize(states_.size(), -1);
   }
@@ -82,8 +82,7 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
   if (table < 0) {
     // Not dense yet: promote once the fanout crosses the threshold
     // (BuildDenseFor reads label_trans, which already holds `to`).
-    if (states_[static_cast<size_t>(from)].label_trans.size() >=
-        kDenseThreshold) {
+    if (states_[from].label_trans.size() >= kDenseThreshold) {
       BuildDenseFor(from);
     }
     return;
@@ -96,12 +95,19 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
   entry = entry == kNoState ? to : kMultiTarget;
 }
 
+void PathNfa::ResetStates(size_t num_states) {
+  states_ = CowTable<State>();
+  for (size_t id = 0; id < num_states; ++id) {
+    states_.Set(static_cast<StateId>(id), State{});
+  }
+}
+
 void PathNfa::RebuildDispatch() {
   dense_index_.assign(states_.size(), -1);
   dense_tables_.clear();
-  for (size_t s = 0; s < states_.size(); ++s) {
-    if (states_[s].label_trans.size() >= kDenseThreshold) {
-      BuildDenseFor(static_cast<StateId>(s));
+  for (const auto& [id, state] : states_) {
+    if (state.label_trans.size() >= kDenseThreshold) {
+      BuildDenseFor(id);
     }
   }
 }
@@ -117,32 +123,38 @@ void PathNfa::Insert(const PathPattern& path, int32_t view_id,
       // The continuation of a predicated step hangs off the required pred
       // transition.
       const int32_t token = PredTokenFor(pred_intern(*step.pred));
-      auto& targets = states_[static_cast<size_t>(cur)].pred_trans[token];
-      if (share_prefixes && !targets.empty()) {
-        cur = targets.front();
+      const auto& pred_trans = states_[cur].pred_trans;
+      auto it = pred_trans.find(token);
+      if (share_prefixes && it != pred_trans.end() && !it->second.empty()) {
+        cur = it->second.front();
       } else {
         const StateId next = NewState();
-        states_[static_cast<size_t>(cur)].pred_trans[token].push_back(next);
+        states_.Mutable(cur).pred_trans[token].push_back(next);
         cur = next;
       }
     }
   }
-  State& fin = states_[static_cast<size_t>(cur)];
+  State& fin = states_.Mutable(cur);
   fin.is_accepting = true;
   const int32_t length = static_cast<int32_t>(path.Length());
   fin.accepts.push_back(AcceptEntry{view_id, path_id, length, slot});
 }
 
 void PathNfa::RemoveView(int32_t view_id) {
-  for (State& s : states_) {
-    if (!s.is_accepting) {
+  const auto of_view = [view_id](const AcceptEntry& e) {
+    return e.view_id == view_id;
+  };
+  // Scan read-only; write (and so clone) only the chunks holding the view's
+  // entries.
+  for (StateId id = 0; id < static_cast<StateId>(states_.size()); ++id) {
+    const std::vector<AcceptEntry>& accepts = states_[id].accepts;
+    if (std::none_of(accepts.begin(), accepts.end(), of_view)) {
       continue;
     }
-    s.accepts.erase(std::remove_if(s.accepts.begin(), s.accepts.end(),
-                                   [view_id](const AcceptEntry& e) {
-                                     return e.view_id == view_id;
-                                   }),
-                    s.accepts.end());
+    State& s = states_.Mutable(id);
+    s.accepts.erase(
+        std::remove_if(s.accepts.begin(), s.accepts.end(), of_view),
+        s.accepts.end());
     if (s.accepts.empty()) {
       s.is_accepting = false;
     }
@@ -180,7 +192,7 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
   // active states instead of every accept collected so far.
   ++scratch->read_epoch;
   auto add = [this, hits, scratch](std::vector<StateId>* set, StateId id) {
-    const State& s = states_[static_cast<size_t>(id)];
+    const State& s = states_[id];
     if (s.is_accepting &&
         scratch->accept_mark[static_cast<size_t>(id)] !=
             scratch->read_epoch) {
@@ -215,7 +227,7 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
     ++scratch->epoch;
     scratch->next.clear();
     for (StateId id : scratch->current) {
-      const State& s = states_[static_cast<size_t>(id)];
+      const State& s = states_[id];
       // '//' waiting states self-loop on any token, including '#'.
       // (Accepting states already recorded their hits on entry; they stay
       // active only through their outgoing edges below.)
@@ -288,7 +300,8 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
 
 size_t PathNfa::num_transitions() const {
   size_t count = 0;
-  for (const State& s : states_) {
+  for (const auto& [id, s] : states_) {
+    (void)id;
     for (const auto& [label, targets] : s.label_trans) {
       (void)label;
       count += targets.size();
@@ -306,7 +319,8 @@ size_t PathNfa::num_transitions() const {
 
 size_t PathNfa::num_accept_entries() const {
   size_t count = 0;
-  for (const State& s : states_) {
+  for (const auto& [id, s] : states_) {
+    (void)id;
     count += s.accepts.size();
   }
   return count;

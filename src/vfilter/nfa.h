@@ -22,6 +22,11 @@
 // genuinely parallel chains; with sharing on, each symbol has at most one
 // target per state and the structure is a trie.
 //
+// States live in a copy-on-write table indexed by state id
+// (common/cow_table.h): a catalog snapshot's copy of the NFA shares every
+// chunk of 64 states, and an Insert or RemoveView clones only the chunks
+// it writes. Reads go through const accessors and never clone.
+//
 // Token conventions (see pattern/path_pattern.h):
 //   label ids >= 0, kWildcardLabel for '*', kHashToken for '#'.
 //
@@ -37,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cow_table.h"
 #include "pattern/path_pattern.h"
 #include "xml/label_dict.h"
 
@@ -124,13 +130,17 @@ class PathNfa {
               const PredInterner& pred_intern = nullptr, int32_t slot = 0);
 
   // Removes the accept entries of `view_id` (states are retained; the NFA
-  // supports cheap logical deletion as pointed out in §III-D (3)).
+  // supports cheap logical deletion as pointed out in §III-D (3)). Writes
+  // only the state chunks that hold such entries; copies of this NFA keep
+  // sharing the rest.
   void RemoveView(int32_t view_id);
 
   // Runs the token string and returns the accept entries of every accepting
   // state reachable after consuming all tokens. Thread-safe: the automaton
   // is read-only and all runtime state lives in `scratch` (one per thread;
-  // reuse across calls to stay allocation-free).
+  // reuse across calls to stay allocation-free). The entries point into
+  // this NFA's state chunks: they stay valid while the NFA (for queries,
+  // the pinned catalog snapshot) is alive and unmodified.
   void Read(const std::vector<int32_t>& tokens,
             std::vector<const AcceptEntry*>* hits,
             NfaReadScratch* scratch) const;
@@ -159,11 +169,18 @@ class PathNfa {
     bool is_accepting = false;
     std::vector<AcceptEntry> accepts;
   };
-  const std::vector<State>& states() const { return states_; }
-  // Callers that edit the returned states structurally (serde installs them
-  // wholesale, tests inject corruptions) must call RebuildDispatch() before
-  // the next Read(), or the derived dense tables go stale.
-  std::vector<State>& mutable_states() { return states_; }
+  // The states, indexed by state id (dense: ids 0 .. num_states() - 1).
+  // Copies of an NFA share its state chunks copy-on-write
+  // (common/cow_table.h).
+  const CowTable<State>& states() const { return states_; }
+  // Write access to one state; clones its chunk if a copy shares it.
+  // Callers that edit states structurally (tests inject corruptions) must
+  // call RebuildDispatch() before the next Read(), or the derived dense
+  // tables go stale.
+  State& mutable_state(StateId id) { return states_.Mutable(id); }
+  // Deserialization: replaces every state with `num_states` empty ones, to
+  // be filled through mutable_state() and followed by RebuildDispatch().
+  void ResetStates(size_t num_states);
   StateId start() const { return 0; }
 
   // --- dense label dispatch (derived, never serialized) --------------------
@@ -185,7 +202,9 @@ class PathNfa {
   void NoteTransition(StateId from, LabelId label, StateId to);
   void BuildDenseFor(StateId s);
 
-  std::vector<State> states_;
+  CowTable<State> states_;
+  // The dense dispatch tables below are plain vectors, copied whole with
+  // the NFA: a few KB even at thousands of states.
   // state -> index into dense_tables_, or -1 for sparse states.
   std::vector<int32_t> dense_index_;
   // Per dense state: label -> target (kNoState empty, kMultiTarget = use

@@ -48,8 +48,7 @@ void VFilter::TokensInto(const PathPattern& path,
 
 void VFilter::AddView(int32_t view_id, const TreePattern& view) {
   XVR_CHECK(view_id >= 0);
-  XVR_CHECK(views_.find(view_id) == views_.end())
-      << "view " << view_id << " already indexed";
+  XVR_CHECK(SlotOf(view_id) < 0) << "view " << view_id << " already indexed";
   Decomposition d = Decompose(view);
   int32_t slot = static_cast<int32_t>(slots_.size());
   if (free_slots_.empty()) {
@@ -58,7 +57,6 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  views_[view_id] = slot;
   slots_[static_cast<size_t>(slot)] =
       ViewSlot{view_id, static_cast<int32_t>(d.paths.size())};
   for (size_t i = 0; i < d.paths.size(); ++i) {
@@ -86,19 +84,25 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
 }
 
 void VFilter::RemoveView(int32_t view_id) {
-  auto it = views_.find(view_id);
-  if (it == views_.end()) {
+  const int32_t slot = SlotOf(view_id);
+  if (slot < 0) {
     return;
   }
-  slots_[static_cast<size_t>(it->second)] = ViewSlot{};
-  free_slots_.push_back(it->second);
-  views_.erase(it);
+  slots_[static_cast<size_t>(slot)] = ViewSlot{};
+  free_slots_.push_back(slot);
   nfa_.RemoveView(view_id);
 }
 
 int32_t VFilter::SlotOf(int32_t view_id) const {
-  auto it = views_.find(view_id);
-  return it == views_.end() ? -1 : it->second;
+  if (view_id < 0) {
+    return -1;  // freed slots hold -1
+  }
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].view_id == view_id) {
+      return static_cast<int32_t>(slot);
+    }
+  }
+  return -1;
 }
 
 int32_t VFilter::NumPathsOf(int32_t view_id) const {
@@ -108,7 +112,7 @@ int32_t VFilter::NumPathsOf(int32_t view_id) const {
 
 std::vector<std::pair<int32_t, int32_t>> VFilter::ViewPathCounts() const {
   std::vector<std::pair<int32_t, int32_t>> counts;
-  counts.reserve(views_.size());
+  counts.reserve(num_views());
   for (const ViewSlot& entry : slots_) {
     if (entry.view_id >= 0) {
       counts.emplace_back(entry.view_id, entry.num_paths);
@@ -120,9 +124,8 @@ std::vector<std::pair<int32_t, int32_t>> VFilter::ViewPathCounts() const {
 
 void VFilter::RestoreViews(
     const std::vector<std::pair<int32_t, int32_t>>& views) {
-  XVR_CHECK(views_.empty() && slots_.empty());
+  XVR_CHECK(slots_.empty());
   for (const auto& [view_id, num_paths] : views) {
-    views_[view_id] = static_cast<int32_t>(slots_.size());
     slots_.push_back(ViewSlot{view_id, num_paths});
   }
 }

@@ -104,7 +104,7 @@ class VFilter {
 
   // --- statistics -----------------------------------------------------------
 
-  size_t num_views() const { return views_.size(); }
+  size_t num_views() const { return slots_.size() - free_slots_.size(); }
   size_t num_states() const { return nfa_.num_states(); }
   size_t num_transitions() const { return nfa_.num_transitions(); }
   const PathNfa& nfa() const { return nfa_; }
@@ -118,9 +118,10 @@ class VFilter {
   //
   // Each indexed view holds a dense slot, and its accept entries carry it,
   // so Filter's bookkeeping is an array indexed by slot. Slots are derived:
-  // the image stores only the (id, |D(V)|) list.
+  // the image stores only the (id, |D(V)|) list. The slot table is the only
+  // registry; nothing on the query path maps ids to slots.
 
-  // The view's slot, or -1 when it is not indexed.
+  // The view's slot, or -1 when it is not indexed. Scans the slot table.
   int32_t SlotOf(int32_t view_id) const;
   const std::vector<ViewSlot>& slots() const { return slots_; }
   // Slots freed by RemoveView; AddView reuses the last one first.
@@ -129,7 +130,8 @@ class VFilter {
   std::vector<std::pair<int32_t, int32_t>> ViewPathCounts() const;
   // Deserialization: installs `views` (sorted, as ViewPathCounts returns
   // them) into an empty registry, giving them slots 0, 1, ... in order.
-  // The caller stamps the accept entries of mutable_nfa() with SlotOf.
+  // The caller stamps each accept entry of mutable_nfa() with its view's
+  // position in `views`.
   void RestoreViews(const std::vector<std::pair<int32_t, int32_t>>& views);
 
   // Pred dictionary (attribute extension): interned predicate keys. Exposed
@@ -153,7 +155,6 @@ class VFilter {
 
   VFilterOptions options_;
   PathNfa nfa_;
-  std::unordered_map<int32_t, int32_t> views_;  // view_id -> slot
   std::vector<ViewSlot> slots_;
   std::vector<int32_t> free_slots_;
   std::unordered_map<std::string, int32_t> pred_ids_;

@@ -144,6 +144,9 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
     if (i > 0 && registry[i].first <= registry[i - 1].first) {
       return Status::ParseError("corrupt VFilter image (view registry order)");
     }
+    if (registry[i].first < 0) {
+      return Status::ParseError("corrupt VFilter image (negative view id)");
+    }
   }
   filter.RestoreViews(registry);
 
@@ -151,11 +154,10 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   if (!r.ReadU32(&num_states) || num_states > payload.size() / 8) {
     return Status::ParseError("truncated VFilter image (states)");
   }
-  auto& states = filter.mutable_nfa().mutable_states();
-  states.clear();
-  states.resize(num_states);
+  PathNfa& nfa = filter.mutable_nfa();
+  nfa.ResetStates(num_states);
   for (uint32_t i = 0; i < num_states; ++i) {
-    PathNfa::State& s = states[i];
+    PathNfa::State& s = nfa.mutable_state(static_cast<StateId>(i));
     uint32_t state_flags = 0;
     uint32_t num_trans = 0;
     uint32_t num_accepts = 0;
@@ -199,14 +201,21 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
           !r.ReadI32(&e.length)) {
         return Status::ParseError("truncated VFilter image (accept entry)");
       }
-      // Slots are derived: the entry takes its view's. An entry outside the
-      // registry (unknown view, or path id outside [0, |D(V)|)) would index
-      // past Filter's per-slot bookkeeping.
-      if (e.path_id < 0 || e.path_id >= filter.NumPathsOf(e.view_id)) {
+      // Slots are derived: the entry takes its view's, which RestoreViews
+      // gave by registry position. An entry outside the registry (unknown
+      // view, or path id outside [0, |D(V)|)) would index past Filter's
+      // per-slot bookkeeping.
+      const auto view = std::lower_bound(
+          registry.begin(), registry.end(), e.view_id,
+          [](const std::pair<int32_t, int32_t>& entry, int32_t id) {
+            return entry.first < id;
+          });
+      if (view == registry.end() || view->first != e.view_id ||
+          e.path_id < 0 || e.path_id >= view->second) {
         return Status::ParseError(
             "corrupt VFilter image (accept entry outside the view registry)");
       }
-      e.slot = filter.SlotOf(e.view_id);
+      e.slot = static_cast<int32_t>(view - registry.begin());
       s.accepts.push_back(e);
     }
   }
@@ -215,7 +224,8 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   const auto valid = [&](StateId id) {
     return id >= 0 && static_cast<uint32_t>(id) < num_states;
   };
-  for (const PathNfa::State& s : states) {
+  for (const auto& [id, s] : nfa.states()) {
+    (void)id;
     for (StateId t : s.star_trans) {
       if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
     }
@@ -238,7 +248,7 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   }
   // The states were installed wholesale, bypassing Insert's incremental
   // dense-table maintenance; derive the dispatch tables now.
-  filter.mutable_nfa().RebuildDispatch();
+  nfa.RebuildDispatch();
   return filter;
 }
 
@@ -269,7 +279,8 @@ std::string SerializeVFilter(const VFilter& filter) {
   // States.
   const auto& states = filter.nfa().states();
   PutU32(static_cast<uint32_t>(states.size()), &payload);
-  for (const auto& s : states) {
+  for (const auto& [id, s] : states) {
+    (void)id;
     PutU32((s.is_loop ? 1u : 0u) | (s.is_accepting ? 2u : 0u), &payload);
     PutIdList(s.star_trans, &payload);
     PutIdList(s.loop_states, &payload);

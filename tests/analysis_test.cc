@@ -198,7 +198,7 @@ TEST(ValidateVFilterTest, RejectsDanglingTransition) {
   filter.AddView(0, *view);
   ASSERT_TRUE(ValidateVFilter(filter).ok());
   // Point a '*' transition at a state that does not exist.
-  filter.mutable_nfa().mutable_states()[0].star_trans.push_back(
+  filter.mutable_nfa().mutable_state(0).star_trans.push_back(
       static_cast<StateId>(filter.nfa().num_states() + 5));
   EXPECT_FALSE(ValidateVFilter(filter).ok());
 }
@@ -210,7 +210,9 @@ TEST(ValidateVFilterTest, RejectsAcceptBookkeepingDrift) {
 
   VFilter lost_accept;
   lost_accept.AddView(0, *view);
-  for (auto& state : lost_accept.mutable_nfa().mutable_states()) {
+  for (StateId s = 0; s < static_cast<StateId>(lost_accept.num_states());
+       ++s) {
+    PathNfa::State& state = lost_accept.mutable_nfa().mutable_state(s);
     state.accepts.clear();  // view 0 still registered, no accepting path
     state.is_accepting = false;
   }
@@ -218,7 +220,9 @@ TEST(ValidateVFilterTest, RejectsAcceptBookkeepingDrift) {
 
   VFilter flag_drift;
   flag_drift.AddView(0, *view);
-  for (auto& state : flag_drift.mutable_nfa().mutable_states()) {
+  for (StateId s = 0; s < static_cast<StateId>(flag_drift.num_states());
+       ++s) {
+    PathNfa::State& state = flag_drift.mutable_nfa().mutable_state(s);
     if (state.is_accepting) {
       state.is_accepting = false;  // entries remain: flag disagrees
     }
@@ -241,8 +245,8 @@ TEST(ValidateVFilterTest, RejectsSlotDrift) {
   EXPECT_EQ(filter.SlotOf(7), 1);
   ASSERT_TRUE(ValidateVFilter(filter).ok());
   // An accept entry of view 7 carrying view 0's slot.
-  for (auto& state : filter.mutable_nfa().mutable_states()) {
-    for (AcceptEntry& e : state.accepts) {
+  for (StateId s = 0; s < static_cast<StateId>(filter.num_states()); ++s) {
+    for (AcceptEntry& e : filter.mutable_nfa().mutable_state(s).accepts) {
       if (e.view_id == 7) {
         e.slot = filter.SlotOf(0);
       }

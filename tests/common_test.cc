@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/cow_table.h"
 #include "common/file_util.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -219,6 +223,130 @@ TEST(RetryBackoff, JitterNeverReturnsZeroForRealBackoff) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_GE(RetryBackoffMicros(retry, 2, &rng), 1);
   }
+}
+
+// --- CowTable ---------------------------------------------------------------
+
+std::string ValueOf(int32_t id) {
+  std::string value = "v";
+  value += std::to_string(id);
+  return value;
+}
+
+// Ids 0 .. n-1 mapped to "v<id>": with n = 200, four chunks of 64.
+CowTable<std::string> FilledTable(int32_t n) {
+  CowTable<std::string> table;
+  for (int32_t id = 0; id < n; ++id) {
+    table.Set(id, ValueOf(id));
+  }
+  return table;
+}
+
+TEST(CowTable, CopySharesEveryChunk) {
+  const CowTable<std::string> source = FilledTable(200);
+  const CowTable<std::string> copy = source;
+  ASSERT_EQ(copy.size(), 200u);
+  for (int32_t id = 0; id < 200; ++id) {
+    EXPECT_EQ(&copy[id], &source[id]) << id;
+  }
+}
+
+TEST(CowTable, WriteToCopyClonesOnlyItsChunk) {
+  const CowTable<std::string> source = FilledTable(200);
+  CowTable<std::string> copy = source;
+  copy.Mutable(70) = "changed";
+  EXPECT_EQ(copy[70], "changed");
+  EXPECT_EQ(source[70], "v70");
+  const int32_t chunk =
+      static_cast<int32_t>(CowTable<std::string>::kChunkSize);
+  for (int32_t id = 0; id < 200; ++id) {
+    if (id / chunk == 70 / chunk) {
+      // The written chunk is the copy's own clone: same values elsewhere.
+      EXPECT_NE(&copy[id], &source[id]) << id;
+      if (id != 70) {
+        EXPECT_EQ(copy[id], source[id]) << id;
+      }
+    } else {
+      EXPECT_EQ(&copy[id], &source[id]) << id;
+    }
+  }
+  // Later writes to the cloned chunk go to the clone in place.
+  const std::string* clone_slot = &copy[71];
+  copy.Mutable(71) = "again";
+  copy.Set(72, "set");
+  EXPECT_EQ(&copy[71], clone_slot);
+  EXPECT_EQ(source[71], "v71");
+  EXPECT_EQ(source[72], "v72");
+}
+
+// The trap for any ownership scheme: the source allocated its chunks, but
+// after a copy it must not write them in place any more.
+TEST(CowTable, WritingTheSourceAfterACopyLeavesTheCopyUnchanged) {
+  CowTable<std::string> source = FilledTable(200);
+  const CowTable<std::string> copy = source;
+  source.Mutable(5) = "changed";
+  source.Set(6, "set");
+  EXPECT_TRUE(source.Erase(7));
+  source.Set(300, "new chunk");
+  EXPECT_EQ(copy[5], "v5");
+  EXPECT_EQ(copy[6], "v6");
+  ASSERT_TRUE(copy.Contains(7));
+  EXPECT_EQ(copy[7], "v7");
+  EXPECT_FALSE(copy.Contains(300));
+  EXPECT_EQ(copy.size(), 200u);
+  // A second generation: the copy of the copy is just as isolated.
+  CowTable<std::string> grandchild = copy;
+  grandchild.Mutable(100) = "grandchild";
+  EXPECT_EQ(copy[100], "v100");
+  EXPECT_EQ(source[100], "v100");
+  EXPECT_EQ(&copy[0], &grandchild[0]);
+}
+
+TEST(CowTable, EraseSizeAndAscendingIterationOverHoles) {
+  CowTable<std::string> table;
+  EXPECT_TRUE(table.empty());
+  for (const int32_t id : {200, 3, 0, 64, 65}) {
+    table.Set(id, ValueOf(id));
+  }
+  EXPECT_EQ(table.size(), 5u);
+  table.Set(3, "replaced");  // replacing keeps the size
+  EXPECT_EQ(table.size(), 5u);
+  EXPECT_TRUE(table.Erase(3));
+  EXPECT_FALSE(table.Erase(3));
+  EXPECT_FALSE(table.Erase(1));
+  // Erasing both entries of chunk 1 releases it; iteration skips it.
+  EXPECT_TRUE(table.Erase(64));
+  EXPECT_TRUE(table.Erase(65));
+  EXPECT_EQ(table.size(), 2u);
+  std::vector<std::pair<int32_t, std::string>> walked;
+  for (const auto& [id, value] : table) {
+    walked.emplace_back(id, value);
+  }
+  const std::vector<std::pair<int32_t, std::string>> want = {{0, "v0"},
+                                                             {200, "v200"}};
+  EXPECT_EQ(walked, want);
+  // Ids past the end, in a released chunk, in a hole, or negative.
+  for (const int32_t id : {201, 255, 256, 2000000000, 64, 1, -1}) {
+    EXPECT_EQ(table.Find(id), nullptr) << id;
+    EXPECT_FALSE(table.Contains(id)) << id;
+  }
+  ASSERT_NE(table.Find(200), nullptr);
+  EXPECT_EQ(*table.Find(200), "v200");
+  // An emptied table iterates nothing.
+  EXPECT_TRUE(table.Erase(0));
+  EXPECT_TRUE(table.Erase(200));
+  EXPECT_TRUE(table.empty());
+  EXPECT_TRUE(table.begin() == table.end());
+}
+
+TEST(CowTable, MoveHandsOverTheChunks) {
+  CowTable<std::string> source = FilledTable(100);
+  const std::string* slot = &source[10];
+  CowTable<std::string> moved = std::move(source);
+  EXPECT_EQ(&moved[10], slot);
+  moved.Mutable(10) = "in place";  // the moved-to table still owns it
+  EXPECT_EQ(&moved[10], slot);
+  EXPECT_EQ(moved.size(), 100u);
 }
 
 }  // namespace

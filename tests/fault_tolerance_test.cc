@@ -417,6 +417,76 @@ TEST_F(PersistenceFaultTest, TornImageIsRejectedByChecksum) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
+// Every id the image names must be one its catalog issued, below
+// meta/next_view_id, before it indexes a catalog table. An image that
+// breaks this, even under a valid checksum, loads as PARSE_ERROR: never an
+// abort, and never a table sized to a forged id.
+TEST_F(PersistenceFaultTest, ViewIdNotBelowNextViewIdIsRejected) {
+  MutateImage([](KvStore* kv) { kv->Put("meta/next_view_id", "1"); });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(PersistenceFaultTest, HugeViewIdIsRejected) {
+  MutateImage([](KvStore* kv) { kv->Put("view/2000000000", "/r/s/p"); });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(PersistenceFaultTest, ViewsWithoutNextViewIdAreRejected) {
+  MutateImage([](KvStore* kv) { kv->Delete("meta/next_view_id"); });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(PersistenceFaultTest, FragmentOfUnissuedViewIdIsRejected) {
+  MutateImage([](KvStore* kv) {
+    std::string fragment;
+    kv->ScanPrefix("frag/0000000000/",
+                   [&](const std::string&, const std::string& value) {
+                     fragment = value;
+                     return false;
+                   });
+    ASSERT_FALSE(fragment.empty());
+    kv->Put("frag/2000000000/00000000", fragment);
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+// An issued id the image holds no view for is rejected the same way, for
+// fragments and for view markers.
+TEST_F(PersistenceFaultTest, FragmentOfUnknownViewIsRejected) {
+  MutateImage([](KvStore* kv) {
+    std::string fragment;
+    kv->ScanPrefix("frag/0000000000/",
+                   [&](const std::string&, const std::string& value) {
+                     fragment = value;
+                     return false;
+                   });
+    ASSERT_FALSE(fragment.empty());
+    kv->Put("meta/next_view_id", "5");
+    kv->Put("frag/0000000003/00000000", fragment);
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(PersistenceFaultTest, MarkerOfUnknownViewIsRejected) {
+  for (const char* key : {"viewmeta/7", "viewmeta/1x"}) {
+    MutateImage([key](KvStore* kv) { kv->Put(key, "codes-only"); });
+    auto loaded = Engine::LoadState(path_);
+    ASSERT_FALSE(loaded.ok()) << key;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << key;
+    MutateImage([key](KvStore* kv) { kv->Delete(key); });
+  }
+}
+
 TEST(FileUtilTest, WriteFileAtomicReplacesAndLeavesNoTemp) {
   const std::string path = TestTempPath("xvr_atomic_write.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "one").ok());

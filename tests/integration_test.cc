@@ -126,7 +126,7 @@ TEST(Integration, PersistenceRoundTripThroughKvStoreFile) {
   auto filter = DeserializeVFilter(*kv.Get("vfilter"));
   ASSERT_TRUE(filter.ok()) << filter.status();
   FragmentStore fragments;
-  ASSERT_TRUE(fragments.LoadFrom(kv).ok());
+  ASSERT_TRUE(fragments.LoadFrom(kv, /*id_limit=*/1).ok());  // one view, id 0
   EXPECT_EQ(fragments.num_views(), 1u);
 
   XmlTree doc = GenerateXmark(doc_options);

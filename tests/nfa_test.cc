@@ -119,6 +119,40 @@ TEST_F(PathNfaTest, RemoveViewKeepsSharedStates) {
   EXPECT_EQ(nfa.num_accept_entries(), 0u);
 }
 
+// RemoveView scans read-only: a copy that drops a view writes, and so
+// clones, only the state chunks holding the view's accept entries. Every
+// other chunk stays shared, and the original keeps the view.
+TEST_F(PathNfaTest, RemoveViewWritesOnlyTheChunksHoldingTheView) {
+  constexpr size_t kChunk = CowTable<PathNfa::State>::kChunkSize;
+  PathNfa nfa;
+  // Private chains: 40 views x 5 states after the start state, 4 chunks.
+  for (int32_t v = 0; v < 40; ++v) {
+    nfa.Insert(Path("/a/b/c/d/e"), v, 0, /*share_prefixes=*/false);
+  }
+  ASSERT_GT(nfa.num_states(), 3 * kChunk);
+  const int32_t victim = 17;
+  std::set<size_t> victim_chunks;
+  for (const auto& [id, state] : nfa.states()) {
+    for (const AcceptEntry& e : state.accepts) {
+      if (e.view_id == victim) {
+        victim_chunks.insert(static_cast<size_t>(id) / kChunk);
+      }
+    }
+  }
+  ASSERT_EQ(victim_chunks.size(), 1u);
+
+  PathNfa copy = nfa;
+  copy.RemoveView(victim);
+  for (StateId id = 0; id < static_cast<StateId>(nfa.num_states()); ++id) {
+    const bool written =
+        victim_chunks.count(static_cast<size_t>(id) / kChunk) > 0;
+    EXPECT_EQ(&copy.states()[id] == &nfa.states()[id], !written) << id;
+  }
+  EXPECT_EQ(Accepted(nfa, "/a/b/c/d/e").count(victim), 1u);
+  EXPECT_EQ(Accepted(copy, "/a/b/c/d/e").count(victim), 0u);
+  EXPECT_EQ(Accepted(copy, "/a/b/c/d/e").size(), 39u);
+}
+
 TEST_F(PathNfaTest, ScratchStateSurvivesManyReads) {
   PathNfa nfa;
   nfa.Insert(Path("/a//b"), 0, 0);

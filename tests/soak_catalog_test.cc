@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "common/mutex.h"
 #include "core/engine.h"
 #include "storage/catalog_wal.h"
+#include "vfilter/vfilter_serde.h"
 #include "test_util.h"
 #include "xml/xml_parser.h"
 
@@ -255,6 +257,139 @@ TEST(CatalogSoak, PinnedSnapshotSurvivesMutation) {
   EXPECT_EQ(pinned->view_ids(), std::vector<int32_t>{*id});
 }
 
+bool SameState(const PathNfa::State& a, const PathNfa::State& b) {
+  const auto same_entry = [](const AcceptEntry& x, const AcceptEntry& y) {
+    return x.view_id == y.view_id && x.path_id == y.path_id &&
+           x.length == y.length && x.slot == y.slot;
+  };
+  return a.label_trans == b.label_trans && a.star_trans == b.star_trans &&
+         a.loop_states == b.loop_states && a.pred_trans == b.pred_trans &&
+         a.is_loop == b.is_loop && a.is_accepting == b.is_accepting &&
+         std::equal(a.accepts.begin(), a.accepts.end(), b.accepts.begin(),
+                    b.accepts.end(), same_entry);
+}
+
+// Snapshot isolation across table chunks: with 200 views every id table
+// spans four chunks of 64, and the NFA more than two. A pinned snapshot
+// keeps every pattern, fragment vector, VFILTER image byte and filter
+// result while views are added (to the last chunk) and removed (from the
+// first and a middle one); the live snapshot still shares every chunk no
+// mutation wrote.
+TEST(CatalogSoak, PinnedSnapshotIsolatedAcrossTableChunks) {
+  Engine engine(SoakDoc());
+  // Distinct paths of one to three steps, each kept if it has answers.
+  std::vector<std::string> xpaths;
+  std::vector<std::string> frontier = {""};
+  for (int depth = 0; depth < 3; ++depth) {
+    std::vector<std::string> longer;
+    for (const std::string& prefix : frontier) {
+      for (const char* axis : {"/", "//"}) {
+        for (const char* label : {"r", "s", "t", "p", "f", "u", "*"}) {
+          longer.push_back(prefix + axis + label);
+        }
+      }
+    }
+    xpaths.insert(xpaths.end(), longer.begin(), longer.end());
+    frontier = std::move(longer);
+  }
+  std::vector<std::string> added;
+  for (size_t i = 0; added.size() < 200 && i < xpaths.size(); ++i) {
+    if (engine.AddView(Parse(engine, xpaths[i])).ok()) {
+      added.push_back(xpaths[i]);
+    }
+  }
+  ASSERT_EQ(added.size(), 200u);
+  const CatalogRef pinned = engine.Catalog();
+  const CowTable<PathNfa::State>& pinned_states =
+      pinned->vfilter.nfa().states();
+  ASSERT_GT(pinned_states.size(), 2 * CowTable<PathNfa::State>::kChunkSize);
+
+  std::vector<std::string> keys;
+  std::vector<const std::vector<Fragment>*> fragments;
+  for (int32_t id = 0; id < 200; ++id) {
+    ASSERT_NE(pinned->view(id), nullptr);
+    keys.push_back(pinned->view(id)->CanonicalKey());
+    fragments.push_back(pinned->fragments.GetView(id));
+    ASSERT_NE(fragments.back(), nullptr);
+  }
+  const std::string image = SerializeVFilter(pinned->vfilter);
+  std::vector<TreePattern> queries;
+  std::vector<FilterResult> filtered;
+  for (const char* q : {"/r/s/p", "/r/s[p]/f", "/r/t/u", "//s/f"}) {
+    queries.push_back(Parse(engine, q));
+    filtered.push_back(pinned->vfilter.Filter(queries.back()));
+  }
+
+  for (const std::string& xpath : {std::string("/r/s[p]/f"),
+                                   std::string("/r/s[f]/p"),
+                                   std::string("/r[t/u]/s")}) {
+    ASSERT_TRUE(engine.AddView(Parse(engine, xpath)).ok()) << xpath;
+  }
+  ASSERT_TRUE(engine.RemoveView(5).ok());
+  ASSERT_TRUE(engine.RemoveView(100).ok());
+
+  // The pinned snapshot reads exactly what it read at pin time.
+  ASSERT_EQ(pinned->views.size(), 200u);
+  for (int32_t id = 0; id < 200; ++id) {
+    const size_t i = static_cast<size_t>(id);
+    ASSERT_NE(pinned->view(id), nullptr) << id;
+    EXPECT_EQ(pinned->view(id)->CanonicalKey(), keys[i]);
+    EXPECT_EQ(pinned->fragments.GetView(id), fragments[i]);
+  }
+  EXPECT_EQ(SerializeVFilter(pinned->vfilter), image);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const FilterResult now = pinned->vfilter.Filter(queries[i]);
+    EXPECT_EQ(now.candidates, filtered[i].candidates);
+    ASSERT_EQ(now.lists.size(), filtered[i].lists.size());
+    for (size_t l = 0; l < now.lists.size(); ++l) {
+      ASSERT_EQ(now.lists[l].size(), filtered[i].lists[l].size());
+      for (size_t e = 0; e < now.lists[l].size(); ++e) {
+        EXPECT_EQ(now.lists[l][e].view_id, filtered[i].lists[l][e].view_id);
+        EXPECT_EQ(now.lists[l][e].length, filtered[i].lists[l][e].length);
+      }
+    }
+  }
+
+  // The live snapshot moved on...
+  const CatalogRef live = engine.Catalog();
+  EXPECT_EQ(live->view(5), nullptr);
+  EXPECT_EQ(live->view(100), nullptr);
+  EXPECT_NE(live->view(202), nullptr);
+  EXPECT_EQ(live->fragments.GetView(100), nullptr);
+  // ...sharing the views chunk no mutation wrote (ids 128-191), and every
+  // fragment vector it kept.
+  for (int32_t id = 128; id < 192; ++id) {
+    EXPECT_EQ(live->view(id), pinned->view(id)) << id;
+  }
+  for (int32_t id = 0; id < 200; ++id) {
+    if (id != 5 && id != 100) {
+      EXPECT_EQ(live->fragments.GetView(id),
+                fragments[static_cast<size_t>(id)]);
+    }
+  }
+  // An NFA chunk whose states all read the same in both snapshots was never
+  // written, so it is still shared; at least one is.
+  const CowTable<PathNfa::State>& live_states = live->vfilter.nfa().states();
+  constexpr size_t kChunk = CowTable<PathNfa::State>::kChunkSize;
+  size_t shared_chunks = 0;
+  for (size_t begin = 0; begin + kChunk <= pinned_states.size();
+       begin += kChunk) {
+    bool unchanged = true;
+    for (size_t id = begin; id < begin + kChunk; ++id) {
+      unchanged = unchanged &&
+                  SameState(live_states[static_cast<StateId>(id)],
+                            pinned_states[static_cast<StateId>(id)]);
+    }
+    if (unchanged) {
+      ++shared_chunks;
+      EXPECT_EQ(&live_states[static_cast<StateId>(begin)],
+                &pinned_states[static_cast<StateId>(begin)])
+          << "chunk at state " << begin;
+    }
+  }
+  EXPECT_GE(shared_chunks, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // WAL format: round trip and torn tails.
 
@@ -352,6 +487,27 @@ class CatalogRecoveryTest : public ::testing::Test {
   std::string image_;
   std::string wal_;
 };
+
+// A logged add carries the id it was published under, which is always the
+// catalog's next id at that point. A record with any other id (a repeat,
+// a gap, or one far past every issued id) fails replay with PARSE_ERROR
+// instead of re-adding a view or sizing the id tables to it.
+TEST_F(CatalogRecoveryTest, ReplayRejectsAddsOutOfIdOrder) {
+  for (const int32_t bad_id : {0, 2, 2000000000}) {
+    std::remove(wal_.c_str());
+    {
+      auto wal = CatalogWal::Open(wal_, /*last_seq=*/0);
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE((*wal)->Append(CatalogWalOp::kAddView, 0, "/r/s/p").ok());
+      ASSERT_TRUE(
+          (*wal)->Append(CatalogWalOp::kAddView, bad_id, "/r/t/u").ok());
+    }
+    Engine engine(TinyDoc());
+    const Status replayed = engine.EnableCatalogWal(wal_);
+    EXPECT_EQ(replayed.code(), StatusCode::kParseError) << bad_id;
+    EXPECT_EQ(engine.view_ids(), std::vector<int32_t>{0}) << bad_id;
+  }
+}
 
 TEST_F(CatalogRecoveryTest, WalReplayRecoversUnsavedMutations) {
   int32_t kept = -1, churned = -1, late = -1;

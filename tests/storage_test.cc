@@ -252,7 +252,7 @@ TEST_F(FragmentTest, FragmentStorePersistence) {
   KvStore kv;
   ASSERT_TRUE(store.SaveTo(&kv).ok());
   FragmentStore loaded;
-  ASSERT_TRUE(loaded.LoadFrom(kv).ok());
+  ASSERT_TRUE(loaded.LoadFrom(kv, /*id_limit=*/10).ok());
   EXPECT_EQ(loaded.num_views(), 2u);
   ASSERT_NE(loaded.GetView(3), nullptr);
   EXPECT_EQ(loaded.GetView(3)->size(), store.GetView(3)->size());

@@ -81,8 +81,9 @@ TEST_F(VFilterSerdeTest, RejectsAcceptEntriesOutsideTheRegistry) {
   const auto load_with = [&](int32_t view_id, int32_t path_id) {
     VFilter filter;
     filter.AddView(0, Parse("/a[b]//c"));  // |D(V)| = 2
-    for (auto& state : filter.mutable_nfa().mutable_states()) {
-      if (!state.accepts.empty()) {
+    for (StateId s = 0; s < static_cast<StateId>(filter.num_states()); ++s) {
+      if (!filter.nfa().states()[s].accepts.empty()) {
+        PathNfa::State& state = filter.mutable_nfa().mutable_state(s);
         state.accepts.front().view_id = view_id;
         state.accepts.front().path_id = path_id;
         break;
