@@ -4,13 +4,17 @@
 //    homomorphism containment (§III-C claims normalization removes them);
 //  * prefix sharing on/off — automaton size (the §III-D space argument);
 //  * set-based vs counter-based NUM(V) candidate accounting (our fix vs the
-//    paper's literal Algorithm 1);
+//    paper's literal Algorithm 1, recomputed from the NFA's accepts);
 //  * heuristic vs minimum selection — fragment bytes touched by the chosen
 //    view sets (why HV beats MV in Fig. 8).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "pattern/homomorphism.h"
@@ -71,21 +75,40 @@ BENCHMARK(BM_Ablation_Normalization)
     ->Iterations(1);
 
 // --- prefix sharing ---------------------------------------------------------
+//
+// The trie against the automaton without sharing, which gives every indexed
+// path form a private chain off the start state: 1 plus the summed chain
+// lengths, each a fresh one-path NFA's state count minus its start state.
 
 void BM_Ablation_PrefixSharing(benchmark::State& state) {
   const bool share = state.range(0) != 0;
-  xvr::VFilterOptions options;
-  options.share_prefixes = share;
+  xvr_bench::FilterSetup& setup = xvr_bench::ViewScalingSetup();
   size_t states = 0;
   size_t bytes = 0;
   for (auto _ : state) {
-    auto filter = xvr_bench::BuildFilter(4000, options);
-    states = filter->num_states();
-    bytes = xvr::SerializedVFilterSize(*filter);
+    if (share) {
+      auto filter = xvr_bench::BuildFilter(4000);
+      states = filter->num_states();
+      bytes = xvr::SerializedVFilterSize(*filter);
+      continue;
+    }
+    states = 1;
+    for (size_t i = 0; i < 4000 && i < setup.views.size(); ++i) {
+      for (const xvr::PathPattern& path : xvr::Decompose(setup.views[i]).paths) {
+        xvr::ForEachPathForm(path, /*normalize=*/true,
+                             [&](const xvr::PathPattern& form) {
+                               xvr::PathNfa chain;
+                               chain.Insert(form, 0, 0);
+                               states += chain.num_states() - 1;
+                             });
+      }
+    }
   }
   state.SetLabel(share ? "shared" : "unshared");
   state.counters["states"] = static_cast<double>(states);
-  state.counters["size_kb"] = static_cast<double>(bytes) / 1024.0;
+  if (share) {
+    state.counters["size_kb"] = static_cast<double>(bytes) / 1024.0;
+  }
 }
 BENCHMARK(BM_Ablation_PrefixSharing)
     ->Arg(1)
@@ -94,31 +117,53 @@ BENCHMARK(BM_Ablation_PrefixSharing)
     ->Iterations(1);
 
 // --- NUM(V) accounting ------------------------------------------------------
+//
+// Algorithm 1's literal counter: NUM(V) counts V's distinct (view path,
+// query path) acceptances, and V is a candidate when NUM(V) = |D(V)|.
+// Recomputed from the accept entries each query path's reads reach in
+// Filter's NFA, and compared with Filter's per-path coverage: one view path
+// accepting two query paths makes the counter over- or under-select.
 
 void BM_Ablation_CounterMode(benchmark::State& state) {
-  const bool counter = state.range(0) != 0;
   xvr_bench::FilterSetup& setup = xvr_bench::ViewScalingSetup();
-  xvr::VFilterOptions options;
-  options.counter_mode = counter;
-  auto filter = xvr_bench::BuildFilter(2000, options);
-  auto reference = xvr_bench::BuildFilter(2000);  // set-based ground truth
-
+  auto filter = xvr_bench::BuildFilter(2000);
+  xvr::NfaReadScratch scratch;
+  std::vector<const xvr::AcceptEntry*> hits;
   size_t disagreements = 0;
   for (auto _ : state) {
     disagreements = 0;
     for (size_t qi = 0; qi < 200; ++qi) {
-      if (filter->Filter(setup.views[qi]).candidates !=
-          reference->Filter(setup.views[qi]).candidates) {
+      const xvr::TreePattern& query = setup.views[qi];
+      std::map<int32_t, int32_t> num;  // view id -> NUM(V)
+      for (const xvr::PathPattern& path : xvr::Decompose(query).paths) {
+        std::vector<std::vector<int32_t>> reads;
+        xvr::AppendStructuralReads(path, filter->options().normalize, &reads);
+        std::set<std::pair<int32_t, int32_t>> accepted;  // (view, view path)
+        for (const std::vector<int32_t>& tokens : reads) {
+          filter->nfa().Read(tokens, &hits, &scratch);
+          for (const xvr::AcceptEntry* e : hits) {
+            accepted.emplace(e->view_id, e->path_id);
+          }
+        }
+        for (const auto& [view_id, path_id] : accepted) {
+          ++num[view_id];
+        }
+      }
+      std::vector<int32_t> counter_candidates;
+      for (const auto& [view_id, count] : num) {
+        if (count == filter->NumPathsOf(view_id)) {
+          counter_candidates.push_back(view_id);
+        }
+      }
+      if (counter_candidates != filter->Filter(query, &scratch).candidates) {
         ++disagreements;
       }
     }
   }
-  state.SetLabel(counter ? "counter" : "set");
+  state.SetLabel("counter");
   state.counters["queries_diverging"] = static_cast<double>(disagreements);
 }
 BENCHMARK(BM_Ablation_CounterMode)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

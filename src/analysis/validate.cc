@@ -312,44 +312,38 @@ Status ValidateVFilter(const VFilter& filter) {
   std::map<std::pair<int32_t, int32_t>, int> registrations;
   for (const auto& [si, s] : states) {
     const std::string where = "NFA state " + std::to_string(si);
-    for (const auto& [label, targets] : s.label_trans) {
+    for (const auto& [label, t] : s.label_trans) {
       if (label < 0 && label != kWildcardLabel) {
         return Violation(where + ": transition on invalid label " +
                          std::to_string(label));
       }
-      for (const StateId t : targets) {
-        if (!in_range(t)) {
-          return Violation(where + ": dangling label transition to state " +
-                           std::to_string(t));
-        }
-      }
-    }
-    for (const StateId t : s.star_trans) {
       if (!in_range(t)) {
-        return Violation(where + ": dangling '*' transition to state " +
+        return Violation(where + ": dangling label transition to state " +
                          std::to_string(t));
       }
     }
-    for (const StateId t : s.loop_states) {
-      if (!in_range(t)) {
+    if (s.star_trans != kNoState && !in_range(s.star_trans)) {
+      return Violation(where + ": dangling '*' transition to state " +
+                       std::to_string(s.star_trans));
+    }
+    if (s.loop_state != kNoState) {
+      if (!in_range(s.loop_state)) {
         return Violation(where + ": dangling '//' loop edge to state " +
-                         std::to_string(t));
+                         std::to_string(s.loop_state));
       }
-      if (!states[t].is_loop) {
+      if (!states[s.loop_state].is_loop) {
         return Violation(where + ": loop edge to non-loop state " +
-                         std::to_string(t));
+                         std::to_string(s.loop_state));
       }
     }
-    for (const auto& [token, targets] : s.pred_trans) {
+    for (const auto& [token, t] : s.pred_trans) {
       if (!IsPredToken(token)) {
         return Violation(where + ": pred transition on non-pred token " +
                          std::to_string(token));
       }
-      for (const StateId t : targets) {
-        if (!in_range(t)) {
-          return Violation(where + ": dangling pred transition to state " +
-                           std::to_string(t));
-        }
+      if (!in_range(t)) {
+        return Violation(where + ": dangling pred transition to state " +
+                         std::to_string(t));
       }
     }
     if (s.is_accepting != !s.accepts.empty()) {

@@ -133,27 +133,6 @@ int SweepStaleTemps(const std::string& path, Env* env) {
   return removed;
 }
 
-Status AppendToFileOnce(const std::string& path, const std::string& bytes,
-                        const char* fault_point, Env* env) {
-#if defined(XVR_FAULTS)
-  if (fault_point != nullptr &&
-      FaultInjector::Instance().ShouldFire(fault_point)) {
-    return Status::IoError(std::string("injected: ") + fault_point + " " +
-                           path);
-  }
-#else
-  (void)fault_point;
-#endif
-  std::unique_ptr<WritableFile> file;
-  auto opened = env->NewWritableFile(path, WriteMode::kAppend);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  file = std::move(opened).value();
-  XVR_RETURN_IF_ERROR(file->Append(bytes));
-  return file->Close();
-}
-
 }  // namespace
 
 uint64_t DeriveJitterSeed() {
@@ -218,16 +197,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes,
     *stale_tmps_removed = swept;
   }
   return Status::Ok();
-}
-
-Status AppendToFile(const std::string& path, const std::string& bytes,
-                    const char* fault_point, const RetryPolicy& retry,
-                    Env* env) {
-  if (env == nullptr) {
-    env = DefaultEnv();
-  }
-  return WithRetry(
-      retry, [&] { return AppendToFileOnce(path, bytes, fault_point, env); });
 }
 
 }  // namespace xvr

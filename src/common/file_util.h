@@ -109,18 +109,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes,
                        const RetryPolicy& retry = RetryPolicy(),
                        Env* env = nullptr, int* stale_tmps_removed = nullptr);
 
-// Appends `bytes` to `path` (creating it if absent), retrying per `retry`.
-// `fault_point`, when non-null, names the XVR_FAULT_POINT evaluated once
-// per attempt (so tests can fail the first N attempts and let the retry
-// succeed). NOT atomic and NOT synced: a crash mid-append leaves a torn —
-// possibly volatile — tail, which append-log writers must bound with their
-// own WritableFile::Sync (the catalog WAL fdatasyncs before acking) and
-// readers must detect via record checksums.
-Status AppendToFile(const std::string& path, const std::string& bytes,
-                    const char* fault_point = nullptr,
-                    const RetryPolicy& retry = RetryPolicy(),
-                    Env* env = nullptr);
-
 }  // namespace xvr
 
 #endif  // XVR_COMMON_FILE_UTIL_H_

@@ -532,8 +532,7 @@ ServerStats Engine::ServerStats() const {
       metrics_->queries_degraded_selection->Value();
   out.queries_degraded_unfiltered =
       metrics_->queries_degraded_unfiltered->Value();
-  // From the cache itself, not the mirrored counters: correct even while
-  // the registry is disabled.
+  // From the cache itself: publish_entries_swept has no mirrored counter.
   if (plan_cache_ != nullptr) {
     out.plan_cache = plan_cache_->stats();
   }

@@ -26,7 +26,7 @@ namespace {
 // aborts with the summary); certified/inconclusive verdicts only feed the
 // xvr.certify.* counters.
 Status CertifyPlanHook(const QueryPlan& plan, const CatalogSnapshot& catalog,
-                       const LabelDict& dict, const EngineMetrics* metrics) {
+                       const LabelDict& dict, const EngineMetrics& metrics) {
   CertifyOptions options;
   options.dict = &dict;
   const ViewLookup lookup = catalog.MakeLookup();
@@ -34,22 +34,19 @@ Status CertifyPlanHook(const QueryPlan& plan, const CatalogSnapshot& catalog,
     return catalog.IsViewPartial(id);
   };
   const Certificate cert = CertifyPlan(plan, lookup, is_partial, options);
-  if (metrics != nullptr) {
-    switch (cert.verdict) {
-      case CertifyVerdict::kCertified:
-        metrics->certify_certified->Add();
-        break;
-      case CertifyVerdict::kInconclusive:
-        metrics->certify_inconclusive->Add();
-        break;
-      case CertifyVerdict::kRejected:
-        metrics->certify_rejected->Add();
-        break;
-    }
-    if (cert.escalations > 0) {
-      metrics->certify_escalated->Add(
-          static_cast<uint64_t>(cert.escalations));
-    }
+  switch (cert.verdict) {
+    case CertifyVerdict::kCertified:
+      metrics.certify_certified->Add();
+      break;
+    case CertifyVerdict::kInconclusive:
+      metrics.certify_inconclusive->Add();
+      break;
+    case CertifyVerdict::kRejected:
+      metrics.certify_rejected->Add();
+      break;
+  }
+  if (cert.escalations > 0) {
+    metrics.certify_escalated->Add(static_cast<uint64_t>(cert.escalations));
   }
   if (cert.verdict == CertifyVerdict::kRejected) {
     return Status::Internal("plan failed certification: " + cert.Summary());
@@ -65,6 +62,7 @@ QueryPipeline::QueryPipeline(Deps deps) : deps_(std::move(deps)) {
   XVR_CHECK(deps_.base != nullptr);
   XVR_CHECK(deps_.doc != nullptr);
   XVR_CHECK(deps_.catalog != nullptr);
+  XVR_CHECK(deps_.metrics != nullptr);
 }
 
 Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
@@ -105,7 +103,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
       }
       XVR_DEBUG_VALIDATE(CertifyPlanHook(*cached, catalog,
                                          deps_.doc->labels(),
-                                         deps_.metrics));
+                                         *deps_.metrics));
       return cached;
     }
   }
@@ -132,7 +130,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
   XVR_DEBUG_VALIDATE(ValidateTreePattern(plan.query));
   auto shared = std::make_shared<const QueryPlan>(std::move(plan));
   XVR_DEBUG_VALIDATE(CertifyPlanHook(*shared, catalog, deps_.doc->labels(),
-                                     deps_.metrics));
+                                     *deps_.metrics));
   // A degraded plan reflects this call's deadline, not the query: callers
   // with ample time must not inherit its greedy fallback, so it is never
   // cached.
@@ -238,42 +236,41 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
   // rewinding the arena here makes the footprint below this call's alone.
   ctx->rewrite_scratch.Reset();
   Result<QueryAnswer> answer = AnswerTraced(query, strategy, ctx);
-  if (const EngineMetrics* m = deps_.metrics) {
-    m->queries_total->Add();
-    if (answer.ok()) {
-      m->queries_ok->Add();
-      if (answer->stats.degraded_selection) {
-        m->queries_degraded_selection->Add();
-      }
-      if (answer->stats.degraded_unfiltered) {
-        m->queries_degraded_unfiltered->Add();
-      }
-    } else {
-      m->queries_failed->Add();
-      switch (answer.status().code()) {
-        case StatusCode::kDeadlineExceeded:
-          m->queries_deadline_exceeded->Add();
-          break;
-        case StatusCode::kCancelled:
-          m->queries_cancelled->Add();
-          break;
-        case StatusCode::kResourceExhausted:
-          m->queries_budget_exhausted->Add();
-          break;
-        default:
-          break;
-      }
+  const EngineMetrics& m = *deps_.metrics;
+  m.queries_total->Add();
+  if (answer.ok()) {
+    m.queries_ok->Add();
+    if (answer->stats.degraded_selection) {
+      m.queries_degraded_selection->Add();
     }
-    m->RollUpTrace(ctx->trace);
-    // Arena footprint of this query (last-writer-wins across contexts; the
-    // high-water gauge ratchets over this engine's queries only, not over
-    // the arena's, which a thread shares between engines).
-    const int64_t used =
-        static_cast<int64_t>(ctx->rewrite_scratch.arena.bytes_allocated());
-    m->arena_bytes_allocated->Set(used);
-    if (used > m->arena_high_water->Value()) {
-      m->arena_high_water->Set(used);
+    if (answer->stats.degraded_unfiltered) {
+      m.queries_degraded_unfiltered->Add();
     }
+  } else {
+    m.queries_failed->Add();
+    switch (answer.status().code()) {
+      case StatusCode::kDeadlineExceeded:
+        m.queries_deadline_exceeded->Add();
+        break;
+      case StatusCode::kCancelled:
+        m.queries_cancelled->Add();
+        break;
+      case StatusCode::kResourceExhausted:
+        m.queries_budget_exhausted->Add();
+        break;
+      default:
+        break;
+    }
+  }
+  m.RollUpTrace(ctx->trace);
+  // Arena footprint of this query (last-writer-wins across contexts; the
+  // high-water gauge ratchets over this engine's queries only, not over
+  // the arena's, which a thread shares between engines).
+  const int64_t used =
+      static_cast<int64_t>(ctx->rewrite_scratch.arena.bytes_allocated());
+  m.arena_bytes_allocated->Set(used);
+  if (used > m.arena_high_water->Value()) {
+    m.arena_high_water->Set(used);
   }
   return answer;
 }
@@ -293,11 +290,9 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
   }
   // Queue-wait accounting: every query "arrives" when the batch is
   // submitted, so its wait is pickup time minus batch start.
-  const EngineMetrics* metrics = deps_.metrics;
-  if (metrics != nullptr) {
-    metrics->batch_queries->Add(queries.size());
-  }
-  const int64_t batch_start_nanos = metrics != nullptr ? MonotonicNanos() : 0;
+  const EngineMetrics& metrics = *deps_.metrics;
+  metrics.batch_queries->Add(queries.size());
+  const int64_t batch_start_nanos = MonotonicNanos();
 
   // Build any lazily-constructed shared state up front so workers only ever
   // read it.
@@ -317,10 +312,8 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     ExecutionContext ctx;
     ctx.limits = limits;
     for (size_t i = 0; i < queries.size(); ++i) {
-      if (metrics != nullptr) {
-        metrics->batch_queue_wait->RecordNanos(MonotonicNanos() -
-                                               batch_start_nanos);
-      }
+      metrics.batch_queue_wait->RecordNanos(MonotonicNanos() -
+                                            batch_start_nanos);
       results[i] = Answer(queries[i], strategy, &ctx);
     }
     return results;
@@ -333,10 +326,8 @@ std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < queries.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (metrics != nullptr) {
-        metrics->batch_queue_wait->RecordNanos(MonotonicNanos() -
-                                               batch_start_nanos);
-      }
+      metrics.batch_queue_wait->RecordNanos(MonotonicNanos() -
+                                            batch_start_nanos);
       results[i] = Answer(queries[i], strategy, &ctx);
     }
   };

@@ -81,8 +81,8 @@ class QueryPipeline {
     const BaseEvaluator* base = nullptr;
     const XmlTree* doc = nullptr;
     std::function<CatalogRef()> catalog;
-    // Engine-wide metrics; nullptr disables pipeline-level recording
-    // entirely (the plan cache binds its own counters separately).
+    // Engine-wide metrics, never null (the plan cache binds its own
+    // counters separately).
     const EngineMetrics* metrics = nullptr;
   };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "pattern/normalize.h"
 #include "pattern/path_pattern.h"
 
 namespace xvr {
@@ -26,21 +25,12 @@ PlanDependencies BuildPlanDependencies(const TreePattern& query,
   deps.views = std::move(views);
   const Decomposition decomposition = Decompose(query);
   deps.leaf_streams.reserve(decomposition.paths.size());
-  // Mirror VFilter::Filter's read union per path: the normalized stream,
-  // plus the raw stream when it differs (or just the raw stream when the
-  // filter does not normalize). Streams are structural (no pred tokens):
-  // the one-view NFA carries no required pred transitions, to which pred
-  // tokens are invisible, so the reads are equivalent.
-  for (const PathPattern& raw : decomposition.paths) {
-    if (options.normalize) {
-      const PathPattern normalized = NormalizePath(raw);
-      deps.leaf_streams.push_back(PathToTokens(normalized));
-      if (!(normalized == raw)) {
-        deps.leaf_streams.push_back(PathToTokens(raw));
-      }
-    } else {
-      deps.leaf_streams.push_back(PathToTokens(raw));
-    }
+  // Mirror VFilter::Filter's read union per path, one stream per form.
+  // Streams are structural (no pred tokens): the one-view NFA carries no
+  // required pred transitions, to which pred tokens are invisible, so the
+  // reads are equivalent.
+  for (const PathPattern& path : decomposition.paths) {
+    AppendStructuralReads(path, options.normalize, &deps.leaf_streams);
   }
   for (const std::vector<int32_t>& stream : deps.leaf_streams) {
     for (const int32_t token : stream) {
@@ -68,14 +58,9 @@ ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view,
       }
     }
     pub.path_label_masks.push_back(mask);
-    const int32_t path_id = static_cast<int32_t>(i);
-    pub.nfa.Insert(raw, view_id, path_id);
-    if (options.normalize) {
-      const PathPattern normalized = NormalizePath(raw);
-      if (!(normalized == raw)) {
-        pub.nfa.Insert(normalized, view_id, path_id);
-      }
-    }
+    ForEachPathForm(raw, options.normalize, [&](const PathPattern& form) {
+      pub.nfa.Insert(form, view_id, static_cast<int32_t>(i));
+    });
   }
   return pub;
 }

@@ -28,13 +28,13 @@
 //    homomorphism, so it can neither enter the candidate set nor cover any
 //    query leaf — it cannot change a filtered plan's candidates, improve a
 //    minimum cover, or make an unanswerable query answerable.
-//  - The one-view NFA indexes the view's paths raw + normalized exactly
-//    like VFilter::AddView, and the cached streams are exactly what
-//    Filter reads, so the level-2 test reproduces real candidacy. The
-//    level-1 label bloom only rejects when some view path carries a
-//    literal label the query streams never mention — such a path can
-//    accept no query stream (a label transition consumes only its own
-//    token), so bloom rejects are exact, never optimistic.
+//  - The one-view NFA indexes every form of the view's paths exactly like
+//    VFilter::AddView, and the cached streams are exactly what Filter
+//    reads (both through ForEachPathForm), so the level-2 test reproduces
+//    real candidacy. The level-1 label bloom only rejects when some view
+//    path carries a literal label the query streams never mention — such
+//    a path can accept no query stream (a label transition consumes only
+//    its own token), so bloom rejects are exact, never optimistic.
 //  - Value predicates (VFilterOptions::index_attributes) are modeled
 //    structurally: the one-view NFA carries no required pred transitions,
 //    which can only widen its accepting set versus the real filter —
@@ -62,8 +62,7 @@ struct PlanDependencies {
   // The positive dependency set, sorted ascending, deduplicated.
   std::vector<int32_t> views;
   // The negative fingerprint: per decomposed query path, the exact token
-  // streams Filter read (normalized form, plus the raw form when it
-  // differs).
+  // streams Filter read (one per form, see ForEachPathForm).
   std::vector<std::vector<int32_t>> leaf_streams;
   // Bloom over every literal label token in leaf_streams (bit token % 64).
   uint64_t label_mask = 0;
@@ -89,8 +88,8 @@ struct ViewPublication {
   // token % 64). A plan whose streams lack one of them cannot be accepted
   // by that path.
   std::vector<uint64_t> path_label_masks;
-  // The view's paths, raw + normalized-if-different under a shared
-  // path_id — the same indexing VFilter::AddView performs.
+  // Every form of each of the view's paths under the path's id — the same
+  // indexing VFilter::AddView performs.
   PathNfa nfa;
 };
 

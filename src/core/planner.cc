@@ -53,6 +53,34 @@ FilterResult UnfilteredFallback(const TreePattern& query,
   return result;
 }
 
+// The filter step of the filtered strategies (MV, HV, HB), timed as
+// plan.filter. A fault-injected VFILTER outage degrades to planning over
+// the whole catalog; `candidates_out` then stays untouched, since the
+// fallback's "candidates" are no dependency set.
+Result<FilterResult> FilterStep(const CatalogSnapshot& catalog,
+                                const TreePattern& query, AnswerStats* stats,
+                                NfaReadScratch* scratch,
+                                const QueryLimits& limits, Trace* trace,
+                                std::vector<int32_t>* candidates_out) {
+  ScopedSpan filter_span(trace, "plan.filter");
+  bool filter_poisoned = false;
+  XVR_FAULT_POINT("planner.filter", filter_poisoned = true);
+  FilterResult filtered;
+  if (filter_poisoned) {
+    stats->degraded_unfiltered = true;
+    filtered = UnfilteredFallback(query, catalog.view_ids());
+  } else {
+    XVR_ASSIGN_OR_RETURN(filtered,
+                         catalog.vfilter.Filter(query, scratch, limits));
+  }
+  stats->filter_micros = filter_span.StopMicros();
+  stats->candidates_after_filter = filtered.candidates.size();
+  if (candidates_out != nullptr && !filter_poisoned) {
+    *candidates_out = filtered.candidates;
+  }
+  return filtered;
+}
+
 }  // namespace
 
 const char* AnswerStrategyName(AnswerStrategy strategy) {
@@ -136,23 +164,10 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       return selection;
     }
     case AnswerStrategy::kMinimumFiltered: {
-      ScopedSpan filter_span(trace, "plan.filter");
-      bool filter_poisoned = false;
-      XVR_FAULT_POINT("planner.filter", filter_poisoned = true);
       FilterResult filtered;
-      if (filter_poisoned) {
-        // Fault-injected VFILTER outage: plan over the whole catalog.
-        stats->degraded_unfiltered = true;
-        filtered = UnfilteredFallback(query, catalog.view_ids());
-      } else {
-        XVR_ASSIGN_OR_RETURN(
-            filtered, catalog.vfilter.Filter(query, scratch, limits));
-      }
-      stats->filter_micros = filter_span.StopMicros();
-      stats->candidates_after_filter = filtered.candidates.size();
-      if (candidates_out != nullptr && !filter_poisoned) {
-        *candidates_out = filtered.candidates;
-      }
+      XVR_ASSIGN_OR_RETURN(filtered,
+                           FilterStep(catalog, query, stats, scratch, limits,
+                                      trace, candidates_out));
       ScopedSpan selection_span(trace, "plan.selection");
       Result<SelectionResult> selection =
           SelectMinimum(query, filtered.candidates, lookup,
@@ -174,22 +189,10 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
     }
     case AnswerStrategy::kHeuristicFiltered:
     case AnswerStrategy::kHeuristicSmallFragments: {
-      ScopedSpan filter_span(trace, "plan.filter");
-      bool filter_poisoned = false;
-      XVR_FAULT_POINT("planner.filter", filter_poisoned = true);
       FilterResult filtered;
-      if (filter_poisoned) {
-        stats->degraded_unfiltered = true;
-        filtered = UnfilteredFallback(query, catalog.view_ids());
-      } else {
-        XVR_ASSIGN_OR_RETURN(
-            filtered, catalog.vfilter.Filter(query, scratch, limits));
-      }
-      stats->filter_micros = filter_span.StopMicros();
-      stats->candidates_after_filter = filtered.candidates.size();
-      if (candidates_out != nullptr && !filter_poisoned) {
-        *candidates_out = filtered.candidates;
-      }
+      XVR_ASSIGN_OR_RETURN(filtered,
+                           FilterStep(catalog, query, stats, scratch, limits,
+                                      trace, candidates_out));
       ScopedSpan selection_span(trace, "plan.selection");
       HeuristicOptions options;
       options.is_partial = is_partial;

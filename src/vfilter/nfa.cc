@@ -16,36 +16,32 @@ StateId PathNfa::NewState() {
   return id;
 }
 
-StateId PathNfa::Step(StateId from, const PathStep& step, bool share) {
-  // '//' steps hang off a loop state of `from`.
+StateId PathNfa::Step(StateId from, const PathStep& step) {
+  // '//' steps hang off the loop state of `from`.
   StateId source = from;
   if (step.axis == Axis::kDescendant) {
-    StateId loop = kNoState;
-    if (share && !states_[from].loop_states.empty()) {
-      loop = states_[from].loop_states.front();
-    } else {
-      loop = NewState();
-      states_.Mutable(loop).is_loop = true;
-      states_.Mutable(from).loop_states.push_back(loop);
+    source = states_[from].loop_state;
+    if (source == kNoState) {
+      source = NewState();
+      states_.Mutable(source).is_loop = true;
+      states_.Mutable(from).loop_state = source;
     }
-    source = loop;
   }
   if (step.label == kWildcardLabel) {
-    const std::vector<StateId>& stars = states_[source].star_trans;
-    if (share && !stars.empty()) {
-      return stars.front();
+    StateId next = states_[source].star_trans;
+    if (next == kNoState) {
+      next = NewState();
+      states_.Mutable(source).star_trans = next;
     }
-    const StateId next = NewState();
-    states_.Mutable(source).star_trans.push_back(next);
     return next;
   }
   const auto& trans = states_[source].label_trans;
-  auto it = trans.find(step.label);
-  if (share && it != trans.end() && !it->second.empty()) {
-    return it->second.front();
+  const auto it = trans.find(step.label);
+  if (it != trans.end()) {
+    return it->second;
   }
   const StateId next = NewState();
-  states_.Mutable(source).label_trans[step.label].push_back(next);
+  states_.Mutable(source).label_trans.emplace(step.label, next);
   NoteTransition(source, step.label, next);
   return next;
 }
@@ -56,15 +52,14 @@ void PathNfa::BuildDenseFor(StateId s) {
     dense_index_.resize(states_.size(), -1);
   }
   std::vector<StateId> table;
-  for (const auto& [label, targets] : state.label_trans) {
-    if (label < 0 || targets.empty()) {
+  for (const auto& [label, target] : state.label_trans) {
+    if (label < 0) {
       continue;
     }
     if (static_cast<size_t>(label) >= table.size()) {
       table.resize(static_cast<size_t>(label) + 1, kNoState);
     }
-    table[static_cast<size_t>(label)] =
-        targets.size() == 1 ? targets.front() : kMultiTarget;
+    table[static_cast<size_t>(label)] = target;
   }
   dense_index_[static_cast<size_t>(s)] =
       static_cast<int32_t>(dense_tables_.size());
@@ -91,8 +86,7 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
   if (static_cast<size_t>(label) >= dense.size()) {
     dense.resize(static_cast<size_t>(label) + 1, kNoState);
   }
-  StateId& entry = dense[static_cast<size_t>(label)];
-  entry = entry == kNoState ? to : kMultiTarget;
+  dense[static_cast<size_t>(label)] = to;
 }
 
 void PathNfa::ResetStates(size_t num_states) {
@@ -113,23 +107,23 @@ void PathNfa::RebuildDispatch() {
 }
 
 void PathNfa::Insert(const PathPattern& path, int32_t view_id,
-                     int32_t path_id, bool share_prefixes,
-                     const PredInterner& pred_intern, int32_t slot) {
+                     int32_t path_id, const PredInterner& pred_intern,
+                     int32_t slot) {
   XVR_CHECK(!path.empty()) << "cannot insert an empty path pattern";
   StateId cur = start();
   for (const PathStep& step : path.steps()) {
-    cur = Step(cur, step, share_prefixes);
+    cur = Step(cur, step);
     if (step.pred.has_value() && pred_intern) {
       // The continuation of a predicated step hangs off the required pred
       // transition.
       const int32_t token = PredTokenFor(pred_intern(*step.pred));
       const auto& pred_trans = states_[cur].pred_trans;
-      auto it = pred_trans.find(token);
-      if (share_prefixes && it != pred_trans.end() && !it->second.empty()) {
-        cur = it->second.front();
+      const auto it = pred_trans.find(token);
+      if (it != pred_trans.end()) {
+        cur = it->second;
       } else {
         const StateId next = NewState();
-        states_.Mutable(cur).pred_trans[token].push_back(next);
+        states_.Mutable(cur).pred_trans.emplace(token, next);
         cur = next;
       }
     }
@@ -204,18 +198,18 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
     if (scratch->mark[static_cast<size_t>(id)] != scratch->epoch) {
       scratch->mark[static_cast<size_t>(id)] = scratch->epoch;
       const bool has_outgoing = s.is_loop || !s.label_trans.empty() ||
-                                !s.star_trans.empty() ||
-                                !s.loop_states.empty() ||
+                                s.star_trans != kNoState ||
+                                s.loop_state != kNoState ||
                                 !s.pred_trans.empty();
       if (has_outgoing) {
         set->push_back(id);
       }
-      // Epsilon closure: entering a state also arms its '//' loop states.
-      for (StateId loop : s.loop_states) {
-        if (scratch->mark[static_cast<size_t>(loop)] != scratch->epoch) {
-          scratch->mark[static_cast<size_t>(loop)] = scratch->epoch;
-          set->push_back(loop);
-        }
+      // Epsilon closure: entering a state also arms its '//' loop state.
+      const StateId loop = s.loop_state;
+      if (loop != kNoState &&
+          scratch->mark[static_cast<size_t>(loop)] != scratch->epoch) {
+        scratch->mark[static_cast<size_t>(loop)] = scratch->epoch;
+        set->push_back(loop);
       }
     }
   };
@@ -240,11 +234,9 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
         // contains the query)...
         add(&scratch->next, id);
         // ...and advance the views that require exactly this predicate.
-        auto it = s.pred_trans.find(token);
+        const auto it = s.pred_trans.find(token);
         if (it != s.pred_trans.end()) {
-          for (StateId t : it->second) {
-            add(&scratch->next, t);
-          }
+          add(&scratch->next, it->second);
         }
         continue;
       }
@@ -254,41 +246,31 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
       if (token != kWildcardLabel) {
         // Dense dispatch: one array load instead of a hash probe for the
         // high-fanout states (the trie's first levels, where every read
-        // spends its first tokens). kMultiTarget and sub-threshold states
-        // fall back to the sparse map.
+        // spends its first tokens). Sub-threshold states use the sparse map.
         const int32_t table = static_cast<size_t>(id) < dense_index_.size()
                                   ? dense_index_[static_cast<size_t>(id)]
                                   : -1;
+        StateId target = kNoState;
         if (table >= 0) {
           const std::vector<StateId>& dense =
               dense_tables_[static_cast<size_t>(table)];
-          const StateId entry =
-              token >= 0 && static_cast<size_t>(token) < dense.size()
-                  ? dense[static_cast<size_t>(token)]
-                  : kNoState;
-          if (entry == kMultiTarget) {
-            auto it = s.label_trans.find(token);
-            if (it != s.label_trans.end()) {
-              for (StateId t : it->second) {
-                add(&scratch->next, t);
-              }
-            }
-          } else if (entry != kNoState) {
-            add(&scratch->next, entry);
+          if (token >= 0 && static_cast<size_t>(token) < dense.size()) {
+            target = dense[static_cast<size_t>(token)];
           }
         } else {
-          auto it = s.label_trans.find(token);
+          const auto it = s.label_trans.find(token);
           if (it != s.label_trans.end()) {
-            for (StateId t : it->second) {
-              add(&scratch->next, t);
-            }
+            target = it->second;
           }
+        }
+        if (target != kNoState) {
+          add(&scratch->next, target);
         }
       }
       // A '*' edge of a view consumes any label token and the '*' token; an
       // exact-label edge never consumes '*' (view /l does not contain /*).
-      for (StateId t : s.star_trans) {
-        add(&scratch->next, t);
+      if (s.star_trans != kNoState) {
+        add(&scratch->next, s.star_trans);
       }
     }
     scratch->current.swap(scratch->next);
@@ -302,16 +284,9 @@ size_t PathNfa::num_transitions() const {
   size_t count = 0;
   for (const auto& [id, s] : states_) {
     (void)id;
-    for (const auto& [label, targets] : s.label_trans) {
-      (void)label;
-      count += targets.size();
-    }
-    for (const auto& [token, targets] : s.pred_trans) {
-      (void)token;
-      count += targets.size();
-    }
-    count += s.star_trans.size();
-    count += s.loop_states.size();  // the epsilon edges
+    count += s.label_trans.size() + s.pred_trans.size();
+    if (s.star_trans != kNoState) ++count;
+    if (s.loop_state != kNoState) ++count;     // the epsilon edge
     if (s.is_loop || s.is_accepting) ++count;  // the self-loop
   }
   return count;

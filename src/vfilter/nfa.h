@@ -14,13 +14,10 @@
 //          including '#'), then a transition on l
 //   //*  : the self-loop state, then a '*' transition
 // Fragments are concatenated along the trie of path patterns so common
-// prefixes share states; accepting states additionally self-loop on every
-// token ("accepts any label or edge"), so a longer query path stays accepted
-// by a shorter view path it extends.
-//
-// Transitions are multi-target so the prefix-sharing ablation can insert
-// genuinely parallel chains; with sharing on, each symbol has at most one
-// target per state and the structure is a trie.
+// prefixes share states: each state has at most one target per label, one
+// per pred token, one '*' target and one '//' loop state. Accepting states
+// additionally self-loop on every token ("accepts any label or edge"), so a
+// longer query path stays accepted by a shorter view path it extends.
 //
 // States live in a copy-on-write table indexed by state id
 // (common/cow_table.h): a catalog snapshot's copy of the NFA shares every
@@ -50,10 +47,6 @@ namespace xvr {
 
 using StateId = int32_t;
 inline constexpr StateId kNoState = -1;
-// Dense-table sentinel: this label has several targets at this state, fall
-// back to the sparse map (prefix-sharing ablation only; with sharing on
-// every (state, label) has at most one target).
-inline constexpr StateId kMultiTarget = -2;
 
 // Pred tokens are kPredTokenBase - pred_id (pred ids interned by VFilter).
 inline constexpr int32_t kPredTokenBase = -1000;
@@ -89,23 +82,18 @@ struct NfaReadScratch {
   std::vector<StateId> current;
   std::vector<StateId> next;
   // VFilter::Filter's per-query-path buffers: the token strings read into
-  // the NFA (normalized form, plus the raw form when it differs), the
-  // accept entries a read reached, and the (slot, path) pairs of path ids
-  // >= 64 already counted for the current query path (counter mode only;
-  // smaller ids dedupe through path_bits).
+  // the NFA (one per form of the path, see ForEachPathForm) and the accept
+  // entries a read reached.
   std::vector<std::vector<int32_t>> read_tokens;
   std::vector<const AcceptEntry*> hits;
-  std::vector<int64_t> pairs_hit;
   // VFilter::Filter's bookkeeping for one view, indexed by its slot. A
   // field is valid only while its stamp matches the current call or query
   // path; Filter draws both kinds of stamp from `filter_stamp`.
   struct SlotRecord {
-    uint32_t call = 0;       // the Filter call that last touched the slot
-    uint32_t path = 0;       // the query path that last touched it
-    uint64_t mask = 0;       // view paths (ids < 64) accepted in this call
-    uint64_t path_bits = 0;  // ... by the current query path
-    int32_t counter = 0;     // distinct (view path, query path) pairs
-    int32_t list_pos = 0;    // the slot's entry in the current LIST(P_i)
+    uint32_t call = 0;     // the Filter call that last touched the slot
+    uint32_t path = 0;     // the query path that last touched it
+    uint64_t mask = 0;     // view paths (ids < 64) accepted in this call
+    int32_t list_pos = 0;  // the slot's entry in the current LIST(P_i)
   };
   std::vector<SlotRecord> slot_records;
   std::vector<int32_t> touched_slots;  // slots touched by this call
@@ -119,14 +107,12 @@ class PathNfa {
   // Interns a value predicate into a pred id (attribute extension).
   using PredInterner = std::function<int32_t(const ValuePredicate&)>;
 
-  // Inserts the (already normalized) path pattern of view `view_id`. When
-  // `share_prefixes` is false a private chain of states is created for the
-  // whole path (ablation baseline for the paper's prefix-sharing claim).
-  // When `pred_intern` is provided, steps carrying value predicates route
-  // through required pred transitions. `slot` is copied into the accept
-  // entry (VFilter passes the view's slot).
+  // Inserts path pattern `path` of view `view_id`, following the trie as
+  // far as it matches and adding states for the rest. When `pred_intern` is
+  // provided, steps carrying value predicates route through required pred
+  // transitions. `slot` is copied into the accept entry (VFilter passes the
+  // view's slot).
   void Insert(const PathPattern& path, int32_t view_id, int32_t path_id,
-              bool share_prefixes = true,
               const PredInterner& pred_intern = nullptr, int32_t slot = 0);
 
   // Removes the accept entries of `view_id` (states are retained; the NFA
@@ -160,12 +146,12 @@ class PathNfa {
 
   // Serialization (vfilter/vfilter_serde.cc).
   struct State {
-    std::unordered_map<LabelId, std::vector<StateId>> label_trans;
-    std::vector<StateId> star_trans;
-    std::vector<StateId> loop_states;  // '//' waiting states hanging off this
+    std::unordered_map<LabelId, StateId> label_trans;
+    StateId star_trans = kNoState;
+    StateId loop_state = kNoState;  // the '//' waiting state hanging off this
     // Required-predicate continuations, keyed by pred token.
-    std::unordered_map<int32_t, std::vector<StateId>> pred_trans;
-    bool is_loop = false;              // self-loops on every token
+    std::unordered_map<int32_t, StateId> pred_trans;
+    bool is_loop = false;           // self-loops on every token
     bool is_accepting = false;
     std::vector<AcceptEntry> accepts;
   };
@@ -197,7 +183,7 @@ class PathNfa {
  private:
   StateId NewState();
   // Follows/creates the transition for one step out of `from`.
-  StateId Step(StateId from, const PathStep& step, bool share);
+  StateId Step(StateId from, const PathStep& step);
   // Incremental dense maintenance for one new label transition.
   void NoteTransition(StateId from, LabelId label, StateId to);
   void BuildDenseFor(StateId s);
@@ -207,8 +193,7 @@ class PathNfa {
   // the NFA: a few KB even at thousands of states.
   // state -> index into dense_tables_, or -1 for sparse states.
   std::vector<int32_t> dense_index_;
-  // Per dense state: label -> target (kNoState empty, kMultiTarget = use
-  // the sparse map for this label).
+  // Per dense state: label -> target (kNoState when there is none).
   std::vector<std::vector<StateId>> dense_tables_;
 
  public:

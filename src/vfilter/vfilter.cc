@@ -3,9 +3,15 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "pattern/normalize.h"
 
 namespace xvr {
+
+void AppendStructuralReads(const PathPattern& path, bool normalize,
+                           std::vector<std::vector<int32_t>>* out) {
+  ForEachPathForm(path, normalize, [out](const PathPattern& form) {
+    out->push_back(PathToTokens(form));
+  });
+}
 
 VFilter::VFilter(VFilterOptions options) : options_(options) {}
 
@@ -59,27 +65,17 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
   }
   slots_[static_cast<size_t>(slot)] =
       ViewSlot{view_id, static_cast<int32_t>(d.paths.size())};
+  PathNfa::PredInterner interner;
+  if (options_.index_attributes) {
+    interner = [this](const ValuePredicate& pred) { return InternPred(pred); };
+  }
   for (size_t i = 0; i < d.paths.size(); ++i) {
-    // Index the raw form (so prefix containments that rely on the original
-    // child edges keep their homomorphism) and, when normalization is on
-    // and changes the path, also the normalized form (which aligns the
-    // equivalence classes of Example 3.2). Both entries share the path id,
-    // so coverage accounting is unaffected.
-    PathNfa::PredInterner interner;
-    if (options_.index_attributes) {
-      interner = [this](const ValuePredicate& pred) {
-        return InternPred(pred);
-      };
-    }
-    nfa_.Insert(d.paths[i], view_id, static_cast<int32_t>(i),
-                options_.share_prefixes, interner, slot);
-    if (options_.normalize) {
-      const PathPattern normalized = NormalizePath(d.paths[i]);
-      if (!(normalized == d.paths[i])) {
-        nfa_.Insert(normalized, view_id, static_cast<int32_t>(i),
-                    options_.share_prefixes, interner, slot);
-      }
-    }
+    // Every form shares the path id, so coverage accounting is unaffected.
+    ForEachPathForm(d.paths[i], options_.normalize,
+                    [&](const PathPattern& form) {
+                      nfa_.Insert(form, view_id, static_cast<int32_t>(i),
+                                  interner, slot);
+                    });
   }
 }
 
@@ -147,10 +143,10 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
 
   // Per view, indexed by slot: which of its path patterns accepted at least
   // one query path (a bitmask; views rarely have more than a handful of
-  // paths), the paper-literal counter, and its entry in the current
-  // LIST(P_i). The call takes one stamp and each query path another, so
-  // records of earlier calls (of any filter) are stale without clearing.
-  // Restart the stamps, clearing the records, before they could wrap.
+  // paths) and its entry in the current LIST(P_i). The call takes one stamp
+  // and each query path another, so records of earlier calls (of any
+  // filter) are stale without clearing. Restart the stamps, clearing the
+  // records, before they could wrap.
   std::vector<NfaReadScratch::SlotRecord>& records = scratch->slot_records;
   if (scratch->filter_stamp >= UINT32_MAX - num_query_paths - 1) {
     records.assign(records.size(), NfaReadScratch::SlotRecord{});
@@ -167,39 +163,22 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
     // One NFA read is bounded work; checking between paths keeps the worst
     // overrun to a single path read.
     XVR_RETURN_IF_ERROR(CheckInterrupted(limits, "vfilter.filter"));
-    const PathPattern& raw = result.decomposition.paths[i];
-    // Read the normalized string (catches the Example 3.2 equivalences) and
-    // also the raw string when it differs: a view path can match the raw
-    // form by plain prefix containment that normalization obscures (the //
-    // pushed in front of a wildcard breaks child-edge homomorphisms). Both
-    // reads are sound; their union removes the false negatives either read
-    // alone would have.
+    // Read every form of the query path (ForEachPathForm). Each read is
+    // sound, and their union removes the false negatives either form alone
+    // would have.
     std::vector<std::vector<int32_t>>& reads = scratch->read_tokens;
     size_t num_reads = 0;
-    const auto add_read = [&](const PathPattern& p) {
-      if (reads.size() == num_reads) {
-        reads.emplace_back();
-      }
-      TokensInto(p, &reads[num_reads]);
-      ++num_reads;
-    };
-    if (options_.normalize) {
-      const PathPattern normalized = NormalizePath(raw);
-      add_read(normalized);
-      if (!(normalized == raw)) {
-        add_read(raw);
-      }
-    } else {
-      add_read(raw);
-    }
+    ForEachPathForm(result.decomposition.paths[i], options_.normalize,
+                    [&](const PathPattern& form) {
+                      if (reads.size() == num_reads) {
+                        reads.emplace_back();
+                      }
+                      TokensInto(form, &reads[num_reads]);
+                      ++num_reads;
+                    });
     // LIST(P_i) holds slots until the candidates are known.
     std::vector<ViewLengthEntry>& list = result.lists[i];
     const uint32_t path = ++scratch->filter_stamp;
-    // Each distinct (view path, query path) acceptance counts once, even if
-    // both reads hit it: path_bits dedupes ids < 64, and the rare larger
-    // ids (counter mode only; they have no mask bit) scan a short list.
-    std::vector<int64_t>& pairs_hit = scratch->pairs_hit;
-    pairs_hit.clear();
     for (size_t ri = 0; ri < num_reads; ++ri) {
       nfa_.Read(reads[ri], &scratch->hits, scratch);
       for (const AcceptEntry* e : scratch->hits) {
@@ -207,12 +186,10 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
         if (r.call != call) {
           r.call = call;
           r.mask = 0;
-          r.counter = 0;
           touched.push_back(e->slot);
         }
         if (r.path != path) {
           r.path = path;
-          r.path_bits = 0;
           r.list_pos = static_cast<int32_t>(list.size());
           list.push_back(ViewLengthEntry{e->slot, e->length});
         } else {
@@ -220,38 +197,25 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
           length = std::max(length, e->length);
         }
         if (e->path_id < 64) {
-          const uint64_t bit = uint64_t{1} << e->path_id;
-          r.counter += (r.path_bits & bit) == 0 ? 1 : 0;
-          r.path_bits |= bit;
-          r.mask |= bit;
-        } else if (options_.counter_mode) {
-          const int64_t pair_key =
-              (static_cast<int64_t>(e->slot) << 32) | e->path_id;
-          if (std::find(pairs_hit.begin(), pairs_hit.end(), pair_key) ==
-              pairs_hit.end()) {
-            pairs_hit.push_back(pair_key);
-            ++r.counter;
-          }
+          r.mask |= uint64_t{1} << e->path_id;
         }
       }
     }
   }
 
-  // A view is a candidate iff every path of D(V) accepted some query path.
-  // Only touched slots can qualify, which keeps Filter sub-linear in |V|.
+  // A view is a candidate iff every path of D(V) accepted some query path
+  // (paths past the 64th have no mask bit and are not checked: a false
+  // positive at worst). Only touched slots can qualify, which keeps Filter
+  // sub-linear in |V|.
   const auto view_of = [&](int32_t slot) {
     return slots_[static_cast<size_t>(slot)].view_id;
   };
   const auto is_candidate = [&](int32_t slot) {
-    const NfaReadScratch::SlotRecord& r = records[static_cast<size_t>(slot)];
     const int32_t num_paths = slots_[static_cast<size_t>(slot)].num_paths;
-    if (options_.counter_mode) {
-      return r.counter == num_paths;
-    }
     const uint64_t want = (num_paths >= 64)
                               ? ~uint64_t{0}
                               : ((uint64_t{1} << num_paths) - 1);
-    return (r.mask & want) == want;
+    return (records[static_cast<size_t>(slot)].mask & want) == want;
   };
   for (const int32_t slot : touched) {
     if (is_candidate(slot)) {

@@ -22,6 +22,7 @@
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "pattern/normalize.h"
 #include "pattern/path_pattern.h"
 #include "pattern/tree_pattern.h"
 #include "vfilter/nfa.h"
@@ -32,19 +33,35 @@ struct VFilterOptions {
   // Normalize path patterns on insert and on read (§III-C). Disabling this
   // reintroduces the false negatives of Example 3.2 (ablation).
   bool normalize = true;
-  // Share common path prefixes in the NFA (§III-B). Disabling measures the
-  // size benefit of sharing (ablation for Fig. 11's discussion).
-  bool share_prefixes = true;
-  // Use the paper's literal NUM(V) counter (Algorithm 1 lines 11-12)
-  // instead of the per-path coverage bitset. The counter can over- and
-  // under-select when one view path accepts several query paths (ablation).
-  bool counter_mode = false;
   // Attribute extension (§VII future work): index value predicates as
   // required pred transitions, pruning views whose attribute comparisons
   // the query does not carry. Off by default (the paper's filter is purely
   // structural). Sound either way.
   bool index_attributes = false;
 };
+
+// VFILTER's rule for the forms of a decomposed path (§III-C): the raw path,
+// plus its normalized form when `normalize` is on and normalization changes
+// it. AddView indexes every form of a view path under the path's id, and
+// Filter reads every form of a query path: a view path can accept the raw
+// form by a prefix containment that normalization obscures (the // pushed in
+// front of a wildcard breaks child-edge homomorphisms), and the normalized
+// form by an Example 3.2 equivalence. Calls `fn` on the raw form first.
+template <typename Fn>
+void ForEachPathForm(const PathPattern& path, bool normalize, Fn&& fn) {
+  fn(path);
+  if (normalize) {
+    const PathPattern normalized = NormalizePath(path);
+    if (!(normalized == path)) {
+      fn(normalized);
+    }
+  }
+}
+
+// The token strings Filter reads for query path `path`, one per form,
+// without the attribute extension's pred tokens; appended to `out`.
+void AppendStructuralReads(const PathPattern& path, bool normalize,
+                           std::vector<std::vector<int32_t>>* out);
 
 // LIST(P_i) entry: a candidate view and the length (number of labels) of its
 // longest path pattern that contains P_i.

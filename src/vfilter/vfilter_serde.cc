@@ -28,6 +28,15 @@ constexpr uint32_t kMagic = 0x56464C54;  // "VFLT"
 // (matching the KvStore image discipline).
 constexpr uint32_t kVersion = 4;
 
+// Options flags. kSharedPrefixes is always set and kCounterMode never: the
+// NFA is a trie and candidacy is per-path coverage. An image without the
+// first or with the second came from an unshared or counter-mode filter,
+// which this reader does not rebuild.
+constexpr uint32_t kNormalize = 1;
+constexpr uint32_t kSharedPrefixes = 2;
+constexpr uint32_t kCounterMode = 4;
+constexpr uint32_t kIndexAttributes = 8;
+
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
   std::memcpy(buf, &v, 4);
@@ -44,11 +53,14 @@ void PutI32(int32_t v, std::string* out) {
   PutU32(static_cast<uint32_t>(v), out);
 }
 
-void PutIdList(const std::vector<StateId>& ids, std::string* out) {
-  PutU32(static_cast<uint32_t>(ids.size()), out);
-  for (StateId id : ids) {
-    PutI32(id, out);
+// A transition's target list: empty for kNoState, else the one target.
+void PutTarget(StateId target, std::string* out) {
+  if (target == kNoState) {
+    PutU32(0, out);
+    return;
   }
+  PutU32(1, out);
+  PutI32(target, out);
 }
 
 class Reader {
@@ -73,22 +85,20 @@ class Reader {
     *v = static_cast<int32_t>(u);
     return true;
   }
-  size_t Remaining() const { return bytes_.size() - pos_; }
   bool ReadBytes(uint32_t len, std::string* out) {
     if (pos_ + len > bytes_.size()) return false;
     out->assign(bytes_.data() + pos_, len);
     pos_ += len;
     return true;
   }
-  bool ReadIdList(std::vector<StateId>* ids) {
+  // A target list of at most one entry (kNoState when empty). A trie
+  // state has no second target for a symbol, so a longer list is corrupt,
+  // as is a listed kNoState.
+  bool ReadTarget(StateId* target) {
     uint32_t n = 0;
-    if (!ReadU32(&n)) return false;
-    if (n > Remaining() / 4) return false;  // corrupt count
-    ids->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!ReadI32(&(*ids)[i])) return false;
-    }
-    return true;
+    if (!ReadU32(&n) || n > 1) return false;
+    *target = kNoState;
+    return n == 0 || (ReadI32(target) && *target != kNoState);
   }
 
  private:
@@ -104,11 +114,13 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   if (!r.ReadU32(&flags)) {
     return Status::ParseError("truncated VFilter image");
   }
+  if ((flags & kSharedPrefixes) == 0 || (flags & kCounterMode) != 0) {
+    return Status::ParseError(
+        "VFilter image of an unshared or counter-mode filter");
+  }
   VFilterOptions options;
-  options.normalize = (flags & 1u) != 0;
-  options.share_prefixes = (flags & 2u) != 0;
-  options.counter_mode = (flags & 4u) != 0;
-  options.index_attributes = (flags & 8u) != 0;
+  options.normalize = (flags & kNormalize) != 0;
+  options.index_attributes = (flags & kIndexAttributes) != 0;
   VFilter filter(options);
 
   uint32_t num_preds = 0;
@@ -161,9 +173,9 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
     uint32_t state_flags = 0;
     uint32_t num_trans = 0;
     uint32_t num_accepts = 0;
-    if (!r.ReadU32(&state_flags) || !r.ReadIdList(&s.star_trans) ||
-        !r.ReadIdList(&s.loop_states) || !r.ReadU32(&num_trans)) {
-      return Status::ParseError("truncated VFilter image (state)");
+    if (!r.ReadU32(&state_flags) || !r.ReadTarget(&s.star_trans) ||
+        !r.ReadTarget(&s.loop_state) || !r.ReadU32(&num_trans)) {
+      return Status::ParseError("truncated or corrupt VFilter image (state)");
     }
     s.is_loop = (state_flags & 1u) != 0;
     s.is_accepting = (state_flags & 2u) != 0;
@@ -172,13 +184,13 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
     }
     for (uint32_t t = 0; t < num_trans; ++t) {
       int32_t label = 0;
-      // Deserialize is a cold load path; the target list is moved into the
-      // transition map, so the buffer is owned per entry by design.
-      std::vector<StateId> targets;  // lint:hot-alloc-ok
-      if (!r.ReadI32(&label) || !r.ReadIdList(&targets)) {
-        return Status::ParseError("truncated VFilter image (transition)");
+      StateId target = kNoState;
+      if (!r.ReadI32(&label) || !r.ReadTarget(&target) ||
+          target == kNoState) {
+        return Status::ParseError(
+            "truncated or corrupt VFilter image (transition)");
       }
-      s.label_trans.emplace(label, std::move(targets));
+      s.label_trans.emplace(label, target);
     }
     uint32_t num_pred_trans = 0;
     if (!r.ReadU32(&num_pred_trans) || num_pred_trans > payload.size() / 8) {
@@ -186,11 +198,13 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
     }
     for (uint32_t t = 0; t < num_pred_trans; ++t) {
       int32_t token = 0;
-      std::vector<StateId> targets;  // lint:hot-alloc-ok (cold load path)
-      if (!r.ReadI32(&token) || !r.ReadIdList(&targets)) {
-        return Status::ParseError("truncated VFilter image (pred trans)");
+      StateId target = kNoState;
+      if (!r.ReadI32(&token) || !r.ReadTarget(&target) ||
+          target == kNoState) {
+        return Status::ParseError(
+            "truncated or corrupt VFilter image (pred trans)");
       }
-      s.pred_trans.emplace(token, std::move(targets));
+      s.pred_trans.emplace(token, target);
     }
     if (!r.ReadU32(&num_accepts) || num_accepts > payload.size() / 12) {
       return Status::ParseError("truncated VFilter image (accepts)");
@@ -226,24 +240,18 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
   };
   for (const auto& [id, s] : nfa.states()) {
     (void)id;
-    for (StateId t : s.star_trans) {
-      if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
-    }
-    for (StateId t : s.loop_states) {
-      if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
+    if ((s.star_trans != kNoState && !valid(s.star_trans)) ||
+        (s.loop_state != kNoState && !valid(s.loop_state))) {
+      return Status::ParseError("corrupt VFilter state id");
     }
     // Order-insensitive bounds check, not output. (lint:ordered-ok)
-    for (const auto& [label, targets] : s.label_trans) {  // lint:ordered-ok
+    for (const auto& [label, t] : s.label_trans) {  // lint:ordered-ok
       (void)label;
-      for (StateId t : targets) {
-        if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
-      }
+      if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
     }
-    for (const auto& [token, targets] : s.pred_trans) {  // lint:ordered-ok
+    for (const auto& [token, t] : s.pred_trans) {  // lint:ordered-ok
       (void)token;
-      for (StateId t : targets) {
-        if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
-      }
+      if (!valid(t)) return Status::ParseError("corrupt VFilter state id");
     }
   }
   // The states were installed wholesale, bypassing Insert's incremental
@@ -257,9 +265,8 @@ Result<VFilter> ParseVFilterBody(std::string_view payload) {
 std::string SerializeVFilter(const VFilter& filter) {
   std::string payload;
   const VFilterOptions& opt = filter.options();
-  PutU32((opt.normalize ? 1u : 0u) | (opt.share_prefixes ? 2u : 0u) |
-             (opt.counter_mode ? 4u : 0u) |
-             (opt.index_attributes ? 8u : 0u),
+  PutU32((opt.normalize ? kNormalize : 0u) | kSharedPrefixes |
+             (opt.index_attributes ? kIndexAttributes : 0u),
          &payload);
   // Pred dictionary (attribute extension).
   PutU32(static_cast<uint32_t>(filter.pred_ids().size()), &payload);
@@ -282,17 +289,17 @@ std::string SerializeVFilter(const VFilter& filter) {
   for (const auto& [id, s] : states) {
     (void)id;
     PutU32((s.is_loop ? 1u : 0u) | (s.is_accepting ? 2u : 0u), &payload);
-    PutIdList(s.star_trans, &payload);
-    PutIdList(s.loop_states, &payload);
+    PutTarget(s.star_trans, &payload);
+    PutTarget(s.loop_state, &payload);
     PutU32(static_cast<uint32_t>(s.label_trans.size()), &payload);
-    for (const auto& [label, targets] : SortedEntries(s.label_trans)) {
+    for (const auto& [label, target] : SortedEntries(s.label_trans)) {
       PutI32(label, &payload);
-      PutIdList(targets, &payload);
+      PutTarget(target, &payload);
     }
     PutU32(static_cast<uint32_t>(s.pred_trans.size()), &payload);
-    for (const auto& [token, targets] : SortedEntries(s.pred_trans)) {
+    for (const auto& [token, target] : SortedEntries(s.pred_trans)) {
       PutI32(token, &payload);
-      PutIdList(targets, &payload);
+      PutTarget(target, &payload);
     }
     PutU32(static_cast<uint32_t>(s.accepts.size()), &payload);
     for (const AcceptEntry& e : s.accepts) {

@@ -198,8 +198,8 @@ TEST(ValidateVFilterTest, RejectsDanglingTransition) {
   filter.AddView(0, *view);
   ASSERT_TRUE(ValidateVFilter(filter).ok());
   // Point a '*' transition at a state that does not exist.
-  filter.mutable_nfa().mutable_state(0).star_trans.push_back(
-      static_cast<StateId>(filter.nfa().num_states() + 5));
+  filter.mutable_nfa().mutable_state(0).star_trans =
+      static_cast<StateId>(filter.nfa().num_states() + 5);
   EXPECT_FALSE(ValidateVFilter(filter).ok());
 }
 

@@ -199,25 +199,6 @@ TEST_F(FaultPointTest, AtomicWriteWithoutRetryFailsOnFirstFault) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultPointTest, AppendRetryAbsorbsTransientFaults) {
-  const std::string path = TestTempPath("xvr_fi_append.bin");
-  std::remove(path.c_str());
-  Arm("catalog_wal.append", /*every_nth=*/1, /*max_fires=*/2);
-  EXPECT_TRUE(AppendToFile(path, "abc", "catalog_wal.append").ok());
-  FaultInjector::Instance().DisarmAll();
-  // Unlimited fires exhaust the attempts and fail without touching the
-  // already-appended bytes.
-  Arm("catalog_wal.append");
-  auto failed = AppendToFile(path, "def", "catalog_wal.append");
-  EXPECT_FALSE(failed.ok());
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  FaultInjector::Instance().DisarmAll();
-  auto bytes = ReadFileToString(path);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(*bytes, "abc");
-  std::remove(path.c_str());
-}
-
 TEST_F(FaultPointTest, KvLoadFaultSurfacesAsIoError) {
   KvStore kv;
   kv.Put("k", "v");

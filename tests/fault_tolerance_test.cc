@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "storage/kv_store.h"
@@ -405,6 +407,40 @@ TEST_F(PersistenceFaultTest, MissingVFilterImageRebuildsFromCatalog) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE((*loaded)->vfilter_rebuilt());
   ExpectAnswers(**loaded, "/r/s/p", 2);
+}
+
+// An image whose VFILTER was built without prefix sharing or with the
+// literal NUM(V) counter, configurations the engine no longer has: the
+// load rebuilds the filter from the catalog and answers as before.
+TEST_F(PersistenceFaultTest, RemovedVFilterConfigurationRebuildsFromCatalog) {
+  auto original = ReadFileToString(path_);
+  ASSERT_TRUE(original.ok());
+  // Options flags, the payload's first word: normalize 1, shared prefixes
+  // 2, counter mode 4. The payload sits between a 16-byte header and an
+  // FNV-1a checksum of it.
+  for (const uint32_t flags : {1u, 7u}) {
+    SCOPED_TRACE(flags == 1u ? "unshared" : "counter mode");
+    ASSERT_TRUE(WriteFileAtomic(path_, *original).ok());
+    MutateImage([flags](KvStore* kv) {
+      const std::string* image = kv->Get("vfilter/image");
+      ASSERT_NE(image, nullptr);
+      std::string payload = image->substr(16, image->size() - 24);
+      uint32_t saved_flags = 0;
+      std::memcpy(&saved_flags, payload.data(), 4);
+      ASSERT_EQ(saved_flags, 3u);
+      std::memcpy(payload.data(), &flags, 4);
+      const uint64_t checksum = Fnv1a(payload);
+      std::string bytes = image->substr(0, 16) + payload;
+      bytes.append(reinterpret_cast<const char*>(&checksum), 8);
+      kv->Put("vfilter/image", bytes);
+    });
+    auto loaded = Engine::LoadState(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE((*loaded)->vfilter_rebuilt());
+    EXPECT_EQ((*loaded)->view_ids(), view_ids_);
+    ExpectAnswers(**loaded, "/r/s/p", 2);
+    ExpectAnswers(**loaded, "/r/t/u", 1);
+  }
 }
 
 TEST_F(PersistenceFaultTest, TornImageIsRejectedByChecksum) {

@@ -263,7 +263,7 @@ bool SameState(const PathNfa::State& a, const PathNfa::State& b) {
            x.length == y.length && x.slot == y.slot;
   };
   return a.label_trans == b.label_trans && a.star_trans == b.star_trans &&
-         a.loop_states == b.loop_states && a.pred_trans == b.pred_trans &&
+         a.loop_state == b.loop_state && a.pred_trans == b.pred_trans &&
          a.is_loop == b.is_loop && a.is_accepting == b.is_accepting &&
          std::equal(a.accepts.begin(), a.accepts.end(), b.accepts.begin(),
                     b.accepts.end(), same_entry);
@@ -428,7 +428,11 @@ TEST(CatalogWal, TornTailIsDroppedNotFatal) {
   ASSERT_TRUE((*wal)->Append(CatalogWalOp::kAddView, 1, "/r/s/f").ok());
 
   // Garbage after the last record: a crash mid-append.
-  ASSERT_TRUE(AppendToFile(path, "\x07garbage").ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "\x07garbage";
+    ASSERT_TRUE(out.good());
+  }
   auto records = CatalogWal::ReadAll(path);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 2u);

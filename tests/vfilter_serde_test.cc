@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
-#include <string_view>
 
 #include "common/hash.h"
 #include "pattern/xpath_parser.h"
@@ -51,14 +51,96 @@ TEST_F(VFilterSerdeTest, RoundTripPreservesFiltering) {
 TEST_F(VFilterSerdeTest, RoundTripPreservesOptions) {
   VFilterOptions options;
   options.normalize = false;
-  options.counter_mode = true;
+  options.index_attributes = true;
   VFilter filter(options);
   filter.AddView(0, Parse("/a/b"));
   auto restored = DeserializeVFilter(SerializeVFilter(filter));
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored->options().normalize);
-  EXPECT_TRUE(restored->options().counter_mode);
-  EXPECT_TRUE(restored->options().share_prefixes);
+  EXPECT_TRUE(restored->options().index_attributes);
+}
+
+// The image of a small fixed catalog, pinned by its FNV-1a, with and
+// without the attribute extension. The catalog has '*', '//', forms that
+// normalization changes, value predicates and a removed view.
+TEST_F(VFilterSerdeTest, ImageBytesArePinned) {
+  const std::vector<std::string> views = {
+      "/s[t]/p",   "/s[.//f]/p", "//s/p",
+      "/s[p]/f//i", "/s/*//t",   "/s//*/t",
+      "//a[@id = \"3\"]/b", "/s/*[@x > 1]//p"};
+  for (const bool attributes : {false, true}) {
+    VFilterOptions options;
+    options.index_attributes = attributes;
+    VFilter filter(options);
+    for (size_t i = 0; i < views.size(); ++i) {
+      filter.AddView(static_cast<int32_t>(i), Parse(views[i]));
+    }
+    filter.RemoveView(2);
+    const uint64_t want =
+        attributes ? 0x113e4dea9d65fb88ULL : 0xdc326f7009b89f5bULL;
+    EXPECT_EQ(Fnv1a(SerializeVFilter(filter)), want)
+        << "attributes " << attributes;
+  }
+}
+
+// Rewrites the payload of a VFilter image (everything between the 16-byte
+// header and the trailing checksum) and frames it again.
+std::string Reframe(const std::string& image,
+                    const std::function<void(std::string*)>& edit) {
+  std::string payload = image.substr(16, image.size() - 24);
+  edit(&payload);
+  std::string bytes = image.substr(0, 8);
+  const uint64_t length = payload.size();
+  bytes.append(reinterpret_cast<const char*>(&length), 8);
+  bytes += payload;
+  const uint64_t checksum = Fnv1a(payload);
+  bytes.append(reinterpret_cast<const char*>(&checksum), 8);
+  return bytes;
+}
+
+void PutU32At(size_t pos, uint32_t v, std::string* bytes) {
+  std::memcpy(bytes->data() + pos, &v, 4);
+}
+
+// The NFA is a trie and candidacy is per-path coverage, so an image of an
+// unshared automaton (sharing flag clear), of a counter-mode filter
+// (counter flag set) or with a second target for one symbol is
+// PARSE_ERROR; LoadState then rebuilds the filter from the catalog.
+TEST_F(VFilterSerdeTest, RejectsRemovedConfigurations) {
+  VFilter filter;
+  filter.AddView(0, Parse("/a"));
+  const std::string image = SerializeVFilter(filter);
+  ASSERT_TRUE(DeserializeVFilter(Reframe(image, [](std::string*) {})).ok());
+  // Payload: flags (normalize 1, shared prefixes 2, counter mode 4,
+  // attributes 8), an empty pred dictionary, one registry entry, the state
+  // count, then state 0: flags, '*' target list, '//' loop list, the label
+  // transition count and its (label, target list) entry.
+  uint32_t flags = 0;
+  std::memcpy(&flags, image.data() + 16, 4);
+  ASSERT_EQ(flags, 3u);
+  const auto expect_rejected = [&](const char* what,
+                                   const std::function<void(std::string*)>&
+                                       edit) {
+    EXPECT_EQ(DeserializeVFilter(Reframe(image, edit)).status().code(),
+              StatusCode::kParseError)
+        << what;
+  };
+  expect_rejected("unshared", [](std::string* p) { PutU32At(0, 1, p); });
+  expect_rejected("counter mode", [](std::string* p) { PutU32At(0, 7, p); });
+  // State 0 starts at payload byte 24; its label entry's target list (one
+  // target, state 1) at byte 44. Give it a second target, and give the
+  // empty '*' list two.
+  constexpr size_t kState0 = 24;
+  std::string target(4, '\0');
+  PutU32At(0, 1, &target);
+  expect_rejected("two label targets", [&](std::string* p) {
+    PutU32At(kState0 + 20, 2, p);
+    p->insert(kState0 + 28, target);
+  });
+  expect_rejected("two '*' targets", [&](std::string* p) {
+    PutU32At(kState0 + 4, 2, p);
+    p->insert(kState0 + 8, target + target);
+  });
 }
 
 TEST_F(VFilterSerdeTest, RejectsCorruptImages) {
@@ -116,12 +198,9 @@ TEST_F(VFilterSerdeTest, RejectsRegistryOutOfOrderOrRepeated) {
   std::memcpy(&num_views, image.data() + kRegistry - 4, 4);
   ASSERT_EQ(num_views, 2u);
   const auto reframed = [&](const std::string& entries) {
-    std::string bytes = image;
-    bytes.replace(kRegistry, 2 * kEntry, entries);
-    const uint64_t checksum =
-        Fnv1a(std::string_view(bytes).substr(16, bytes.size() - 24));
-    std::memcpy(bytes.data() + bytes.size() - 8, &checksum, 8);
-    return DeserializeVFilter(bytes);
+    return DeserializeVFilter(Reframe(image, [&](std::string* payload) {
+      payload->replace(kRegistry - 16, 2 * kEntry, entries);
+    }));
   };
   const std::string first = image.substr(kRegistry, kEntry);
   const std::string second = image.substr(kRegistry + kEntry, kEntry);

@@ -173,20 +173,26 @@ TEST_F(VFilterTest, RemoveViewStopsMatching) {
   EXPECT_EQ(filter.num_views(), 1u);
 }
 
+// The trie against the same automaton without prefix sharing: one private
+// chain per indexed path form, as long as a fresh one-path NFA minus its
+// start state.
 TEST_F(VFilterTest, PrefixSharingShrinksAutomaton) {
   const std::vector<std::string> views = {"/s/a/b", "/s/a/c", "/s/a/d",
                                           "/s/b/a", "/s/b/c"};
-  VFilter shared = Build(views);
-  VFilterOptions unshared_options;
-  unshared_options.share_prefixes = false;
-  VFilter unshared = Build(views, unshared_options);
-  EXPECT_LT(shared.num_states(), unshared.num_states());
-  // Same filtering behaviour regardless.
-  for (const char* q : {"/s/a/b", "/s/b/c", "/s/a/x"}) {
-    EXPECT_EQ(shared.Filter(Parse(q)).candidates,
-              unshared.Filter(Parse(q)).candidates)
-        << q;
+  const VFilter shared = Build(views);
+  size_t unshared_states = 1;  // the start state
+  for (const std::string& view : views) {
+    for (const PathPattern& path : Decompose(Parse(view)).paths) {
+      ForEachPathForm(path, /*normalize=*/true, [&](const PathPattern& form) {
+        PathNfa chain;
+        chain.Insert(form, 0, 0);
+        unshared_states += chain.num_states() - 1;
+      });
+    }
   }
+  EXPECT_EQ(unshared_states, 1u + 5 * 3);
+  // Shared: /s, its a and b children, and the five leaves.
+  EXPECT_EQ(shared.num_states(), 1u + 1 + 2 + 5);
 }
 
 TEST_F(VFilterTest, NoFalseNegativesAgainstHomomorphism) {
@@ -222,19 +228,6 @@ TEST_F(VFilterTest, StatisticsExposed) {
   EXPECT_EQ(filter.NumPathsOf(99), -1);
 }
 
-TEST_F(VFilterTest, CounterModeMatchesSetModeOnSimpleWorkloads) {
-  const std::vector<std::string> views = {"/s[t]/p", "//s/p", "/s[p]/f"};
-  VFilter set_mode = Build(views);
-  VFilterOptions counter_options;
-  counter_options.counter_mode = true;
-  VFilter counter_mode = Build(views, counter_options);
-  for (const char* q : {"/s[t]/p", "/s[f]/p", "/s/p"}) {
-    EXPECT_EQ(set_mode.Filter(Parse(q)).candidates,
-              counter_mode.Filter(Parse(q)).candidates)
-        << q;
-  }
-}
-
 // Candidates and every LIST(P_i) as one string: "c=0,1;" then per query
 // path "view:length ..." and "|".
 std::string Summary(const FilterResult& result) {
@@ -260,10 +253,10 @@ std::string Repeat(const std::string& s, int n) {
   return out;
 }
 
-// A view with 65 paths: path ids 0..63 have a mask bit, id 64 does not.
-// Mask mode ignores the last path; counter mode counts it. Pinned from the
-// map-based bookkeeping the slot records replaced.
-TEST_F(VFilterTest, ViewWithSixtyFivePathsInBothModes) {
+// A view with 65 paths: path ids 0..63 have a mask bit, id 64 does not, so
+// candidacy ignores the last path. Pinned from the map-based bookkeeping
+// the slot records replaced.
+TEST_F(VFilterTest, ViewWithSixtyFivePaths) {
   const auto xpath = [](int preds, bool with_p) {
     std::string x = "/s";
     for (int i = 0; i < preds; ++i) {
@@ -271,26 +264,21 @@ TEST_F(VFilterTest, ViewWithSixtyFivePathsInBothModes) {
     }
     return with_p ? x + "/p" : x;
   };
-  for (const bool counter : {false, true}) {
-    SCOPED_TRACE(counter ? "counter mode" : "mask mode");
-    VFilterOptions options;
-    options.counter_mode = counter;
-    VFilter filter = Build({xpath(64, true), "/s/p"}, options);
-    ASSERT_EQ(filter.NumPathsOf(0), 65);
-    NfaReadScratch scratch;
-    // The view itself: every path accepted, in both modes.
-    EXPECT_EQ(Summary(filter.Filter(Parse(xpath(64, true)), &scratch)),
-              "c=0,1,;" + Repeat("0:2 |", 64) + "0:2 1:2 |");
-    // Without its last predicate: path 63 is never accepted.
-    EXPECT_EQ(Summary(filter.Filter(Parse(xpath(63, true)), &scratch)),
-              "c=1,;" + Repeat("|", 63) + "1:2 |");
-    // Without /p: only path 64 is missing, which only the counter sees.
-    EXPECT_EQ(Summary(filter.Filter(Parse(xpath(64, false)), &scratch)),
-              counter ? "c=;" + Repeat("|", 64)
-                      : "c=0,;" + Repeat("0:2 |", 64));
-    // Unrelated.
-    EXPECT_EQ(Summary(filter.Filter(Parse("/t/u"), &scratch)), "c=;|");
-  }
+  VFilter filter = Build({xpath(64, true), "/s/p"});
+  ASSERT_EQ(filter.NumPathsOf(0), 65);
+  NfaReadScratch scratch;
+  // The view itself: every path accepted.
+  EXPECT_EQ(Summary(filter.Filter(Parse(xpath(64, true)), &scratch)),
+            "c=0,1,;" + Repeat("0:2 |", 64) + "0:2 1:2 |");
+  // Without its last predicate: path 63 is never accepted.
+  EXPECT_EQ(Summary(filter.Filter(Parse(xpath(63, true)), &scratch)),
+            "c=1,;" + Repeat("|", 63) + "1:2 |");
+  // Without /p: only path 64 is missing, which has no mask bit, so the view
+  // stays a (false-positive) candidate.
+  EXPECT_EQ(Summary(filter.Filter(Parse(xpath(64, false)), &scratch)),
+            "c=0,;" + Repeat("0:2 |", 64));
+  // Unrelated.
+  EXPECT_EQ(Summary(filter.Filter(Parse("/t/u"), &scratch)), "c=;|");
 }
 
 // Filter's stamps and the NFA's read epochs live as long as the scratch (a
