@@ -248,56 +248,6 @@ BENCHMARK(BM_Ablation_SelectionFootprint)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// --- partial materialization (§VII future work) -----------------------------
-//
-// Codes-only views store a fraction of the bytes; this ablation measures the
-// storage ratio and how much §VI-A answerability survives when EVERY view is
-// materialized codes-only.
-
-void BM_Ablation_PartialMaterialization(benchmark::State& state) {
-  const bool codes_only = state.range(0) != 0;
-  xvr::XmarkOptions doc_options;
-  doc_options.scale = 2.0;
-  doc_options.seed = 42;
-  xvr::Engine engine(xvr::GenerateXmark(doc_options));
-  xvr::QueryGenOptions gen;
-  xvr::QueryGenerator generator(engine.doc(), gen);
-  xvr::Rng rng(13);
-  std::vector<xvr::TreePattern> probes;
-  int added = 0;
-  for (int attempts = 0; added < 300 && attempts < 15000; ++attempts) {
-    xvr::TreePattern v = generator.Generate(&rng);
-    probes.push_back(v);
-    const auto id = codes_only ? engine.AddViewCodesOnly(std::move(v))
-                               : engine.AddView(std::move(v));
-    if (id.ok()) {
-      ++added;
-    }
-  }
-  size_t answerable = 0;
-  for (auto _ : state) {
-    answerable = 0;
-    for (size_t i = 0; i < 200 && i < probes.size(); ++i) {
-      if (engine
-              .AnswerQuery(probes[i],
-                           xvr::AnswerStrategy::kHeuristicFiltered)
-              .ok()) {
-        ++answerable;
-      }
-    }
-  }
-  state.SetLabel(codes_only ? "codes-only" : "full");
-  state.counters["storage_kb"] =
-      static_cast<double>(engine.fragments().TotalByteSize()) / 1024.0;
-  state.counters["answerable"] = static_cast<double>(answerable);
-  state.counters["views"] = static_cast<double>(added);
-}
-BENCHMARK(BM_Ablation_PartialMaterialization)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -56,7 +56,7 @@ inline xvr::PaperSetup& QuerySetup() {
   return *setup;
 }
 
-// --- §VI-B: pattern-only view sets V1..V8 -----------------------------------
+// --- §VI-B: view pattern sets V1..V8 (indexed only, never materialized) ----
 
 struct FilterSetup {
   xvr::XmlTree doc;

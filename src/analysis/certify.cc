@@ -184,7 +184,6 @@ std::string Certificate::Summary() const {
 }
 
 Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
-                        const PartialLookup& is_partial,
                         const CertifyOptions& options) {
   Certificate cert;
   cert.degraded_plan = plan.degraded;
@@ -291,13 +290,6 @@ Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
     }
     view_ok[vi] = true;
 
-    const bool partial = is_partial && is_partial(sel.view_id);
-    if (partial && !query.node(q_star).children.empty()) {
-      reject("structure",
-             tag + " is codes-only but anchors at a query node with children "
-                   "it cannot check");
-    }
-
     // Value predicates above the anchor are invisible to the rewriter's
     // code-path check; the view itself must mirror them.
     for (NodeIdx b : query.PathFromRoot(q_star)) {
@@ -317,10 +309,8 @@ Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
       }
     }
 
-    const bool answer_possible =
-        partial ? q_star == query.answer()
-                : query.IsAncestorOrSelf(q_star, query.answer());
-    if (cover.covers_answer && !answer_possible) {
+    if (cover.covers_answer &&
+        !query.IsAncestorOrSelf(q_star, query.answer())) {
       reject("cover", tag + " claims Δ but its anchor cannot deliver the "
                             "answer node");
     } else {
@@ -525,9 +515,8 @@ Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
 }
 
 Status CertifyPlanStatus(const QueryPlan& plan, const ViewLookup& lookup,
-                         const PartialLookup& is_partial,
                          const CertifyOptions& options) {
-  const Certificate cert = CertifyPlan(plan, lookup, is_partial, options);
+  const Certificate cert = CertifyPlan(plan, lookup, options);
   if (cert.verdict == CertifyVerdict::kRejected) {
     return Status::Internal("plan failed certification: " + cert.Summary());
   }

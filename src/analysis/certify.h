@@ -97,19 +97,17 @@ struct CertifyOptions {
   int max_canonical_desc_edges = 6;
 };
 
-// Certifies `plan` against the catalog exposed by `lookup`/`is_partial`
-// (pin one CatalogSnapshot and pass its resolvers — the same contract as
+// Certifies `plan` against the catalog exposed by `lookup` (pin one
+// CatalogSnapshot and pass its MakeLookup() — the same contract as
 // selection). Pure: no document access, no execution, no mutation of the
 // plan or the catalog.
 Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
-                        const PartialLookup& is_partial,
                         const CertifyOptions& options = {});
 
 // Adapter for XVR_DEBUG_VALIDATE-style hooks: OK for certified or
 // inconclusive plans, an error carrying the summary for rejected ones.
 [[nodiscard]] Status CertifyPlanStatus(const QueryPlan& plan,
                                        const ViewLookup& lookup,
-                                       const PartialLookup& is_partial,
                                        const CertifyOptions& options = {});
 
 }  // namespace xvr

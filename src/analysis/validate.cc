@@ -488,12 +488,19 @@ Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog) {
                        " >= next_view_id " +
                        std::to_string(catalog.next_view_id));
     }
-    if (catalog.quarantined_views.count(id) == 0 && indexed.count(id) == 0) {
+    if (catalog.quarantined_views.count(id) > 0) {
+      continue;
+    }
+    if (indexed.count(id) == 0) {
       return Violation("serving view " + std::to_string(id) +
                        " is missing from VFILTER");
     }
+    if (!catalog.fragments.HasView(id)) {
+      return Violation("serving view " + std::to_string(id) +
+                       " has no fragments");
+    }
   }
-  // Fragments belong to serving views; partial views are materialized.
+  // Fragments belong to serving views.
   for (const int32_t id : catalog.fragments.view_ids()) {
     if (!catalog.views.Contains(id)) {
       return Violation("fragment store holds unknown view " +
@@ -502,12 +509,6 @@ Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog) {
     if (catalog.quarantined_views.count(id) > 0) {
       return Violation("fragment store holds quarantined view " +
                        std::to_string(id));
-    }
-  }
-  for (const int32_t id : catalog.partial_views) {  // lint:ordered-ok
-    if (!catalog.fragments.HasView(id)) {
-      return Violation("partial view " + std::to_string(id) +
-                       " has no materialized codes");
     }
   }
   return Status::Ok();
@@ -527,8 +528,6 @@ Status ValidateCatalogWalRecords(
     prev_seq = record.seq;
     switch (record.op) {
       case CatalogWalOp::kAddView:
-      case CatalogWalOp::kAddViewCodesOnly:
-      case CatalogWalOp::kAddViewPattern:
         if (record.xpath.empty()) {
           return Violation("WAL record " + std::to_string(i) +
                            ": add without a pattern");

@@ -96,10 +96,10 @@ Status ValidateFlatFragment(const Fragment& fragment);
 // Catalog snapshot invariants — the consistency every published snapshot
 // promises its readers (src/core/catalog.h): quarantined ids are a subset
 // of the views map; the VFILTER view registry indexes exactly the serving
-// (non-quarantined) views; every materialized fragment set belongs to a
-// serving view; partial (codes-only) views are materialized; and every id
-// is below next_view_id. Run by the engine on every publish in
-// XVR_VALIDATE builds.
+// (non-quarantined) views; the fragment store holds fragments for exactly
+// the serving views (the invariant MakeLookup relies on); and every id is
+// below next_view_id. Run by the engine on every publish in XVR_VALIDATE
+// builds.
 Status ValidateCatalogSnapshot(const CatalogSnapshot& catalog);
 
 // Catalog WAL invariants: sequence numbers strictly increasing, add

@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 namespace xvr {
 
@@ -27,18 +29,23 @@ std::string Join(const std::vector<std::string>& pieces,
   return out;
 }
 
-bool ParseBoundedId(std::string_view s, int64_t limit, int32_t* id) {
-  if (s.empty() || s.size() > 10) {
+bool ParseDecimalU64(std::string_view s, uint64_t* value) {
+  // from_chars takes no sign, space or base prefix for an unsigned type and
+  // reports overflow; the whole of `s` must be digits.
+  uint64_t parsed = 0;
+  const char* end = s.data() + s.size();
+  const auto [stop, error] = std::from_chars(s.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
     return false;
   }
-  int64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + (c - '0');
-  }
-  if (value >= limit || value > INT32_MAX) {
+  *value = parsed;
+  return true;
+}
+
+bool ParseBoundedId(std::string_view s, int64_t limit, int32_t* id) {
+  uint64_t value = 0;
+  if (s.size() > 10 || !ParseDecimalU64(s, &value) || value > INT32_MAX ||
+      static_cast<int64_t>(value) >= limit) {
     return false;
   }
   *id = static_cast<int32_t>(value);

@@ -23,6 +23,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 // Trims ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
 
+// Parses `s` as a u64: one or more decimal digits, no sign or space, no
+// overflow. Returns false, leaving `*value` alone, when `s` is not one.
+[[nodiscard]] bool ParseDecimalU64(std::string_view s, uint64_t* value);
+
 // Parses `s` as an id in [0, limit): one to ten decimal digits, no sign or
 // space. Returns false, leaving `*id` alone, when `s` is not one.
 [[nodiscard]] bool ParseBoundedId(std::string_view s, int64_t limit,

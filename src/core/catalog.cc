@@ -23,13 +23,12 @@ std::vector<int32_t> CatalogSnapshot::quarantined_view_ids() const {
 }
 
 ViewLookup CatalogSnapshot::MakeLookup() const {
-  // Quarantined views must never reach selection, and neither may
-  // pattern-only (unmaterialized) views: both resolve to nullptr, which
-  // every selector skips. A plan can only select views whose fragments this
-  // snapshot can actually execute against; pattern-only views stay visible
-  // to VFILTER (the filtering experiments read candidates, not covers).
+  // Quarantined views must never reach selection: they resolve to nullptr,
+  // which every selector skips. Every other view has fragments
+  // (ValidateCatalogSnapshot checks it on each publication), so a plan only
+  // selects views this snapshot can execute against.
   return [this](int32_t id) -> const TreePattern* {
-    if (quarantined_views.count(id) > 0 || !fragments.HasView(id)) {
+    if (quarantined_views.count(id) > 0) {
       return nullptr;
     }
     return view(id);

@@ -4,10 +4,13 @@
 // The immutable view-catalog snapshot behind online catalog evolution.
 //
 // A CatalogSnapshot bundles everything that changes when a view is added or
-// dropped — the view patterns, the partial/quarantined markers, the VFILTER
-// NFA and the fragment store — into one value that is frozen the moment it
-// is published. The engine publishes snapshots RCU-style through an atomic
-// shared_ptr: readers pin exactly one snapshot per query (in their
+// dropped — the view patterns, the quarantine set, the VFILTER NFA and the
+// fragment store — into one value that is frozen the moment it is
+// published. Every serving view is fully materialized: the fragment store
+// holds fragments for exactly the non-quarantined views. The engine
+// publishes snapshots RCU-style as a shared_ptr behind a mutex whose
+// critical section is one pointer copy (not std::atomic<shared_ptr>; see
+// Engine::catalog_): readers pin exactly one snapshot per query (in their
 // ExecutionContext) and answer entirely against it, so a concurrent
 // AddView/RemoveView can never tear a read or free a view mid-join; writers
 // copy the current snapshot, mutate the copy under the engine's writer
@@ -41,8 +44,6 @@ struct CatalogSnapshot {
   // All known view patterns by view id, including quarantined ones (kept
   // for diagnosis; excluded from everything selection-facing).
   CowTable<TreePattern> views;
-  // Views materialized codes-only (§VII partial materialization).
-  std::unordered_set<int32_t> partial_views;
   // Views LoadState dropped from serving (corrupt fragments).
   std::unordered_set<int32_t> quarantined_views;
   VFilter vfilter;
@@ -59,7 +60,6 @@ struct CatalogSnapshot {
 
   const TreePattern* view(int32_t id) const { return views.Find(id); }
 
-  bool IsViewPartial(int32_t id) const { return partial_views.count(id) > 0; }
   bool IsViewQuarantined(int32_t id) const {
     return quarantined_views.count(id) > 0;
   }

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "analysis/validate.h"
@@ -19,6 +18,17 @@
 #include "xml/xml_writer.h"
 
 namespace xvr {
+namespace {
+
+// The calling thread's one context, shared by AnswerQuery and SelectViews
+// and by every engine the thread calls. Callers clear its catalog pin
+// before they return.
+ExecutionContext& ThreadContext() {
+  thread_local ExecutionContext ctx;
+  return ctx;
+}
+
+}  // namespace
 
 Engine::Engine(XmlTree doc, EngineOptions options)
     : doc_(std::move(doc)), options_(std::move(options)), base_(doc_) {
@@ -123,35 +133,26 @@ void Engine::PublishCatalog(CatalogSnapshot next, CatalogDelta delta) {
       ValidatePlanCacheDependencies(plan_cache_.get(), *Catalog()));
 }
 
-Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
-                                      bool log_to_wal) {
+Result<int32_t> Engine::AddViewLocked(TreePattern view, bool log_to_wal) {
   MinimizePattern(&view);
   // Materialize before touching any shared state: a failed materialization
   // leaves no trace in the catalog and never reaches the WAL.
   std::vector<Fragment> fragments;
-  const bool materialize = op != CatalogWalOp::kAddViewPattern;
-  if (materialize) {
-    MaterializeOptions mat_options = options_.materialize;
-    mat_options.codes_only = op == CatalogWalOp::kAddViewCodesOnly;
-    XVR_ASSIGN_OR_RETURN(fragments, MaterializeView(view, doc_, mat_options));
-  }
+  XVR_ASSIGN_OR_RETURN(fragments,
+                       MaterializeView(view, doc_, options_.materialize));
   CatalogSnapshot next = CloneCatalog();
   const int32_t id = next.next_view_id++;
   if (log_to_wal && wal_ != nullptr) {
     // Log before publish: once the mutation is visible to readers it must
     // survive a crash. A failed append aborts the whole mutation.
     const Result<uint64_t> seq =
-        wal_->Append(op, id, PatternToXPath(view, doc_.labels()));
+        wal_->Append(CatalogWalOp::kAddView, id,
+                     PatternToXPath(view, doc_.labels()));
     XVR_RETURN_IF_ERROR(seq.status());
     metrics_->wal_appends->Add();
   }
-  if (materialize) {
-    next.fragments.PutView(id, std::move(fragments));
-  }
+  next.fragments.PutView(id, std::move(fragments));
   next.vfilter.AddView(id, view);
-  if (op == CatalogWalOp::kAddViewCodesOnly) {
-    next.partial_views.insert(id);
-  }
   // Summarize the (minimized) view for the plan-cache sweep before the
   // pattern moves into the snapshot. Options come from the successor's
   // filter — the index the summarized candidacy must mirror.
@@ -160,11 +161,9 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
   next.views.Set(id, std::move(view));
   PublishCatalog(std::move(next), CatalogDelta::Added(std::move(publication)));
   XVR_DEBUG_VALIDATE(ValidateVFilter(Catalog()->vfilter));
-  if (materialize) {
-    XVR_DEBUG_VALIDATE(ValidateViewFragments(Catalog()->fragments, id,
-                                             *doc_.fst(),
-                                             Catalog()->MakeLookup()));
-  }
+  XVR_DEBUG_VALIDATE(ValidateViewFragments(Catalog()->fragments, id,
+                                           *doc_.fst(),
+                                           Catalog()->MakeLookup()));
   return id;
 }
 
@@ -182,7 +181,6 @@ Status Engine::RemoveViewLocked(int32_t id, bool log_to_wal) {
   next.views.Erase(id);
   next.vfilter.RemoveView(id);
   next.fragments.RemoveView(id);
-  next.partial_views.erase(id);
   next.quarantined_views.erase(id);
   PublishCatalog(std::move(next), CatalogDelta::Removed(id));
   XVR_DEBUG_VALIDATE(ValidateVFilter(Catalog()->vfilter));
@@ -191,20 +189,7 @@ Status Engine::RemoveViewLocked(int32_t id, bool log_to_wal) {
 
 Result<int32_t> Engine::AddView(TreePattern view) {
   MutexLock lock(&catalog_mu_);
-  return AddViewLocked(std::move(view), CatalogWalOp::kAddView,
-                       /*log_to_wal=*/true);
-}
-
-Result<int32_t> Engine::AddViewCodesOnly(TreePattern view) {
-  MutexLock lock(&catalog_mu_);
-  return AddViewLocked(std::move(view), CatalogWalOp::kAddViewCodesOnly,
-                       /*log_to_wal=*/true);
-}
-
-Result<int32_t> Engine::AddViewPattern(TreePattern view) {
-  MutexLock lock(&catalog_mu_);
-  return AddViewLocked(std::move(view), CatalogWalOp::kAddViewPattern,
-                       /*log_to_wal=*/true);
+  return AddViewLocked(std::move(view), /*log_to_wal=*/true);
 }
 
 Status Engine::RemoveView(int32_t id) {
@@ -216,9 +201,7 @@ Status Engine::ApplyWalRecordLocked(const CatalogWalRecord& record) {
   switch (record.op) {
     case CatalogWalOp::kRemoveView:
       return RemoveViewLocked(record.view_id, /*log_to_wal=*/false);
-    case CatalogWalOp::kAddView:
-    case CatalogWalOp::kAddViewCodesOnly:
-    case CatalogWalOp::kAddViewPattern: {
+    case CatalogWalOp::kAddView: {
       // Ids are issued in order and every logged add was published, so a
       // replayed add carries the next id. Any other id is a corrupt record;
       // it must neither re-add a view nor size the catalog's id tables.
@@ -235,8 +218,8 @@ Status Engine::ApplyWalRecordLocked(const CatalogWalRecord& record) {
       // successful materialization).
       Result<TreePattern> pattern = ParseXPath(record.xpath, &doc_.labels());
       XVR_RETURN_IF_ERROR(pattern.status());
-      const Result<int32_t> id = AddViewLocked(
-          std::move(pattern).value(), record.op, /*log_to_wal=*/false);
+      const Result<int32_t> id =
+          AddViewLocked(std::move(pattern).value(), /*log_to_wal=*/false);
       return id.status();
     }
   }
@@ -294,10 +277,14 @@ Result<SelectionResult> Engine::SelectViews(const TreePattern& query,
   // NOTE: the query is used as given — the cover node indices in the result
   // refer to it. AnswerQuery plans on the minimized pattern so that the
   // same pattern flows through selection and rewriting.
-  ExecutionContext ctx;
+  ExecutionContext& ctx = ThreadContext();
   ctx.catalog = Catalog();  // lint:catalog-pin-ok (one snapshot per call)
-  return planner_->Select(*ctx.catalog, query, strategy, stats,
-                          &ctx.nfa_scratch);
+  Result<SelectionResult> selection = planner_->Select(
+      *ctx.catalog, query, strategy, stats, &ctx.nfa_scratch);
+  // The result holds view ids, never pointers into the snapshot: drop the
+  // pin, as AnswerQuery does.
+  ctx.catalog = nullptr;
+  return selection;
 }
 
 Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
@@ -308,7 +295,7 @@ Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
 Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
                                            AnswerStrategy strategy,
                                            const QueryLimits& limits) const {
-  thread_local ExecutionContext ctx;
+  ExecutionContext& ctx = ThreadContext();
   ctx.limits = limits;
   Result<Answer> answer = pipeline_->Answer(query, strategy, &ctx);
   // Drop the pin: it would hold the snapshot alive until the thread's next
@@ -332,7 +319,8 @@ Status Engine::SaveState(const std::string& path) const {
   kv.Put("meta/doc", WriteXml(doc_, doc_.root()));
   // All views in ascending id order, including quarantined ones — their
   // patterns survive the round trip, marked so the restored engine
-  // quarantines them again.
+  // quarantines them again. Quarantine is the only marker: every other
+  // view is fully materialized and its fragments are saved below.
   for (const auto& [id, pattern] : catalog->views) {
     const std::string key =
         "view/" + std::string(10 - std::min<size_t>(
@@ -342,10 +330,6 @@ Status Engine::SaveState(const std::string& path) const {
     kv.Put(key, PatternToXPath(pattern, doc_.labels()));
     if (catalog->quarantined_views.count(id) > 0) {
       kv.Put("viewmeta/" + std::to_string(id), "quarantined");
-    } else if (!catalog->fragments.HasView(id)) {
-      kv.Put("viewmeta/" + std::to_string(id), "pattern-only");
-    } else if (catalog->partial_views.count(id) > 0) {
-      kv.Put("viewmeta/" + std::to_string(id), "codes-only");
     }
   }
   kv.Put("meta/next_view_id", std::to_string(catalog->next_view_id));
@@ -407,6 +391,17 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
     return Status::ParseError("engine image has a malformed next view id " +
                               *next_id);
   }
+  // The WAL checkpoint must parse exactly and leave a sequence number for
+  // the next append: a misread or maximal one would make EnableCatalogWal
+  // skip acked records and the next append wrap to 0. Without the key the
+  // image covers no WAL record.
+  uint64_t wal_checkpoint = 0;
+  const std::string* wal_seq = kv.Get("meta/wal_seq");
+  if (wal_seq != nullptr && (!ParseDecimalU64(*wal_seq, &wal_checkpoint) ||
+                             wal_checkpoint == UINT64_MAX)) {
+    return Status::ParseError("engine image has a malformed WAL checkpoint " +
+                              *wal_seq);
+  }
   // Restore views (patterns re-parsed against the restored dictionary).
   Status status = Status::Ok();
   kv.ScanPrefix("view/", [&](const std::string& key,
@@ -454,12 +449,13 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
                                   " marks no stored view");
       return false;
     }
-    if (value == "codes-only") {
-      next.partial_views.insert(id);
-    } else if (value == "quarantined") {
-      // Quarantined before the save; stays quarantined after the restore.
-      next.quarantined_views.insert(id);
+    if (value != "quarantined") {
+      status = Status::ParseError("engine image key " + key +
+                                  " holds an unknown marker " + value);
+      return false;
     }
+    // Quarantined before the save; stays quarantined after the restore.
+    next.quarantined_views.insert(id);
     return true;
   });
   XVR_RETURN_IF_ERROR(status);
@@ -490,11 +486,15 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   for (const int32_t id : next.quarantined_views) {  // lint:ordered-ok
     next.vfilter.RemoveView(id);
     next.fragments.RemoveView(id);
-    next.partial_views.erase(id);
   }
-  uint64_t wal_checkpoint = 0;
-  if (const std::string* wal_seq = kv.Get("meta/wal_seq")) {
-    wal_checkpoint = std::strtoull(wal_seq->c_str(), nullptr, 10);
+  // Every serving view is fully materialized, so a stored view without
+  // fragments must carry the quarantine marker.
+  for (const int32_t id : next.view_ids()) {
+    if (!next.fragments.HasView(id)) {
+      return Status::ParseError("engine image holds no fragments of view " +
+                                std::to_string(id) +
+                                " and does not mark it quarantined");
+    }
   }
   {
     MutexLock lock(&engine->catalog_mu_);

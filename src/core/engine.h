@@ -152,23 +152,10 @@ class Engine {
   // writer mutex. With a WAL enabled, the mutation is logged before it is
   // published and fails (unpublished) if the log append fails.
 
-  // Materializes and indexes a view. Fails with NOT_FOUND for empty results
-  // and CAPACITY_EXCEEDED when the per-view fragment budget is hit.
+  // Materializes and indexes a view: every catalog view stores the full
+  // subtree of each answer node. Fails with NOT_FOUND for empty results and
+  // CAPACITY_EXCEEDED when the per-view fragment budget is hit.
   Result<int32_t> AddView(TreePattern view);
-
-  // §VII partial materialization: stores only the answer-node codes (plus
-  // their text/attributes). Such a view joins and anchors like any other
-  // but can only anchor at query nodes with nothing to check below them.
-  Result<int32_t> AddViewCodesOnly(TreePattern view);
-
-  bool IsViewPartial(int32_t id) const { return Catalog()->IsViewPartial(id); }
-
-  // Indexes a view pattern in VFILTER without materializing fragments
-  // (enough for the filtering experiments, Figs. 10-12). Such a view shows
-  // up in VFILTER candidate sets but is never *selected* for answering —
-  // there are no fragments to execute against. Only fails when a WAL is
-  // enabled and the append fails.
-  Result<int32_t> AddViewPattern(TreePattern view);
 
   // Drops a view from the catalog. NOT_FOUND when `id` names no view
   // (known ids include quarantined ones); IO_ERROR when the WAL append
@@ -220,10 +207,10 @@ class Engine {
   using Answer = QueryAnswer;
 
   // Answers with one ExecutionContext per calling thread, reused by every
-  // call on that thread (and every engine it calls), so the NFA scratch,
-  // arena and buffers are allocated once per thread, not per query, and
-  // keep their largest size until the thread exits. The context keeps no
-  // catalog pin once the call returns.
+  // AnswerQuery and SelectViews call on that thread (and every engine it
+  // calls), so the NFA scratch, arena and buffers are allocated once per
+  // thread, not per query, and keep their largest size until the thread
+  // exits. The context keeps no catalog pin once the call returns.
   Result<Answer> AnswerQuery(const TreePattern& query,
                              AnswerStrategy strategy) const;
 
@@ -244,9 +231,10 @@ class Engine {
       std::span<const TreePattern> queries, AnswerStrategy strategy,
       int num_threads = 0, const QueryLimits& limits = QueryLimits()) const;
 
-  // Selection only ("lookup" in the paper's Fig. 9). Valid for the three
-  // view strategies. The query is used as given (no minimization): the
-  // cover node indices in the result refer to it.
+  // Selection only ("lookup" in the paper's Fig. 9). Valid for the view
+  // strategies. The query is used as given (no minimization): the cover
+  // node indices in the result refer to it. Runs on the calling thread's
+  // context, like AnswerQuery, and drops its catalog pin on return.
   Result<SelectionResult> SelectViews(const TreePattern& query,
                                       AnswerStrategy strategy,
                                       AnswerStats* stats) const;
@@ -266,7 +254,10 @@ class Engine {
   // quarantined — dropped from the selection candidates with a warning —
   // while the engine keeps answering from the remaining views. Only a
   // corrupt document (or a torn image, caught by the checksum) fails the
-  // load.
+  // load, as does an image whose keys contradict each other: an id not
+  // below meta/next_view_id, a view marker other than "quarantined", a
+  // stored view with neither fragments nor that marker, or a meta/wal_seq
+  // that is not a decimal u64 below 2^64-1.
   //
   // With a WAL enabled, a successful SaveState checkpoints the image at the
   // WAL's last sequence number and truncates the log; if only the truncate
@@ -349,11 +340,10 @@ class Engine {
   void PublishCatalog(CatalogSnapshot next, CatalogDelta delta)
       XVR_REQUIRES(catalog_mu_);
 
-  // The shared mutation body: installs `view` under the next view id,
-  // appends to the WAL when `log_to_wal`, then publishes. `op` selects
-  // full/codes-only/pattern-only materialization.
-  Result<int32_t> AddViewLocked(TreePattern view, CatalogWalOp op,
-                                bool log_to_wal) XVR_REQUIRES(catalog_mu_);
+  // The shared mutation body: materializes `view`, installs it under the
+  // next view id, appends to the WAL when `log_to_wal`, then publishes.
+  Result<int32_t> AddViewLocked(TreePattern view, bool log_to_wal)
+      XVR_REQUIRES(catalog_mu_);
   Status RemoveViewLocked(int32_t id, bool log_to_wal)
       XVR_REQUIRES(catalog_mu_);
 

@@ -29,11 +29,7 @@ Status CertifyPlanHook(const QueryPlan& plan, const CatalogSnapshot& catalog,
                        const LabelDict& dict, const EngineMetrics& metrics) {
   CertifyOptions options;
   options.dict = &dict;
-  const ViewLookup lookup = catalog.MakeLookup();
-  const PartialLookup is_partial = [&catalog](int32_t id) {
-    return catalog.IsViewPartial(id);
-  };
-  const Certificate cert = CertifyPlan(plan, lookup, is_partial, options);
+  const Certificate cert = CertifyPlan(plan, catalog.MakeLookup(), options);
   switch (cert.verdict) {
     case CertifyVerdict::kCertified:
       metrics.certify_certified->Add();

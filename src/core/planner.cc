@@ -122,19 +122,16 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
                                         Trace* trace,
                                         std::vector<int32_t>* candidates_out)
     const {
-  // Per-call resolvers over the pinned snapshot. They capture `catalog` by
-  // reference and never outlive this call; the caller keeps the snapshot
+  // Per-call resolver over the pinned snapshot. It captures `catalog` by
+  // reference and never outlives this call; the caller keeps the snapshot
   // pinned for the whole query.
   const ViewLookup lookup = catalog.MakeLookup();
-  const PartialLookup is_partial = [&catalog](int32_t id) {
-    return catalog.IsViewPartial(id);
-  };
   switch (strategy) {
     case AnswerStrategy::kMinimumNoFilter: {
       const std::vector<int32_t> ids = catalog.view_ids();
       ScopedSpan selection_span(trace, "plan.selection");
-      Result<SelectionResult> selection = SelectMinimum(
-          query, ids, lookup, is_partial, ExhaustiveLimits(limits));
+      Result<SelectionResult> selection =
+          SelectMinimum(query, ids, lookup, ExhaustiveLimits(limits));
       stats->selection_micros = selection_span.StopMicros();
       stats->candidates_after_filter = ids.size();
       if (!selection.ok() &&
@@ -152,7 +149,6 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         stats->candidates_after_filter = filtered.candidates.size();
         ScopedSpan retry_span(trace, "plan.selection");
         HeuristicOptions options;
-        options.is_partial = is_partial;
         options.limits = limits;
         selection = SelectHeuristic(query, filtered, lookup, options);
         stats->selection_micros += retry_span.StopMicros();
@@ -171,12 +167,11 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       ScopedSpan selection_span(trace, "plan.selection");
       Result<SelectionResult> selection =
           SelectMinimum(query, filtered.candidates, lookup,
-                        is_partial, ExhaustiveLimits(limits));
+                        ExhaustiveLimits(limits));
       if (!selection.ok() &&
           ShouldDegradeExhaustive(selection.status(), limits)) {
         stats->degraded_selection = true;
         HeuristicOptions options;
-        options.is_partial = is_partial;
         options.limits = limits;
         selection = SelectHeuristic(query, filtered, lookup, options);
       }
@@ -195,7 +190,6 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
                                       trace, candidates_out));
       ScopedSpan selection_span(trace, "plan.selection");
       HeuristicOptions options;
-      options.is_partial = is_partial;
       options.limits = limits;
       if (strategy == AnswerStrategy::kHeuristicSmallFragments) {
         options.order = HeuristicOptions::Order::kFragmentBytes;

@@ -18,10 +18,6 @@ namespace xvr {
 // Returns nullptr for unknown ids.
 using ViewLookup = std::function<const TreePattern*(int32_t)>;
 
-// True when a view is materialized codes-only (§VII partial materialization
-// extension); empty function means "all views are fully materialized".
-using PartialLookup = std::function<bool(int32_t)>;
-
 struct SelectedView {
   int32_t view_id = -1;
   LeafCover cover;

@@ -39,9 +39,7 @@ Result<SelectionResult> SelectHeuristic(const TreePattern& query,
       const TreePattern* view = lookup(view_id);
       std::optional<LeafCover> cover;
       if (view != nullptr) {
-        cover = ComputeLeafCover(
-            *view, query,
-            options.is_partial ? options.is_partial(view_id) : false);
+        cover = ComputeLeafCover(*view, query);
         ++result.covers_computed;
       }
       it = cover_cache.emplace(view_id, std::move(cover)).first;

@@ -30,8 +30,6 @@ struct HeuristicOptions {
   Order order = Order::kPathLength;
   // Materialized byte size per view id; consulted for kFragmentBytes.
   std::function<size_t(int32_t)> view_bytes;
-  // Marks codes-only views (§VII partial materialization extension).
-  PartialLookup is_partial;
   // Deadline / cancellation, honored between cover computations. The greedy
   // walk is near-linear, so unlike SelectMinimum there is no budget to blow
   // — only the deadline and the cancel token apply.

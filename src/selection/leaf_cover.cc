@@ -134,8 +134,7 @@ uint64_t LeafUniverse::MaskOf(const LeafCover& cover) const {
 }
 
 std::optional<LeafCover> ComputeLeafCover(const TreePattern& view,
-                                          const TreePattern& query,
-                                          bool partial_materialization) {
+                                          const TreePattern& query) {
   HomomorphismMatcher matcher(view, query);
   if (!matcher.Exists()) {
     return std::nullopt;
@@ -147,10 +146,6 @@ std::optional<LeafCover> ComputeLeafCover(const TreePattern& view,
   // Try every feasible image of RET(V); each gives a (possibly) different
   // cover.
   for (TreePattern::NodeIndex q_star : matcher.ImageCandidates(view_answer)) {
-    if (partial_materialization && !query.node(q_star).children.empty()) {
-      // Codes-only fragments cannot check anything below the anchor.
-      continue;
-    }
     std::optional<NodeMapping> mapping =
         matcher.ExtractWith(view_answer, q_star);
     if (!mapping.has_value()) {
@@ -162,9 +157,7 @@ std::optional<LeafCover> ComputeLeafCover(const TreePattern& view,
     LeafCover cover;
     cover.mapping = *mapping;
     cover.mapped_answer = q_star;
-    cover.covers_answer = partial_materialization
-                              ? q_star == query.answer()
-                              : query.IsAncestorOrSelf(q_star, query.answer());
+    cover.covers_answer = query.IsAncestorOrSelf(q_star, query.answer());
 
     for (TreePattern::NodeIndex leaf : query_leaves) {
       // (a) the leaf's matches live inside the materialized fragments.

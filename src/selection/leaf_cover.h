@@ -36,17 +36,8 @@ struct LeafCover {
 };
 
 // Returns nullopt when no homomorphism view -> query exists (LC = ∅).
-//
-// `partial_materialization` (§VII extension: "multiple partial materialized
-// views"): the view stores only the Dewey codes (plus attributes) of its
-// answer nodes, not the subtrees. Such a view can anchor only at query
-// nodes with nothing below them to check (the anchor's own value predicate
-// is still verifiable from the stored attributes), supplies Δ only when the
-// anchor IS the query answer, and covers other leaves solely through
-// condition (b) — which needs no fragment content.
 [[nodiscard]] std::optional<LeafCover> ComputeLeafCover(
-    const TreePattern& view, const TreePattern& query,
-    bool partial_materialization = false);
+    const TreePattern& view, const TreePattern& query);
 
 // LF(Q) = LEAF(Q) ∪ {Δ} as a bitmask helper: bit i covers query leaf
 // `leaves[i]`, the highest bit covers Δ.

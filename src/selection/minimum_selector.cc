@@ -8,8 +8,7 @@ namespace xvr {
 
 Result<SelectionResult> SelectMinimum(
     const TreePattern& query, const std::vector<int32_t>& candidate_ids,
-    const ViewLookup& lookup, const PartialLookup& is_partial,
-    const QueryLimits& limits) {
+    const ViewLookup& lookup, const QueryLimits& limits) {
   LeafUniverse universe(query);
   // The DP tables are O(2^|LF|); 20 bits (~1M states) is far beyond any
   // realistic query while keeping the tables at a few MB. Larger universes
@@ -37,8 +36,7 @@ Result<SelectionResult> SelectMinimum(
     if (view == nullptr) {
       continue;
     }
-    std::optional<LeafCover> cover = ComputeLeafCover(
-        *view, query, is_partial ? is_partial(id) : false);
+    std::optional<LeafCover> cover = ComputeLeafCover(*view, query);
     ++result.covers_computed;
     if (!cover.has_value()) {
       continue;

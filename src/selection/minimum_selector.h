@@ -20,7 +20,6 @@ namespace xvr {
 
 // `candidate_ids`: the views to consider (all views for MN, the VFILTER
 // output for MV). Returns NOT_ANSWERABLE when no subset covers LF(Q).
-// `is_partial` marks codes-only views (see selection/leaf_cover.h).
 //
 // Exhaustive selection is the one exponential phase of the pipeline, so it
 // is fully interruptible: `limits.deadline` is honored between cover
@@ -30,8 +29,7 @@ namespace xvr {
 // both to the greedy heuristic (see core/planner.cc).
 Result<SelectionResult> SelectMinimum(
     const TreePattern& query, const std::vector<int32_t>& candidate_ids,
-    const ViewLookup& lookup, const PartialLookup& is_partial = nullptr,
-    const QueryLimits& limits = QueryLimits());
+    const ViewLookup& lookup, const QueryLimits& limits = QueryLimits());
 
 }  // namespace xvr
 

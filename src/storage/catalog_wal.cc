@@ -39,7 +39,8 @@ bool DecodeBody(const std::string& body, CatalogWalRecord* record) {
       !ReadScalar(body, &pos, &xpath_len)) {
     return false;
   }
-  if (op > static_cast<uint8_t>(CatalogWalOp::kRemoveView)) {
+  if (op != static_cast<uint8_t>(CatalogWalOp::kAddView) &&
+      op != static_cast<uint8_t>(CatalogWalOp::kRemoveView)) {
     return false;
   }
   if (pos + xpath_len != body.size()) {

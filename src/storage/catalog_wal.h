@@ -4,15 +4,14 @@
 // The catalog write-ahead log: durability for view mutations between full
 // SaveState images.
 //
-// Every AddView/AddViewCodesOnly/AddViewPattern/RemoveView appends one
-// checksummed record here *before* the successor catalog snapshot is
+// Every AddView/RemoveView appends one checksummed record here *before* the successor catalog snapshot is
 // published, and the record is fdatasync'd (WritableFile::Sync) before
 // Append returns its acked sequence number — so the sequence an engine
 // hands back is durable against power loss, not merely flushed to the OS
 // page cache. A crash at any point loses at most the single in-flight
 // (un-acked) mutation. A record carries only what is needed to replay the
-// mutation deterministically against the base document — the (minimized)
-// view pattern as XPath, the assigned id and the materialization mode; the
+// mutation deterministically against the base document — the op, the
+// assigned id and, for an add, the (minimized) view pattern as XPath; the
 // fragments themselves are derived data and are re-materialized on replay.
 //
 // On-disk format, per record (little-endian):
@@ -46,10 +45,11 @@ namespace xvr {
 class Env;
 class WritableFile;
 
+// The on-disk op byte. 1 and 2 named the retired codes-only and
+// pattern-only adds; ReadAll treats them like any other unknown op, as the
+// end of the intact prefix.
 enum class CatalogWalOp : uint8_t {
-  kAddView = 0,           // materialize fragments + index in VFILTER
-  kAddViewCodesOnly = 1,  // §VII partial materialization
-  kAddViewPattern = 2,    // VFILTER-only (no fragments)
+  kAddView = 0,  // materialize fragments + index in VFILTER
   kRemoveView = 3,
 };
 
@@ -84,8 +84,9 @@ class CatalogWal {
                                                       kNoTrim);
 
   // Decodes every intact record of `path` in order. A missing file is an
-  // empty log. Decoding stops silently at the first torn/corrupt record or
-  // non-increasing sequence number (the crash tail); everything before it
+  // empty log. Decoding stops silently at the first torn/corrupt record,
+  // unknown op or non-increasing sequence number (the crash tail);
+  // everything before it
   // is returned. An exact duplicate of the previous record (same seq and
   // payload — a retried append whose first attempt landed after all) is
   // skipped, not treated as rot. `intact_bytes`/`clipped_bytes`, when

@@ -43,8 +43,7 @@ class Reader {
 
 }  // namespace
 
-FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root,
-                                    bool codes_only) {
+FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root) {
   XVR_CHECK(tree.has_dewey()) << "assign Dewey codes before materializing";
   FlatFragment out;
   out.root_code_ = tree.dewey(root);
@@ -68,9 +67,6 @@ FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root,
     }
     if (const auto* attrs = tree.attributes(tn)) {
       out.attrs_.emplace_back(fi, *attrs);
-    }
-    if (codes_only) {
-      break;  // root only
     }
     // Push children in reverse so they pop in document order.
     const std::vector<NodeId> children = tree.Children(tn);

@@ -72,12 +72,8 @@ class FlatFragment {
   FlatFragment() = default;
 
   // Copies the subtree of `tree` rooted at `root`. The tree must have Dewey
-  // codes assigned. With `codes_only` (§VII partial materialization) only
-  // the root node, its text and its attributes are captured — enough for
-  // joins, anchor checks and anchor-level value predicates, at a fraction
-  // of the storage.
-  static FlatFragment FromTree(const XmlTree& tree, NodeId root,
-                               bool codes_only = false);
+  // codes assigned.
+  static FlatFragment FromTree(const XmlTree& tree, NodeId root);
 
   const DeweyCode& root_code() const { return root_code_; }
   size_t size() const { return nodes_.size(); }

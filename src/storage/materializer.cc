@@ -21,7 +21,7 @@ Result<std::vector<Fragment>> MaterializeView(
   fragments.reserve(answers.size());
   size_t bytes = 0;
   for (NodeId n : answers) {
-    Fragment fragment = Fragment::FromTree(tree, n, options.codes_only);
+    Fragment fragment = Fragment::FromTree(tree, n);
     bytes += fragment.ByteSize();
     if (options.max_bytes_per_view > 0 &&
         bytes > options.max_bytes_per_view) {

@@ -22,10 +22,6 @@ struct MaterializeOptions {
   // 0 disables the cap.
   size_t max_bytes_per_view = 128 * 1024;
 
-  // §VII partial materialization: store only the answer-node codes (plus
-  // text/attributes of the answer node itself) instead of full subtrees.
-  bool codes_only = false;
-
   // Pluggable evaluator (defaults to pattern/evaluate.h's EvaluatePattern);
   // the engine injects the indexed evaluator for speed.
   std::function<std::vector<NodeId>(const TreePattern&, const XmlTree&)>

@@ -295,6 +295,25 @@ TEST(ValidateFragmentStoreTest, RejectsOutOfOrderAndForeignFragments) {
   }
 }
 
+// Every serving view is fully materialized; quarantine is the one way a
+// view may lack fragments.
+TEST(ValidateCatalogSnapshotTest, RejectsServingViewWithoutFragments) {
+  auto doc = ParseXml("<r><s><p/></s><s><p/><q/></s></r>");
+  ASSERT_TRUE(doc.ok());
+  Engine engine(std::move(doc).value());
+  auto pattern = engine.Parse("/r/s/p");
+  ASSERT_TRUE(pattern.ok());
+  auto id = engine.AddView(std::move(*pattern));
+  ASSERT_TRUE(id.ok()) << id.status();
+  CatalogSnapshot snapshot = *engine.Catalog();
+  ASSERT_TRUE(ValidateCatalogSnapshot(snapshot).ok());
+  snapshot.fragments.RemoveView(*id);
+  EXPECT_FALSE(ValidateCatalogSnapshot(snapshot).ok());
+  snapshot.vfilter.RemoveView(*id);
+  snapshot.quarantined_views.insert(*id);
+  EXPECT_TRUE(ValidateCatalogSnapshot(snapshot).ok());
+}
+
 TEST(ValidateAnswerCodesTest, RejectsDuplicatesAndDisorder) {
   EXPECT_TRUE(ValidateAnswerCodes({}).ok());
   const DeweyCode a({0, 1});
@@ -351,15 +370,19 @@ TEST(ValidateFlatFragmentTest, AcceptsFromTreeFragments) {
   auto doc = ParseXml("<b><t/><s><t/><f><i/></f><p/></s><s><t/><p/></s></b>");
   ASSERT_TRUE(doc.ok());
   doc->AssignDeweyCodes();
+  size_t single_node = 0;
   for (NodeId n = 0; n < static_cast<NodeId>(doc->size()); ++n) {
-    const Fragment full = Fragment::FromTree(*doc, n);
-    const Status status = ValidateFlatFragment(full);
+    const Fragment fragment = Fragment::FromTree(*doc, n);
+    const Status status = ValidateFlatFragment(fragment);
     EXPECT_TRUE(status.ok()) << status;
-    // Partial (codes-only, §VII) fragments are single-node trees and must
-    // satisfy the same invariants.
-    const Fragment partial = Fragment::FromTree(*doc, n, /*codes_only=*/true);
-    EXPECT_TRUE(ValidateFlatFragment(partial).ok());
+    // A leaf's fragment is the single-node layout: no child index at all.
+    if (doc->Children(n).empty()) {
+      EXPECT_EQ(fragment.size(), 1u);
+      EXPECT_TRUE(fragment.raw_child_index().empty());
+      ++single_node;
+    }
   }
+  EXPECT_GT(single_node, 0u);
 }
 
 TEST(ValidateFlatFragmentTest, AcceptsEngineMaterializedFragments) {

@@ -1,7 +1,7 @@
 // Tests for the static plan certifier (analysis/certify.h).
 //
 // Acceptance: every plan the planner actually emits — fresh, cached, base,
-// degraded, partial-view — certifies green. Rejection: each seeded plan
+// degraded — certifies green. Rejection: each seeded plan
 // corruption (drop a cover leaf, weaken a refinement predicate, swap the
 // extraction pattern, substitute a non-containing view, corrupt the
 // recorded homomorphism, ...) must be rejected with a finding naming the
@@ -83,10 +83,7 @@ PlanFixture MakePlan(const std::vector<std::string>& views,
 Certificate Certify(const PlanFixture& f) {
   CertifyOptions options;
   options.dict = &f.engine->doc().labels();
-  const CatalogRef catalog = f.catalog;
-  return CertifyPlan(
-      f.plan, catalog->MakeLookup(),
-      [catalog](int32_t id) { return catalog->IsViewPartial(id); }, options);
+  return CertifyPlan(f.plan, f.catalog->MakeLookup(), options);
 }
 
 bool HasFinding(const Certificate& cert, const std::string& check) {
@@ -120,8 +117,7 @@ TEST(CertifyAcceptTest, GenuinePlansCertifyUnderEveryViewStrategy) {
     EXPECT_EQ(cert.verdict, CertifyVerdict::kCertified)
         << AnswerStrategyName(strategy) << ": " << cert.Summary();
     EXPECT_TRUE(cert.findings.empty()) << cert.Summary();
-    EXPECT_TRUE(CertifyPlanStatus(f.plan, f.catalog->MakeLookup(), nullptr)
-                    .ok());
+    EXPECT_TRUE(CertifyPlanStatus(f.plan, f.catalog->MakeLookup()).ok());
   }
 }
 
@@ -145,8 +141,8 @@ TEST(CertifyAcceptTest, BasePlanIsTriviallyCertified) {
 TEST(CertifyAcceptTest, NullDictionaryStaysConclusiveOnHomDecidablePlans) {
   PlanFixture f = MakePlan({kStructView}, kStructQuery);
   ASSERT_TRUE(f.ok);
-  const Certificate cert = CertifyPlan(
-      f.plan, f.catalog->MakeLookup(), nullptr, CertifyOptions{});
+  const Certificate cert =
+      CertifyPlan(f.plan, f.catalog->MakeLookup(), CertifyOptions{});
   EXPECT_EQ(cert.verdict, CertifyVerdict::kCertified) << cert.Summary();
   EXPECT_EQ(cert.escalations, 0);
 }
@@ -177,9 +173,8 @@ TEST(CertifyAcceptTest, CachedPlanRecertifies) {
   const CatalogRef catalog = engine.Catalog();
   CertifyOptions options;
   options.dict = &engine.doc().labels();
-  const Certificate cert = CertifyPlan(
-      **second, catalog->MakeLookup(),
-      [&catalog](int32_t id) { return catalog->IsViewPartial(id); }, options);
+  const Certificate cert =
+      CertifyPlan(**second, catalog->MakeLookup(), options);
   EXPECT_EQ(cert.verdict, CertifyVerdict::kCertified) << cert.Summary();
 }
 
@@ -207,8 +202,7 @@ TEST(CertifyRejectTest, DroppedCoverLeaf) {
   const Certificate cert = Certify(f);
   EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
   EXPECT_TRUE(HasFinding(cert, "cover")) << cert.Summary();
-  EXPECT_FALSE(
-      CertifyPlanStatus(f.plan, f.catalog->MakeLookup(), nullptr).ok());
+  EXPECT_FALSE(CertifyPlanStatus(f.plan, f.catalog->MakeLookup()).ok());
 }
 
 TEST(CertifyRejectTest, DroppedAnswerClaim) {
@@ -332,8 +326,8 @@ TEST(CertifyRejectTest, ViewPredicateDriftedUnderStalePlan) {
   ASSERT_TRUE(changed);
   CertifyOptions options;
   options.dict = &f.engine->doc().labels();
-  const Certificate cert = CertifyPlan(
-      f.plan, [&drifted](int32_t) { return &drifted; }, nullptr, options);
+  const Certificate cert =
+      CertifyPlan(f.plan, [&drifted](int32_t) { return &drifted; }, options);
   EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
   EXPECT_TRUE(HasFinding(cert, "mapping")) << cert.Summary();
 }
@@ -419,23 +413,6 @@ TEST(CertifyRejectTest, DroppedCompensationEntry) {
   const Certificate cert = Certify(f);
   EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
   EXPECT_TRUE(HasFinding(cert, "compensation")) << cert.Summary();
-}
-
-TEST(CertifyRejectTest, PartialViewAnchoredAboveItsMeans) {
-  // §VII: a codes-only view can only anchor at a childless query node. A
-  // plan anchoring one at "person" (children to check, nothing stored to
-  // check them against) is unsound.
-  PlanFixture f = MakePlan({"//person[profile/interest]"}, kStructQuery);
-  ASSERT_TRUE(f.ok);
-  const TreePattern::NodeIndex q_star =
-      f.plan.selection.views[0].cover.mapped_answer;
-  ASSERT_FALSE(f.plan.query.node(q_star).children.empty());
-  CertifyOptions options;
-  options.dict = &f.engine->doc().labels();
-  const Certificate cert = CertifyPlan(
-      f.plan, f.catalog->MakeLookup(), [](int32_t) { return true; }, options);
-  EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
-  EXPECT_TRUE(HasFinding(cert, "structure")) << cert.Summary();
 }
 
 TEST(CertifyRejectTest, UnmirroredPredicateAboveAnchor) {

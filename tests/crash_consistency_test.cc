@@ -88,7 +88,7 @@ Status ApplyMutation(Engine& engine, int i, std::vector<int32_t>* ids) {
       return Status::Ok();
     }
     case 1: {
-      auto r = engine.AddViewCodesOnly(Parse(engine, "/r/s[q]"));
+      auto r = engine.AddView(Parse(engine, "/r/s[q]"));
       XVR_RETURN_IF_ERROR(r.status());
       ids->push_back(*r);
       return Status::Ok();
@@ -147,25 +147,23 @@ RunOutcome RunWorkload(Engine& engine, std::vector<int32_t>* ids) {
 
 // --- the oracle ------------------------------------------------------------
 
-// Canonical catalog signature: view id -> (minimized pattern as XPath,
-// partial flag). Quarantined views are excluded by view_ids() — recovery
-// must never quarantine anything in this workload.
-using ViewSig = std::map<int32_t, std::pair<std::string, bool>>;
+// Canonical catalog signature: view id -> minimized pattern as XPath.
+// Quarantined views are excluded by view_ids() — recovery must never
+// quarantine anything in this workload.
+using ViewSig = std::map<int32_t, std::string>;
 
 ViewSig Signature(Engine& engine) {
   ViewSig sig;
   for (const int32_t id : engine.view_ids()) {
-    sig[id] = {PatternToXPath(*engine.view(id), engine.labels()),
-               engine.IsViewPartial(id)};
+    sig[id] = PatternToXPath(*engine.view(id), engine.labels());
   }
   return sig;
 }
 
 std::string SigToString(const ViewSig& sig) {
   std::string out = "{";
-  for (const auto& entry : sig) {
-    out += std::to_string(entry.first) + ":" + entry.second.first +
-           (entry.second.second ? "(partial)" : "") + " ";
+  for (const auto& [id, xpath] : sig) {
+    out += std::to_string(id) + ":" + xpath + " ";
   }
   return out + "}";
 }

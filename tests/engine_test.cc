@@ -123,14 +123,6 @@ TEST_F(EngineTest, SelectViewsRejectsBaseStrategies) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(EngineTest, ViewPatternOnlyIndexing) {
-  auto id = engine_.AddViewPattern(Parse("/r/s/p"));
-  ASSERT_TRUE(id.ok()) << id.status();
-  EXPECT_EQ(engine_.num_views(), 1u);
-  EXPECT_FALSE(engine_.fragments().HasView(*id));
-  EXPECT_EQ(engine_.vfilter().num_views(), 1u);
-}
-
 TEST_F(EngineTest, CapacityCapHonored) {
   EngineOptions options;
   options.materialize.max_bytes_per_view = 8;

@@ -241,142 +241,6 @@ TEST(EngineExtensions, SaveLoadStateRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Partial (codes-only) materialization (§VII).
-
-class PartialViewTest : public ::testing::Test {
- protected:
-  static XmlTree MakeDoc() {
-    auto r = ParseXml(
-        "<r>"
-        "<s><p k=\"1\"/><f/></s>"
-        "<s><p k=\"2\"/></s>"
-        "<s><f/></s>"
-        "</r>");
-    return std::move(r).value();
-  }
-  PartialViewTest() : engine_(MakeDoc()) {}
-  TreePattern Parse(const std::string& xpath) {
-    auto r = engine_.Parse(xpath);
-    EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
-    return std::move(r).value();
-  }
-  Engine engine_;
-};
-
-TEST_F(PartialViewTest, CodesOnlyFragmentsAreSmaller) {
-  auto full = engine_.AddView(Parse("/r/s"));
-  auto partial = engine_.AddViewCodesOnly(Parse("/r/s"));
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(partial.ok());
-  EXPECT_LT(engine_.fragments().ViewByteSize(*partial),
-            engine_.fragments().ViewByteSize(*full));
-  EXPECT_TRUE(engine_.IsViewPartial(*partial));
-  EXPECT_FALSE(engine_.IsViewPartial(*full));
-}
-
-TEST_F(PartialViewTest, PartialViewJoinsAsPredicateWitness) {
-  // Full view supplies the p's; codes-only view witnesses the f's.
-  ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
-  ASSERT_TRUE(engine_.AddViewCodesOnly(Parse("/r/s/f")).ok());
-  const TreePattern q = Parse("/r/s[f]/p");
-  auto hv = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hv.ok()) << hv.status();
-  auto bn = engine_.AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
-  ASSERT_TRUE(bn.ok());
-  EXPECT_EQ(hv->codes, bn->codes);
-  EXPECT_EQ(hv->codes.size(), 1u);
-  EXPECT_EQ(hv->stats.views_selected, 2u);
-}
-
-TEST_F(PartialViewTest, PartialViewAsPrimaryWhenAnswerIsLeaf) {
-  ASSERT_TRUE(engine_.AddViewCodesOnly(Parse("/r/s/p")).ok());
-  const TreePattern q = Parse("/r/s/p");
-  auto hv = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hv.ok()) << hv.status();
-  EXPECT_EQ(hv->codes.size(), 2u);
-}
-
-TEST_F(PartialViewTest, PartialViewCannotCheckBelowAnchor) {
-  // The only view anchors at s, but the query needs [f] and p below s —
-  // codes-only fragments cannot verify that content.
-  ASSERT_TRUE(engine_.AddViewCodesOnly(Parse("/r/s")).ok());
-  const TreePattern q = Parse("/r/s[f]/p");
-  auto hv = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  EXPECT_EQ(hv.status().code(), StatusCode::kNotAnswerable);
-  // A fully materialized copy of the same view does answer it.
-  ASSERT_TRUE(engine_.AddView(Parse("/r/s")).ok());
-  auto again = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->codes.size(), 1u);
-}
-
-TEST_F(PartialViewTest, AnchorValuePredicateCheckedFromStoredAttributes) {
-  ASSERT_TRUE(engine_.AddViewCodesOnly(Parse("//p")).ok());
-  const TreePattern q = Parse("/r/s/p[@k = 2]");
-  auto hv = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hv.ok()) << hv.status();
-  auto bn = engine_.AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
-  ASSERT_TRUE(bn.ok());
-  EXPECT_EQ(hv->codes, bn->codes);
-  EXPECT_EQ(hv->codes.size(), 1u);
-}
-
-TEST_F(PartialViewTest, MinimumSelectorRespectsPartiality) {
-  ASSERT_TRUE(engine_.AddViewCodesOnly(Parse("/r/s")).ok());
-  ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
-  const TreePattern q = Parse("/r/s/p");
-  auto mv = engine_.AnswerQuery(q, AnswerStrategy::kMinimumNoFilter);
-  ASSERT_TRUE(mv.ok()) << mv.status();
-  auto bn = engine_.AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
-  EXPECT_EQ(mv->codes, bn->codes);
-}
-
-TEST_F(PartialViewTest, PersistenceKeepsPartialFlag) {
-  const std::string path = TestTempPath("state.bin");
-  auto id = engine_.AddViewCodesOnly(Parse("/r/s/f"));
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
-  ASSERT_TRUE(engine_.SaveState(path).ok());
-  auto restored = Engine::LoadState(path);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_TRUE((*restored)->IsViewPartial(*id));
-  const TreePattern q = *(*restored)->Parse("/r/s[f]/p");
-  auto hv = (*restored)->AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hv.ok()) << hv.status();
-  EXPECT_EQ(hv->codes.size(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(PartialViewXmark, TableIIIQ4FromCodesOnlyViews) {
-  // The whole Q4 plan runs on codes-only views: date (primary leaf answer),
-  // author and itemref witnesses.
-  XmarkOptions doc_options;
-  doc_options.scale = 0.2;
-  Engine engine(GenerateXmark(doc_options));
-  size_t partial_bytes = 0;
-  for (const char* vx :
-       {"//closed_auction/date", "//closed_auction/annotation/author",
-        "//closed_auction/itemref"}) {
-    auto v = engine.Parse(vx);
-    ASSERT_TRUE(v.ok());
-    auto id = engine.AddViewCodesOnly(std::move(v).value());
-    ASSERT_TRUE(id.ok()) << vx;
-    partial_bytes += engine.fragments().ViewByteSize(*id);
-  }
-  auto q = engine.Parse(
-      "/site/closed_auctions/closed_auction[annotation/author][itemref]/"
-      "date");
-  ASSERT_TRUE(q.ok());
-  auto hv = engine.AnswerQuery(*q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hv.ok()) << hv.status();
-  auto bn = engine.AnswerQuery(*q, AnswerStrategy::kBaseNodeIndex);
-  ASSERT_TRUE(bn.ok());
-  EXPECT_EQ(hv->codes, bn->codes);
-  EXPECT_FALSE(hv->codes.empty());
-  EXPECT_GT(partial_bytes, 0u);
-}
-
 TEST(EngineExtensions, RedundantQueryBranchesMinimizedAway) {
   auto parsed = ParseXml("<a><b><c/><d/></b><b><d/></b></a>");
   ASSERT_TRUE(parsed.ok());

@@ -515,12 +515,88 @@ TEST_F(PersistenceFaultTest, FragmentOfUnknownViewIsRejected) {
 
 TEST_F(PersistenceFaultTest, MarkerOfUnknownViewIsRejected) {
   for (const char* key : {"viewmeta/7", "viewmeta/1x"}) {
-    MutateImage([key](KvStore* kv) { kv->Put(key, "codes-only"); });
+    MutateImage([key](KvStore* kv) { kv->Put(key, "quarantined"); });
     auto loaded = Engine::LoadState(path_);
     ASSERT_FALSE(loaded.ok()) << key;
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << key;
     MutateImage([key](KvStore* kv) { kv->Delete(key); });
   }
+}
+
+// Every view is fully materialized, so "quarantined" is the one marker an
+// image may carry. The retired codes-only and pattern-only markers are
+// rejected like any other value.
+TEST_F(PersistenceFaultTest, UnknownViewMarkerIsRejected) {
+  for (const char* value : {"codes-only", "pattern-only", "junk"}) {
+    MutateImage([value](KvStore* kv) { kv->Put("viewmeta/0", value); });
+    auto loaded = Engine::LoadState(path_);
+    ASSERT_FALSE(loaded.ok()) << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << value;
+  }
+}
+
+// A stored view that loads no fragments must carry the quarantine marker.
+TEST_F(PersistenceFaultTest, StoredViewWithoutFragmentsIsRejected) {
+  MutateImage([](KvStore* kv) {
+    std::vector<std::string> keys;
+    kv->ScanPrefix("frag/0000000000/",
+                   [&](const std::string& key, const std::string&) {
+                     keys.push_back(key);
+                     return true;
+                   });
+    ASSERT_FALSE(keys.empty());
+    for (const std::string& key : keys) {
+      kv->Delete(key);
+    }
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  MutateImage([](KvStore* kv) { kv->Put("viewmeta/0", "quarantined"); });
+  loaded = Engine::LoadState(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ((*loaded)->quarantined_view_ids(), std::vector<int32_t>{0});
+}
+
+// meta/wal_seq parses as a decimal u64 below 2^64-1 or the load fails: a
+// misread or maximal checkpoint would skip acked WAL records, and the next
+// append would wrap to sequence 0.
+TEST_F(PersistenceFaultTest, MalformedWalCheckpointIsRejected) {
+  for (const char* value : {"-1", "12abc", "", "abc", " 1",
+                            "99999999999999999999999",
+                            "18446744073709551615"}) {
+    MutateImage([value](KvStore* kv) { kv->Put("meta/wal_seq", value); });
+    auto loaded = Engine::LoadState(path_);
+    ASSERT_FALSE(loaded.ok()) << "'" << value << "'";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << value;
+  }
+  MutateImage([](KvStore* kv) { kv->Delete("meta/wal_seq"); });
+  EXPECT_TRUE(Engine::LoadState(path_).ok());
+}
+
+// The failure the strict parse prevents: "-1" once read as 2^64-1, so the
+// WAL's acked add above the true checkpoint (0) was skipped at recovery.
+TEST_F(PersistenceFaultTest, MisreadWalCheckpointNeverDropsAnAckedAdd) {
+  const std::string wal_path = TestTempPath("xvr_fault_tolerance_wal.bin");
+  std::remove(wal_path.c_str());
+  {
+    auto wal = CatalogWal::Open(wal_path, /*last_seq=*/0);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(CatalogWalOp::kAddView, 2, "/r/s").ok());
+  }
+  {
+    auto recovered = Engine::LoadStateWithWal(path_, wal_path);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_NE((*recovered)->view(2), nullptr);
+  }
+  MutateImage([](KvStore* kv) { kv->Put("meta/wal_seq", "-1"); });
+  auto recovered = Engine::LoadStateWithWal(path_, wal_path);
+  if (recovered.ok()) {
+    EXPECT_NE((*recovered)->view(2), nullptr) << "the acked add was dropped";
+  } else {
+    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  }
+  std::remove(wal_path.c_str());
 }
 
 TEST(FileUtilTest, WriteFileAtomicReplacesAndLeavesNoTemp) {

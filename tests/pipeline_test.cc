@@ -531,8 +531,7 @@ TEST(RemoveViewRegression, HundredViewsFullyReleased) {
   const size_t base_filter_views = engine.vfilter().num_views();
   const size_t base_accepts = engine.vfilter().nfa().num_accept_entries();
 
-  // Add 100 views (some materialized, some pattern-only, some codes-only)
-  // and remove them all again.
+  // Add 100 views and remove them all again.
   const std::vector<std::string> shapes = {
       "/site/people/person/name",
       "//person/profile/interest",
@@ -544,19 +543,9 @@ TEST(RemoveViewRegression, HundredViewsFullyReleased) {
   for (int i = 0; i < 100; ++i) {
     auto pattern = engine.Parse(shapes[static_cast<size_t>(i) % shapes.size()]);
     ASSERT_TRUE(pattern.ok());
-    if (i % 3 == 0) {
-      auto id = engine.AddViewPattern(std::move(pattern).value());
-      ASSERT_TRUE(id.ok()) << id.status();
-      added.push_back(*id);
-    } else if (i % 3 == 1) {
-      auto id = engine.AddView(std::move(pattern).value());
-      ASSERT_TRUE(id.ok()) << id.status();
-      added.push_back(*id);
-    } else {
-      auto id = engine.AddViewCodesOnly(std::move(pattern).value());
-      ASSERT_TRUE(id.ok()) << id.status();
-      added.push_back(*id);
-    }
+    auto id = engine.AddView(std::move(pattern).value());
+    ASSERT_TRUE(id.ok()) << id.status();
+    added.push_back(*id);
   }
   EXPECT_EQ(engine.num_views(), base_views + 100);
   EXPECT_GT(engine.fragments().TotalByteSize(), base_bytes);
@@ -574,7 +563,6 @@ TEST(RemoveViewRegression, HundredViewsFullyReleased) {
   for (int32_t id : added) {
     EXPECT_EQ(engine.view(id), nullptr);
     EXPECT_FALSE(engine.fragments().HasView(id));
-    EXPECT_FALSE(engine.IsViewPartial(id));
   }
 
   // The engine still answers correctly from the remaining views.
@@ -602,6 +590,24 @@ TEST_F(PipelineTest, AnswerQueryReleasesItsCatalogPin) {
     ASSERT_TRUE(engine_.AddView(Parse("/r/s/f")).ok());
   }
   EXPECT_TRUE(answered_against.expired());
+}
+
+// SelectViews runs on the same per-thread context and drops its pin the
+// same way.
+TEST_F(PipelineTest, SelectViewsReleasesItsCatalogPin) {
+  ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
+  const TreePattern q = Parse("/r/s/p");
+  std::weak_ptr<const CatalogSnapshot> selected_against;
+  {
+    const CatalogRef local = engine_.Catalog();
+    selected_against = local;
+    AnswerStats stats;
+    auto selection =
+        engine_.SelectViews(q, AnswerStrategy::kHeuristicFiltered, &stats);
+    ASSERT_TRUE(selection.ok()) << selection.status();
+    ASSERT_TRUE(engine_.AddView(Parse("/r/s/f")).ok());
+  }
+  EXPECT_TRUE(selected_against.expired());
 }
 
 // One thread alternating between two engines (different documents and

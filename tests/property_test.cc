@@ -173,46 +173,6 @@ TEST(EndToEndAttributes, RewritingMatchesDirectEvaluation) {
   EXPECT_GT(answered, 0);
 }
 
-// Mixed full / codes-only view catalogs (§VII partial materialization):
-// answers must still match direct evaluation exactly.
-TEST(EndToEndPartialViews, RewritingMatchesDirectEvaluation) {
-  XmarkOptions doc_options;
-  doc_options.scale = 0.12;
-  doc_options.seed = 51;
-  Engine engine(GenerateXmark(doc_options));
-  QueryGenOptions gen_options;
-  gen_options.max_depth = 4;
-  gen_options.num_pred = 1;
-  QueryGenerator generator(engine.doc(), gen_options);
-  Rng rng(52);
-  int added = 0;
-  for (int attempts = 0; added < 120 && attempts < 6000; ++attempts) {
-    TreePattern v = generator.Generate(&rng);
-    const bool partial = rng.NextBool(0.5);
-    const auto id = partial ? engine.AddViewCodesOnly(std::move(v))
-                            : engine.AddView(std::move(v));
-    if (id.ok()) {
-      ++added;
-    }
-  }
-  ASSERT_GT(added, 0);
-  int answered = 0;
-  for (int i = 0; i < 60; ++i) {
-    const TreePattern query = generator.Generate(&rng);
-    auto hv = engine.AnswerQuery(query, AnswerStrategy::kHeuristicFiltered);
-    if (!hv.ok()) {
-      ASSERT_EQ(hv.status().code(), StatusCode::kNotAnswerable);
-      continue;
-    }
-    ++answered;
-    auto direct = engine.AnswerQuery(query, AnswerStrategy::kBaseNodeIndex);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(hv->codes, direct->codes)
-        << PatternToXPath(query, engine.labels());
-  }
-  EXPECT_GT(answered, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Property 2: VFILTER never filters a view that has a homomorphism to the
 // query (Proposition 3.1 + normalization, §III-C and §III-D).

@@ -145,21 +145,10 @@ TEST(CatalogSoak, ConcurrentReadersUnderChurn) {
   threads.emplace_back([&] {
     const std::vector<std::string> churn_xpaths = {"/r/s[p]/f", "/r/s[f]/p",
                                                    "/r/t/u", "/r/s[f]"};
-    uint64_t round = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       std::vector<int32_t> added;
-      for (size_t i = 0; i < churn_xpaths.size(); ++i) {
-        TreePattern pattern = Parse(engine, churn_xpaths[i]);
-        const Result<int32_t> id = [&]() -> Result<int32_t> {
-          switch ((round + i) % 3) {
-            case 0:
-              return engine.AddView(std::move(pattern));
-            case 1:
-              return engine.AddViewCodesOnly(std::move(pattern));
-            default:
-              return engine.AddViewPattern(std::move(pattern));
-          }
-        }();
+      for (const std::string& xpath : churn_xpaths) {
+        const Result<int32_t> id = engine.AddView(Parse(engine, xpath));
         if (!id.ok()) {
           report("mutator add: " + id.status().ToString());
           continue;
@@ -173,7 +162,6 @@ TEST(CatalogSoak, ConcurrentReadersUnderChurn) {
         }
       }
       mutations.fetch_add(added.size() * 2, std::memory_order_relaxed);
-      ++round;
     }
   });
 
@@ -399,7 +387,7 @@ TEST(CatalogWal, AppendReadAllRoundTrip) {
   auto wal = CatalogWal::Open(path, /*last_seq=*/0);
   ASSERT_TRUE(wal.ok());
   auto s1 = (*wal)->Append(CatalogWalOp::kAddView, 0, "/r/s/p");
-  auto s2 = (*wal)->Append(CatalogWalOp::kAddViewCodesOnly, 1, "/r/s/f");
+  auto s2 = (*wal)->Append(CatalogWalOp::kAddView, 1, "/r/s/f");
   auto s3 = (*wal)->Append(CatalogWalOp::kRemoveView, 0, "");
   ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
   EXPECT_EQ(*s1, 1u);
@@ -413,7 +401,7 @@ TEST(CatalogWal, AppendReadAllRoundTrip) {
   EXPECT_EQ((*records)[0].op, CatalogWalOp::kAddView);
   EXPECT_EQ((*records)[0].view_id, 0);
   EXPECT_EQ((*records)[0].xpath, "/r/s/p");
-  EXPECT_EQ((*records)[1].op, CatalogWalOp::kAddViewCodesOnly);
+  EXPECT_EQ((*records)[1].op, CatalogWalOp::kAddView);
   EXPECT_EQ((*records)[2].op, CatalogWalOp::kRemoveView);
   EXPECT_TRUE((*records)[2].xpath.empty());
   std::remove(path.c_str());
@@ -449,6 +437,31 @@ TEST(CatalogWal, TornTailIsDroppedNotFatal) {
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].xpath, "/r/s/p");
+  std::remove(path.c_str());
+}
+
+// Op bytes 1 and 2 once named codes-only and pattern-only adds. A record
+// carrying one now decodes like any other unknown op: even under a valid
+// checksum it ends the intact prefix, and nothing after it is replayed.
+TEST(CatalogWal, RetiredOpEndsTheIntactPrefix) {
+  const std::string path = TestTempPath("xvr_wal_retired_op.bin");
+  const std::string first = EncodeCatalogWalRecord(
+      CatalogWalRecord{1, CatalogWalOp::kAddView, 0, "/r/s/p"});
+  const std::string last = EncodeCatalogWalRecord(
+      CatalogWalRecord{3, CatalogWalOp::kRemoveView, 0, ""});
+  for (const uint8_t retired : {uint8_t{1}, uint8_t{2}}) {
+    const std::string middle = EncodeCatalogWalRecord(CatalogWalRecord{
+        2, static_cast<CatalogWalOp>(retired), 1, "/r/s/f"});
+    ASSERT_TRUE(WriteFileAtomic(path, first + middle + last).ok());
+    uint64_t intact = 0;
+    uint64_t clipped = 0;
+    auto records = CatalogWal::ReadAll(path, nullptr, &intact, &clipped);
+    ASSERT_TRUE(records.ok()) << records.status();
+    ASSERT_EQ(records->size(), 1u) << "op " << int{retired};
+    EXPECT_EQ((*records)[0].xpath, "/r/s/p");
+    EXPECT_EQ(intact, first.size());
+    EXPECT_EQ(clipped, middle.size() + last.size());
+  }
   std::remove(path.c_str());
 }
 
@@ -533,7 +546,7 @@ TEST_F(CatalogRecoveryTest, WalReplayRecoversUnsavedMutations) {
     auto id1 = engine.AddView(Parse(engine, "/r/s/q"));
     ASSERT_TRUE(id1.ok());
     churned = *id1;
-    auto id2 = engine.AddViewCodesOnly(Parse(engine, "/r/t/u"));
+    auto id2 = engine.AddView(Parse(engine, "/r/t/u"));
     ASSERT_TRUE(id2.ok());
     late = *id2;
     ASSERT_TRUE(engine.RemoveView(churned).ok());
@@ -545,7 +558,6 @@ TEST_F(CatalogRecoveryTest, WalReplayRecoversUnsavedMutations) {
   Engine& engine = **recovered;
   EXPECT_EQ(engine.view_ids(), (std::vector<int32_t>{kept, late}));
   EXPECT_EQ(engine.view(churned), nullptr);
-  EXPECT_TRUE(engine.IsViewPartial(late));
   // Replay continues the sequence: the next mutation appends after the
   // replayed tail instead of reusing sequence numbers.
   EXPECT_EQ(engine.catalog_wal_last_seq(), 4u);
@@ -571,11 +583,9 @@ TEST_F(CatalogRecoveryTest, TruncationSweepRecoversAPrefix) {
     };
     apply([&] { return engine.AddView(Parse(engine, "/r/s/p")).ok(); });
     apply([&] { return engine.AddView(Parse(engine, "/r/s/q")).ok(); });
-    apply([&] {
-      return engine.AddViewCodesOnly(Parse(engine, "/r/t/u")).ok();
-    });
+    apply([&] { return engine.AddView(Parse(engine, "/r/t/u")).ok(); });
     apply([&] { return engine.RemoveView(1).ok(); });
-    apply([&] { return engine.AddViewPattern(Parse(engine, "/r/s")).ok(); });
+    apply([&] { return engine.AddView(Parse(engine, "/r/s")).ok(); });
     apply([&] { return engine.RemoveView(0).ok(); });
   }
 

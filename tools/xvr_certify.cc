@@ -2,13 +2,12 @@
 // (analysis/certify.h).
 //
 // Sweeps randomized catalogs × queries: per round it generates an
-// adversarial random document, materializes a random view catalog over it
-// (full and codes-only views), plans a batch of random queries under every
-// view strategy and certifies each successful plan — no execution, no
-// document access at certification time. The invariant under test: the
-// planner never emits a plan the certifier rejects. Inconclusive verdicts
-// are allowed (recorded coNP escalations that could not run), rejections
-// are bugs.
+// adversarial random document, materializes a random view catalog over it,
+// plans a batch of random queries under every view strategy and certifies
+// each successful plan — no execution, no document access at
+// certification time. The invariant under test: the planner never emits a
+// plan the certifier rejects. Inconclusive verdicts are allowed (recorded
+// coNP escalations that could not run), rejections are bugs.
 //
 // On a rejection the driver minimizes the counterexample by greedily
 // dropping catalog views while the rejection persists, and dumps a
@@ -60,14 +59,6 @@ struct SweepTally {
   uint64_t unplannable = 0;
 };
 
-// One catalog view as source text, so a counterexample can be rebuilt in a
-// fresh engine (and pasted into a regression test) without sharing label
-// ids with the engine that found it.
-struct ViewSpec {
-  std::string xpath;
-  bool partial = false;
-};
-
 constexpr AnswerStrategy kViewStrategies[] = {
     AnswerStrategy::kMinimumNoFilter,
     AnswerStrategy::kMinimumFiltered,
@@ -87,19 +78,20 @@ RandomDocOptions DocOptionsForRound(const SweepOptions& sweep, int round) {
 // Plans `query` under `strategy` against an engine rebuilt from `doc` and
 // `views`, certifies it, and reports whether the certifier rejected it.
 // Plans that fail to build count as not-rejected (the invariant only covers
-// plans the planner actually emits).
+// plans the planner actually emits). Views travel as XPath source text, so
+// a counterexample can be rebuilt in a fresh engine (and pasted into a
+// regression test) without sharing label ids with the engine that found it.
 bool PlanRejects(const RandomDocOptions& doc_options,
-                 const std::vector<ViewSpec>& views, const std::string& query,
-                 AnswerStrategy strategy, std::string* summary) {
+                 const std::vector<std::string>& views,
+                 const std::string& query, AnswerStrategy strategy,
+                 std::string* summary) {
   Engine engine(GenerateRandomDoc(doc_options));
-  for (const ViewSpec& spec : views) {
-    Result<TreePattern> pattern = engine.Parse(spec.xpath);
+  for (const std::string& view : views) {
+    Result<TreePattern> pattern = engine.Parse(view);
     if (!pattern.ok()) {
       return false;
     }
-    const Result<int32_t> id =
-        spec.partial ? engine.AddViewCodesOnly(std::move(*pattern))
-                     : engine.AddView(std::move(*pattern));
+    const Result<int32_t> id = engine.AddView(std::move(*pattern));
     (void)id;  // a view that fails to materialize just shrinks the catalog
   }
   const Result<TreePattern> pattern = engine.Parse(query);
@@ -115,10 +107,7 @@ bool PlanRejects(const RandomDocOptions& doc_options,
   }
   CertifyOptions options;
   options.dict = &engine.doc().labels();
-  const Certificate cert =
-      CertifyPlan(*plan, catalog->MakeLookup(),
-                  [&catalog](int32_t id) { return catalog->IsViewPartial(id); },
-                  options);
+  const Certificate cert = CertifyPlan(*plan, catalog->MakeLookup(), options);
   if (summary != nullptr) {
     *summary = cert.Summary();
   }
@@ -127,12 +116,12 @@ bool PlanRejects(const RandomDocOptions& doc_options,
 
 // Greedy delta-debugging over the catalog: drop one view at a time, keep
 // the drop whenever the rejection persists.
-std::vector<ViewSpec> MinimizeViews(const RandomDocOptions& doc_options,
-                                    std::vector<ViewSpec> views,
-                                    const std::string& query,
-                                    AnswerStrategy strategy) {
+std::vector<std::string> MinimizeViews(const RandomDocOptions& doc_options,
+                                       std::vector<std::string> views,
+                                       const std::string& query,
+                                       AnswerStrategy strategy) {
   for (size_t i = 0; i < views.size();) {
-    std::vector<ViewSpec> smaller = views;
+    std::vector<std::string> smaller = views;
     smaller.erase(smaller.begin() + static_cast<ptrdiff_t>(i));
     if (PlanRejects(doc_options, smaller, query, strategy, nullptr)) {
       views = std::move(smaller);
@@ -144,9 +133,9 @@ std::vector<ViewSpec> MinimizeViews(const RandomDocOptions& doc_options,
 }
 
 void DumpFixture(const SweepOptions& sweep, const RandomDocOptions& doc,
-                 const std::vector<ViewSpec>& views, const std::string& query,
-                 AnswerStrategy strategy, const std::string& summary,
-                 int fixture_index) {
+                 const std::vector<std::string>& views,
+                 const std::string& query, AnswerStrategy strategy,
+                 const std::string& summary, int fixture_index) {
   std::error_code ec;
   std::filesystem::create_directories(sweep.fixtures_dir, ec);
   const std::string path = sweep.fixtures_dir + "/reject-" +
@@ -160,9 +149,8 @@ void DumpFixture(const SweepOptions& sweep, const RandomDocOptions& doc,
   out << "doc.max_children = " << doc.max_children << "\n";
   out << "strategy = " << AnswerStrategyName(strategy) << "\n";
   out << "query = " << query << "\n";
-  for (const ViewSpec& spec : views) {
-    out << (spec.partial ? "view.codes_only = " : "view = ") << spec.xpath
-        << "\n";
+  for (const std::string& view : views) {
+    out << "view = " << view << "\n";
   }
   out << "certificate = " << summary << "\n";
   std::cerr << "xvr_certify: REJECTED plan, fixture written to " << path
@@ -178,8 +166,7 @@ int RunSweep(const SweepOptions& sweep) {
     Rng rng(doc_options.seed ^ 0x9e3779b97f4a7c15ull);
 
     // Materialize a random catalog. Views come from shallow walks so they
-    // anchor high enough to cover; every fourth one is codes-only to sweep
-    // the §VII partial-materialization rules.
+    // anchor high enough to cover.
     QueryGenOptions view_gen_options;
     view_gen_options.max_depth = 3 + round % 2;
     view_gen_options.prob_wild = 0.2;
@@ -187,7 +174,7 @@ int RunSweep(const SweepOptions& sweep) {
     view_gen_options.num_pred = 1;
     view_gen_options.num_nestedpath = 2;
     const QueryGenerator view_gen(engine.doc(), view_gen_options);
-    std::vector<ViewSpec> views;
+    std::vector<std::string> views;
     for (int attempt = 0;
          attempt < 12 * sweep.views &&
          views.size() < static_cast<size_t>(sweep.views);
@@ -196,14 +183,9 @@ int RunSweep(const SweepOptions& sweep) {
       if (candidate.empty()) {
         continue;
       }
-      ViewSpec spec;
-      spec.xpath = PatternToXPath(candidate, engine.doc().labels());
-      spec.partial = views.size() % 4 == 3;
-      const Result<int32_t> id =
-          spec.partial ? engine.AddViewCodesOnly(std::move(candidate))
-                       : engine.AddView(std::move(candidate));
-      if (id.ok()) {
-        views.push_back(std::move(spec));
+      std::string xpath = PatternToXPath(candidate, engine.doc().labels());
+      if (engine.AddView(std::move(candidate)).ok()) {
+        views.push_back(std::move(xpath));
       }
     }
 
@@ -219,9 +201,6 @@ int RunSweep(const SweepOptions& sweep) {
     CertifyOptions certify_options;
     certify_options.dict = &engine.doc().labels();
     const ViewLookup lookup = catalog->MakeLookup();
-    const PartialLookup is_partial = [&catalog](int32_t id) {
-      return catalog->IsViewPartial(id);
-    };
 
     // The query batch: random walks plus every materialized view's own
     // pattern echoed back as a query. Echoes are always answerable, so they
@@ -231,8 +210,7 @@ int RunSweep(const SweepOptions& sweep) {
       TreePattern query;
       if (qi % 2 == 1 && !views.empty()) {
         Result<TreePattern> echoed =
-            engine.Parse(views[static_cast<size_t>(qi / 2) % views.size()]
-                             .xpath);
+            engine.Parse(views[static_cast<size_t>(qi / 2) % views.size()]);
         if (echoed.ok()) {
           query = std::move(*echoed);
         }
@@ -254,7 +232,7 @@ int RunSweep(const SweepOptions& sweep) {
           continue;
         }
         const Certificate cert =
-            CertifyPlan(*plan, lookup, is_partial, certify_options);
+            CertifyPlan(*plan, lookup, certify_options);
         ++tally.plans;
         tally.escalations += static_cast<uint64_t>(cert.escalations);
         if (cert.non_minimal) {
@@ -272,7 +250,7 @@ int RunSweep(const SweepOptions& sweep) {
             break;
           case CertifyVerdict::kRejected: {
             ++tally.rejected;
-            const std::vector<ViewSpec> minimized =
+            const std::vector<std::string> minimized =
                 MinimizeViews(doc_options, views, query_xpath, strategy);
             std::string summary = cert.Summary();
             (void)PlanRejects(doc_options, minimized, query_xpath, strategy,
