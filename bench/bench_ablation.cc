@@ -18,7 +18,6 @@
 
 #include "bench/bench_common.h"
 #include "pattern/homomorphism.h"
-#include "vfilter/vfilter_serde.h"
 
 namespace {
 
@@ -84,12 +83,12 @@ void BM_Ablation_PrefixSharing(benchmark::State& state) {
   const bool share = state.range(0) != 0;
   xvr_bench::FilterSetup& setup = xvr_bench::ViewScalingSetup();
   size_t states = 0;
-  size_t bytes = 0;
+  size_t size = 0;
   for (auto _ : state) {
     if (share) {
       auto filter = xvr_bench::BuildFilter(4000);
       states = filter->num_states();
-      bytes = xvr::SerializedVFilterSize(*filter);
+      size = filter->automaton_size();
       continue;
     }
     states = 1;
@@ -107,7 +106,7 @@ void BM_Ablation_PrefixSharing(benchmark::State& state) {
   state.SetLabel(share ? "shared" : "unshared");
   state.counters["states"] = static_cast<double>(states);
   if (share) {
-    state.counters["size_kb"] = static_cast<double>(bytes) / 1024.0;
+    state.counters["size"] = static_cast<double>(size);
   }
 }
 BENCHMARK(BM_Ablation_PrefixSharing)

@@ -26,7 +26,6 @@
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "pattern/pattern_writer.h"
-#include "vfilter/vfilter_serde.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
 
@@ -177,11 +176,10 @@ class Shell {
                   engine_->doc().size(), engine_->num_views(),
                   xvr::HumanBytes(engine_->fragments().TotalByteSize())
                       .c_str());
-      std::printf("VFILTER: %zu states, %zu transitions, image %s\n",
+      std::printf("VFILTER: %zu states, %zu transitions, size %zu\n",
                   engine_->vfilter().num_states(),
                   engine_->vfilter().num_transitions(),
-                  xvr::HumanBytes(SerializedVFilterSize(engine_->vfilter()))
-                      .c_str());
+                  engine_->vfilter().automaton_size());
       const xvr::ServerStats server = engine_->ServerStats();
       std::printf(
           "queries: %llu total, %llu ok, %llu failed "
@@ -193,8 +191,7 @@ class Shell {
           static_cast<unsigned long long>(server.queries_deadline_exceeded),
           static_cast<unsigned long long>(server.queries_cancelled),
           static_cast<unsigned long long>(server.queries_budget_exhausted),
-          static_cast<unsigned long long>(server.queries_degraded_selection +
-                               server.queries_degraded_unfiltered));
+          static_cast<unsigned long long>(server.queries_degraded_selection));
       std::printf(
           "plan cache: %llu lookups, %llu hits (%.0f%%), %llu stale drops, "
           "%llu evictions; publish sweeps: %llu dep + %llu fingerprint "

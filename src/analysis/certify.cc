@@ -514,13 +514,4 @@ Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
   return cert;
 }
 
-Status CertifyPlanStatus(const QueryPlan& plan, const ViewLookup& lookup,
-                         const CertifyOptions& options) {
-  const Certificate cert = CertifyPlan(plan, lookup, options);
-  if (cert.verdict == CertifyVerdict::kRejected) {
-    return Status::Internal("plan failed certification: " + cert.Summary());
-  }
-  return Status::Ok();
-}
-
 }  // namespace xvr

@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/planner.h"
 #include "selection/answerability.h"
 #include "xml/label_dict.h"
@@ -73,9 +72,9 @@ struct Certificate {
   // the verified covers complete. Greedy/degraded plans may trip this; it
   // never rejects.
   bool non_minimal = false;
-  // The plan was produced by a degraded planner path (greedy fallback or
-  // unfiltered selection). Certified like any other plan; flagged so soaks
-  // can tell sound-but-degraded from clean.
+  // The plan was produced by a degraded planner path (the greedy
+  // fallback). Certified like any other plan; flagged so soaks can tell
+  // sound-but-degraded from clean.
   bool degraded_plan = false;
   // Canonical-model (coNP) escalations that ran / checks left undecided.
   int escalations = 0;
@@ -103,12 +102,6 @@ struct CertifyOptions {
 // plan or the catalog.
 Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
                         const CertifyOptions& options = {});
-
-// Adapter for XVR_DEBUG_VALIDATE-style hooks: OK for certified or
-// inconclusive plans, an error carrying the summary for rejected ones.
-[[nodiscard]] Status CertifyPlanStatus(const QueryPlan& plan,
-                                       const ViewLookup& lookup,
-                                       const CertifyOptions& options = {});
 
 }  // namespace xvr
 

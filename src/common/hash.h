@@ -2,7 +2,7 @@
 #define XVR_COMMON_HASH_H_
 
 // FNV-1a, the checksum every persisted image trails (KvStore file images
-// and the VFilter image v4). Not cryptographic — it detects truncation and
+// and catalog WAL records). Not cryptographic — it detects truncation and
 // bit rot, not adversaries.
 
 #include <cstdint>

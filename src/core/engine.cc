@@ -12,7 +12,6 @@
 #include "pattern/xpath_parser.h"
 #include "pattern/minimize.h"
 #include "storage/kv_store.h"
-#include "vfilter/vfilter_serde.h"
 #include "xml/fst.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
@@ -246,7 +245,17 @@ Status Engine::EnableCatalogWal(const std::string& path) {
   uint64_t replayed = 0;
   for (const CatalogWalRecord& record : records) {
     if (record.seq <= wal_checkpoint_seq_) {
-      // Covered by the loaded image (a SaveState whose truncate failed).
+      // Covered by the loaded image (a SaveState whose truncate failed), so
+      // an add skipped here issued an id below the image's next id. One
+      // that did not is an acked add the checkpoint claims without holding.
+      if (record.op == CatalogWalOp::kAddView &&
+          record.view_id >= Catalog()->next_view_id) {
+        return Status::ParseError(
+            "WAL checkpoint " + std::to_string(wal_checkpoint_seq_) +
+            " covers record " + std::to_string(record.seq) +
+            ", which adds view " + std::to_string(record.view_id) +
+            " the image does not hold");
+      }
       continue;
     }
     XVR_RETURN_IF_ERROR(ApplyWalRecordLocked(record));
@@ -338,7 +347,6 @@ Status Engine::SaveState(const std::string& path) const {
   const uint64_t wal_seq =
       wal_ != nullptr ? wal_->last_seq() : wal_checkpoint_seq_;
   kv.Put("meta/wal_seq", std::to_string(wal_seq));
-  kv.Put("vfilter/image", SerializeVFilter(catalog->vfilter));
   XVR_RETURN_IF_ERROR(catalog->fragments.SaveTo(&kv));
   // KvStore::SaveToFile writes via sync-temp-then-rename-then-syncdir with
   // a trailing checksum: a crash here — power cut included — cannot lose a
@@ -373,9 +381,6 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   XmlTree doc;
   XVR_ASSIGN_OR_RETURN(doc, ParseXml(*doc_xml));
   doc.AssignDeweyCodes();
-  // The VFilter image references label ids interned while parsing the
-  // document (views only use labels that occur in it), so options for the
-  // filter come from the image itself.
   auto engine = std::make_unique<Engine>(std::move(doc), std::move(options));
 
   // The restored catalog is assembled privately and published once at the
@@ -459,42 +464,25 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
     return true;
   });
   XVR_RETURN_IF_ERROR(status);
-  // The VFILTER image is an index over the view catalog, so a corrupt or
-  // missing image is recoverable: rebuild the filter from the restored
-  // patterns instead of failing the load.
-  const std::string* image = kv.Get("vfilter/image");
-  Result<VFilter> filter =
-      image != nullptr
-          ? DeserializeVFilter(*image)
-          : Result<VFilter>(Status::ParseError("engine image has no VFilter"));
-  if (filter.ok()) {
-    next.vfilter = std::move(filter).value();
-  } else {
-    XVR_LOG(WARNING) << "rebuilding VFILTER from the view catalog: "
-                     << filter.status().message();
-    next.vfilter = VFilter(engine->options_.vfilter);
-    for (const int32_t id : next.view_ids()) {
-      next.vfilter.AddView(id, next.views[id]);
-    }
-    engine->vfilter_rebuilt_ = true;
-  }
   // Quarantine: remove corrupt-fragment views from every selection-facing
   // structure. Their patterns stay in the views map for diagnosis.
   for (const int32_t id : frag_quarantined) {
     next.quarantined_views.insert(id);
   }
   for (const int32_t id : next.quarantined_views) {  // lint:ordered-ok
-    next.vfilter.RemoveView(id);
     next.fragments.RemoveView(id);
   }
   // Every serving view is fully materialized, so a stored view without
-  // fragments must carry the quarantine marker.
+  // fragments must carry the quarantine marker. VFILTER is an index over
+  // the serving views, built here from their patterns (an image's
+  // vfilter/image key, which older saves wrote, is never read).
   for (const int32_t id : next.view_ids()) {
     if (!next.fragments.HasView(id)) {
       return Status::ParseError("engine image holds no fragments of view " +
                                 std::to_string(id) +
                                 " and does not mark it quarantined");
     }
+    next.vfilter.AddView(id, next.views[id]);
   }
   {
     MutexLock lock(&engine->catalog_mu_);
@@ -530,8 +518,6 @@ ServerStats Engine::ServerStats() const {
   out.queries_budget_exhausted = metrics_->queries_budget_exhausted->Value();
   out.queries_degraded_selection =
       metrics_->queries_degraded_selection->Value();
-  out.queries_degraded_unfiltered =
-      metrics_->queries_degraded_unfiltered->Value();
   // From the cache itself: publish_entries_swept has no mirrored counter.
   if (plan_cache_ != nullptr) {
     out.plan_cache = plan_cache_->stats();

@@ -93,7 +93,6 @@ struct ServerStats {
   uint64_t queries_cancelled = 0;
   uint64_t queries_budget_exhausted = 0;
   uint64_t queries_degraded_selection = 0;
-  uint64_t queries_degraded_unfiltered = 0;
   PlanCache::Stats plan_cache;
   uint64_t catalog_publishes = 0;
   uint64_t wal_appends = 0;
@@ -190,8 +189,10 @@ class Engine {
   // Any intact records already in the log with sequence numbers above the
   // loaded image's checkpoint are replayed into the catalog first — this is
   // the crash-recovery path — then every subsequent mutation is appended
-  // before it is published. Call once, before serving mutations; typically
-  // right after construction or LoadState.
+  // before it is published. A skipped add whose view id is not below the
+  // image's next view id means the checkpoint is wrong: PARSE_ERROR. Call
+  // once, before serving mutations; typically right after construction or
+  // LoadState.
   Status EnableCatalogWal(const std::string& path);
 
   // Whether a WAL is enabled, and the highest sequence number appended.
@@ -241,23 +242,22 @@ class Engine {
 
   // --- persistence -----------------------------------------------------------
   //
-  // Saves the complete state (document, view patterns, VFILTER image,
-  // materialized fragments) into one KvStore image on disk and restores it.
-  // Mirrors the paper's deployment where BDB holds the filter and the
-  // fragments across sessions.
+  // Saves the complete state (document, view patterns, materialized
+  // fragments) into one KvStore image on disk and restores it, as the
+  // paper's deployment keeps the fragments in BDB across sessions. VFILTER
+  // is not saved: LoadState rebuilds it from the serving views' patterns
+  // with `options.vfilter`, as every other option comes from `options`.
   //
   // Crash safety and corruption tolerance: the image is written via
   // write-temp-then-rename and carries a FNV-1a checksum, so a crash
-  // mid-save never loses the previous good state. On load, a corrupt or
-  // missing VFILTER image is rebuilt from the restored view catalog
-  // (vfilter_rebuilt() reports it), and a view with corrupt fragments is
-  // quarantined — dropped from the selection candidates with a warning —
-  // while the engine keeps answering from the remaining views. Only a
-  // corrupt document (or a torn image, caught by the checksum) fails the
-  // load, as does an image whose keys contradict each other: an id not
-  // below meta/next_view_id, a view marker other than "quarantined", a
-  // stored view with neither fragments nor that marker, or a meta/wal_seq
-  // that is not a decimal u64 below 2^64-1.
+  // mid-save never loses the previous good state. On load, a view with
+  // corrupt fragments is quarantined — dropped from the selection
+  // candidates with a warning — while the engine keeps answering from the
+  // remaining views. Only a corrupt document (or a torn image, caught by
+  // the checksum) fails the load, as does an image whose keys contradict
+  // each other: an id not below meta/next_view_id, a view marker other than
+  // "quarantined", a stored view with neither fragments nor that marker, or
+  // a meta/wal_seq that is not a decimal u64 below 2^64-1.
   //
   // With a WAL enabled, a successful SaveState checkpoints the image at the
   // WAL's last sequence number and truncates the log; if only the truncate
@@ -287,10 +287,6 @@ class Engine {
   bool IsViewQuarantined(int32_t id) const {
     return Catalog()->IsViewQuarantined(id);
   }
-
-  // True when LoadState could not decode the persisted VFILTER image and
-  // rebuilt the filter from the view catalog instead.
-  bool vfilter_rebuilt() const { return vfilter_rebuilt_; }
 
   // The storage environment every persistence call of this engine goes
   // through: options.env (or DefaultEnv()) wrapped in the metering
@@ -354,7 +350,6 @@ class Engine {
   XmlTree doc_;
   EngineOptions options_;
   BaseEvaluator base_;
-  bool vfilter_rebuilt_ = false;
 
   // Observability (before the read path: the pipeline and the plan cache
   // hold pointers into it). mutable: recording from the const read path is

@@ -239,9 +239,6 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
     if (answer->stats.degraded_selection) {
       m.queries_degraded_selection->Add();
     }
-    if (answer->stats.degraded_unfiltered) {
-      m.queries_degraded_unfiltered->Add();
-    }
   } else {
     m.queries_failed->Add();
     switch (answer.status().code()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/fault_injection.h"
 #include "obs/trace.h"
 #include "pattern/minimize.h"
 #include "rewrite/compensate.h"
@@ -34,48 +33,20 @@ QueryLimits ExhaustiveLimits(const QueryLimits& limits) {
   return sliced;
 }
 
-// Degraded stand-in for a poisoned VFILTER: every view is a candidate and
-// every per-path list carries every view (length 0 — no ordering signal).
-// Sound because the filter is a pure optimization: selection still computes
-// real leaf covers, so false candidates are rejected there.
-FilterResult UnfilteredFallback(const TreePattern& query,
-                                std::vector<int32_t> ids) {
-  FilterResult result;
-  result.decomposition = Decompose(query);
-  result.candidates = std::move(ids);
-  result.lists.resize(result.decomposition.paths.size());
-  for (auto& list : result.lists) {
-    list.reserve(result.candidates.size());
-    for (int32_t id : result.candidates) {
-      list.push_back(ViewLengthEntry{id, 0});
-    }
-  }
-  return result;
-}
-
 // The filter step of the filtered strategies (MV, HV, HB), timed as
-// plan.filter. A fault-injected VFILTER outage degrades to planning over
-// the whole catalog; `candidates_out` then stays untouched, since the
-// fallback's "candidates" are no dependency set.
+// plan.filter.
 Result<FilterResult> FilterStep(const CatalogSnapshot& catalog,
                                 const TreePattern& query, AnswerStats* stats,
                                 NfaReadScratch* scratch,
                                 const QueryLimits& limits, Trace* trace,
                                 std::vector<int32_t>* candidates_out) {
   ScopedSpan filter_span(trace, "plan.filter");
-  bool filter_poisoned = false;
-  XVR_FAULT_POINT("planner.filter", filter_poisoned = true);
   FilterResult filtered;
-  if (filter_poisoned) {
-    stats->degraded_unfiltered = true;
-    filtered = UnfilteredFallback(query, catalog.view_ids());
-  } else {
-    XVR_ASSIGN_OR_RETURN(filtered,
-                         catalog.vfilter.Filter(query, scratch, limits));
-  }
+  XVR_ASSIGN_OR_RETURN(filtered,
+                       catalog.vfilter.Filter(query, scratch, limits));
   stats->filter_micros = filter_span.StopMicros();
   stats->candidates_after_filter = filtered.candidates.size();
-  if (candidates_out != nullptr && !filter_poisoned) {
+  if (candidates_out != nullptr) {
     *candidates_out = filtered.candidates;
   }
   return filtered;
@@ -244,8 +215,7 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
   Result<SelectionResult> selection =
       Select(catalog, plan.query, strategy, &plan.plan_stats, scratch,
              limits, trace, &candidates);
-  plan.degraded = plan.plan_stats.degraded_selection ||
-                  plan.plan_stats.degraded_unfiltered;
+  plan.degraded = plan.plan_stats.degraded_selection;
   if (!selection.ok()) {
     if (selection.status().code() == StatusCode::kNotAnswerable &&
         tombstone_out != nullptr && !plan.degraded) {
@@ -343,10 +313,8 @@ void PlanCache::Insert(const std::string& key,
     return;
   }
   MutexLock lock(&mu_);
-  // A degraded plan must never enter the cache: beyond serving later
-  // callers a plan shaped by one call's deadline, a degraded-unfiltered
-  // plan's dependency set would name every view in the catalog (or none,
-  // on the fault path), poisoning targeted invalidation.
+  // A degraded plan must never enter the cache: it would serve later
+  // callers a plan shaped by one call's deadline.
   if (plan->degraded) {
     return;
   }

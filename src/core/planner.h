@@ -99,14 +99,11 @@ struct AnswerStats {
   int covers_computed = 0;
   // True when the plan (filter + selection) came out of the PlanCache.
   bool plan_cache_hit = false;
-  // Degradations that fired while planning. `degraded_selection`: exhaustive
-  // minimum-set selection overran its deadline slice (or blew the DP's
-  // 20-bit universe) and the planner fell back to the greedy heuristic —
-  // the answer is still correct, just possibly over more views.
-  // `degraded_unfiltered`: VFILTER was unavailable (fault-injected) and
-  // selection ran over the full catalog instead of the candidate set.
+  // The degradation that can fire while planning: exhaustive minimum-set
+  // selection overran its deadline slice (or blew the DP's 20-bit
+  // universe) and the planner fell back to the greedy heuristic — the
+  // answer is still correct, just possibly over more views.
   bool degraded_selection = false;
-  bool degraded_unfiltered = false;
   RewriteStats rewrite;
 };
 
@@ -134,11 +131,10 @@ struct QueryPlan {
   // Planning-phase stats (filter/selection timings, candidate counts).
   AnswerStats plan_stats;
 
-  // True when any degradation fired while planning. Degraded plans are
+  // True when a degradation fired while planning. Degraded plans are
   // never inserted into the PlanCache: a plan degraded under one call's
-  // deadline must not be served to later calls with ample time — and a
-  // degraded-unfiltered plan would depend on every view, poisoning the
-  // dependency index (PlanCache::Insert rejects them defensively).
+  // deadline must not be served to later calls with ample time
+  // (PlanCache::Insert rejects them defensively).
   bool degraded = false;
 
   // Negative plan ("tombstone"): selection proved the query unanswerable
@@ -178,7 +174,7 @@ class Planner {
   // filtered strategies (MV/HV/HB) planned over — even when selection then
   // fails — so BuildPlan can record it as the plan's positive dependency
   // set. Left empty for MN (which plans over the whole catalog without
-  // filtering) and on the degraded-unfiltered fault path.
+  // filtering).
   Result<SelectionResult> Select(const CatalogSnapshot& catalog,
                                  const TreePattern& query,
                                  AnswerStrategy strategy, AnswerStats* stats,
@@ -234,10 +230,10 @@ class PlanCache {
   std::shared_ptr<const QueryPlan> Lookup(const std::string& key,
                                           uint64_t catalog_version);
 
-  // Caches `plan` under `key`. Degraded plans are rejected (they would
-  // poison the dependency index — see QueryPlan::degraded), as are plans
-  // built against a catalog older than the last swept publication (their
-  // dependencies never saw the newer mutations).
+  // Caches `plan` under `key`. Degraded plans are rejected (see
+  // QueryPlan::degraded), as are plans built against a catalog older than
+  // the last swept publication (their dependencies never saw the newer
+  // mutations).
   void Insert(const std::string& key,
               std::shared_ptr<const QueryPlan> plan);
 

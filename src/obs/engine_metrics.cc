@@ -28,8 +28,6 @@ EngineMetrics::EngineMetrics(MetricsRegistry* registry) {
       registry->GetCounter("xvr.queries.budget_exhausted");
   queries_degraded_selection =
       registry->GetCounter("xvr.queries.degraded_selection");
-  queries_degraded_unfiltered =
-      registry->GetCounter("xvr.queries.degraded_unfiltered");
 
   plan_cache_lookups = registry->GetCounter("xvr.plan_cache.lookups");
   plan_cache_hits = registry->GetCounter("xvr.plan_cache.hits");

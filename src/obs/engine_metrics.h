@@ -11,7 +11,6 @@
 //   xvr.queries.cancelled
 //   xvr.queries.budget_exhausted
 //   xvr.queries.degraded_selection         exhaustive -> greedy fallback
-//   xvr.queries.degraded_unfiltered        VFILTER skipped (fault path)
 //   xvr.plan_cache.lookups/hits/misses/stale_drops/evictions
 //   xvr.plan_cache.dep_invalidations      publish-sweep drops: a selected /
 //                                         candidate view was removed (or a
@@ -91,7 +90,6 @@ struct EngineMetrics {
   Counter* queries_cancelled;
   Counter* queries_budget_exhausted;
   Counter* queries_degraded_selection;
-  Counter* queries_degraded_unfiltered;
 
   Counter* plan_cache_lookups;
   Counter* plan_cache_hits;

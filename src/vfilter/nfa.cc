@@ -89,23 +89,6 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
   dense[static_cast<size_t>(label)] = to;
 }
 
-void PathNfa::ResetStates(size_t num_states) {
-  states_ = CowTable<State>();
-  for (size_t id = 0; id < num_states; ++id) {
-    states_.Set(static_cast<StateId>(id), State{});
-  }
-}
-
-void PathNfa::RebuildDispatch() {
-  dense_index_.assign(states_.size(), -1);
-  dense_tables_.clear();
-  for (const auto& [id, state] : states_) {
-    if (state.label_trans.size() >= kDenseThreshold) {
-      BuildDenseFor(id);
-    }
-  }
-}
-
 void PathNfa::Insert(const PathPattern& path, int32_t view_id,
                      int32_t path_id, const PredInterner& pred_intern,
                      int32_t slot) {
@@ -162,8 +145,8 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
   scratch->current.clear();
   scratch->next.clear();
   if (scratch->mark.size() < states_.size()) {
-    // A fresh scratch, or states were added (possibly installed wholesale
-    // by deserialization) since this scratch was last used.
+    // A fresh scratch, or states were added since this scratch was last
+    // used.
     scratch->mark.resize(states_.size(), 0);
     scratch->accept_mark.resize(states_.size(), 0);
   }

@@ -61,8 +61,8 @@ struct AcceptEntry {
   int32_t view_id = -1;
   int32_t path_id = -1;  // index of the path inside the view's D(V)
   int32_t length = 0;    // number of labels of the view path (for LIST(P))
-  // The view's dense slot in its VFilter (VFilter::SlotOf). Derived, never
-  // serialized: AddView and deserialization assign it.
+  // The view's dense slot in its VFilter (VFilter::SlotOf), which AddView
+  // assigns.
   int32_t slot = 0;
 };
 
@@ -144,7 +144,6 @@ class PathNfa {
   size_t num_transitions() const;
   size_t num_accept_entries() const;
 
-  // Serialization (vfilter/vfilter_serde.cc).
   struct State {
     std::unordered_map<LabelId, StateId> label_trans;
     StateId star_trans = kNoState;
@@ -159,25 +158,19 @@ class PathNfa {
   // Copies of an NFA share its state chunks copy-on-write
   // (common/cow_table.h).
   const CowTable<State>& states() const { return states_; }
-  // Write access to one state; clones its chunk if a copy shares it.
-  // Callers that edit states structurally (tests inject corruptions) must
-  // call RebuildDispatch() before the next Read(), or the derived dense
-  // tables go stale.
+  // Write access to one state; clones its chunk if a copy shares it. For
+  // tests that inject corruptions: a structural edit leaves the derived
+  // dense tables stale.
   State& mutable_state(StateId id) { return states_.Mutable(id); }
-  // Deserialization: replaces every state with `num_states` empty ones, to
-  // be filled through mutable_state() and followed by RebuildDispatch().
-  void ResetStates(size_t num_states);
   StateId start() const { return 0; }
 
-  // --- dense label dispatch (derived, never serialized) --------------------
+  // --- dense label dispatch (derived) --------------------------------------
   //
   // A state whose label fanout reaches kDenseThreshold gets a label-indexed
   // target table, turning the hot Read() lookup from a hash probe into an
   // array load. States below the threshold (the long tail: trie chains with
   // fanout 1-2) keep the sparse map. Maintained incrementally by Insert.
 
-  // Drops and rebuilds every dense table from label_trans.
-  void RebuildDispatch();
   size_t num_dense_states() const { return dense_tables_.size(); }
 
  private:

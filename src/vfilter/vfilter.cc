@@ -118,14 +118,6 @@ std::vector<std::pair<int32_t, int32_t>> VFilter::ViewPathCounts() const {
   return counts;
 }
 
-void VFilter::RestoreViews(
-    const std::vector<std::pair<int32_t, int32_t>>& views) {
-  XVR_CHECK(slots_.empty());
-  for (const auto& [view_id, num_paths] : views) {
-    slots_.push_back(ViewSlot{view_id, num_paths});
-  }
-}
-
 FilterResult VFilter::Filter(const TreePattern& query,
                              NfaReadScratch* scratch) const {
   Result<FilterResult> result = Filter(query, scratch, QueryLimits());

@@ -124,6 +124,12 @@ class VFilter {
   size_t num_views() const { return slots_.size() - free_slots_.size(); }
   size_t num_states() const { return nfa_.num_states(); }
   size_t num_transitions() const { return nfa_.num_transitions(); }
+  // The automaton's size, the measure of Fig. 11: states + transitions +
+  // accept entries.
+  size_t automaton_size() const {
+    return nfa_.num_states() + nfa_.num_transitions() +
+           nfa_.num_accept_entries();
+  }
   const PathNfa& nfa() const { return nfa_; }
   PathNfa& mutable_nfa() { return nfa_; }
   const VFilterOptions& options() const { return options_; }
@@ -134,9 +140,8 @@ class VFilter {
   // --- registry -------------------------------------------------------------
   //
   // Each indexed view holds a dense slot, and its accept entries carry it,
-  // so Filter's bookkeeping is an array indexed by slot. Slots are derived:
-  // the image stores only the (id, |D(V)|) list. The slot table is the only
-  // registry; nothing on the query path maps ids to slots.
+  // so Filter's bookkeeping is an array indexed by slot. The slot table is
+  // the only registry; nothing on the query path maps ids to slots.
 
   // The view's slot, or -1 when it is not indexed. Scans the slot table.
   int32_t SlotOf(int32_t view_id) const;
@@ -145,20 +150,6 @@ class VFilter {
   const std::vector<int32_t>& free_slots() const { return free_slots_; }
   // (view id, |D(V)|) of every indexed view, sorted by id.
   std::vector<std::pair<int32_t, int32_t>> ViewPathCounts() const;
-  // Deserialization: installs `views` (sorted, as ViewPathCounts returns
-  // them) into an empty registry, giving them slots 0, 1, ... in order.
-  // The caller stamps each accept entry of mutable_nfa() with its view's
-  // position in `views`.
-  void RestoreViews(const std::vector<std::pair<int32_t, int32_t>>& views);
-
-  // Pred dictionary (attribute extension): interned predicate keys. Exposed
-  // for serialization.
-  const std::unordered_map<std::string, int32_t>& pred_ids() const {
-    return pred_ids_;
-  }
-  std::unordered_map<std::string, int32_t>& mutable_pred_ids() {
-    return pred_ids_;
-  }
 
  private:
   // Token string of a path — labels, '*', '#', plus pred tokens when the
@@ -174,6 +165,7 @@ class VFilter {
   PathNfa nfa_;
   std::vector<ViewSlot> slots_;
   std::vector<int32_t> free_slots_;
+  // Pred dictionary (attribute extension): interned predicate keys.
   std::unordered_map<std::string, int32_t> pred_ids_;
 };
 

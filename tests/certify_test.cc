@@ -117,7 +117,8 @@ TEST(CertifyAcceptTest, GenuinePlansCertifyUnderEveryViewStrategy) {
     EXPECT_EQ(cert.verdict, CertifyVerdict::kCertified)
         << AnswerStrategyName(strategy) << ": " << cert.Summary();
     EXPECT_TRUE(cert.findings.empty()) << cert.Summary();
-    EXPECT_TRUE(CertifyPlanStatus(f.plan, f.catalog->MakeLookup()).ok());
+    EXPECT_NE(CertifyPlan(f.plan, f.catalog->MakeLookup()).verdict,
+              CertifyVerdict::kRejected);
   }
 }
 
@@ -202,7 +203,8 @@ TEST(CertifyRejectTest, DroppedCoverLeaf) {
   const Certificate cert = Certify(f);
   EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
   EXPECT_TRUE(HasFinding(cert, "cover")) << cert.Summary();
-  EXPECT_FALSE(CertifyPlanStatus(f.plan, f.catalog->MakeLookup()).ok());
+  EXPECT_EQ(CertifyPlan(f.plan, f.catalog->MakeLookup()).verdict,
+            CertifyVerdict::kRejected);
 }
 
 TEST(CertifyRejectTest, DroppedAnswerClaim) {

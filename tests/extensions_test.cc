@@ -9,7 +9,6 @@
 #include "pattern/xpath_parser.h"
 #include "test_util.h"
 #include "vfilter/vfilter.h"
-#include "vfilter/vfilter_serde.h"
 #include "workload/query_gen.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
@@ -87,17 +86,40 @@ TEST_F(AttributeFilterTest, UnknownQueryPredicateIsInvisible) {
   EXPECT_TRUE(Has(filter.Filter(Parse("/a/b[@zzz = \"q\"]/c")), 0));
 }
 
+// The engine image holds the views, not the filter: LoadState rebuilds
+// VFILTER with the options it is given, pred transitions included.
 TEST_F(AttributeFilterTest, SerdeRoundTripsPredTransitions) {
-  VFilter filter = Build({"/a/b[@id = 1]/c", "/a/b/c"}, true);
-  auto restored = DeserializeVFilter(SerializeVFilter(filter));
+  const std::string path = TestTempPath("xvr_attribute_state.bin");
+  auto doc = ParseXml("<a><b id=\"1\"><c/></b><b id=\"2\"><c/></b></a>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EngineOptions options;
+  options.vfilter.index_attributes = true;
+  {
+    Engine engine(std::move(doc).value(), options);
+    for (const char* xpath : {"/a/b[@id = 1]/c", "/a/b/c"}) {
+      auto view = engine.Parse(xpath);
+      ASSERT_TRUE(view.ok()) << view.status();
+      ASSERT_TRUE(engine.AddView(std::move(view).value()).ok()) << xpath;
+    }
+    ASSERT_TRUE(engine.SaveState(path).ok());
+  }
+  const auto candidates = [](Engine& engine, const char* xpath) {
+    auto query = engine.Parse(xpath);
+    EXPECT_TRUE(query.ok()) << query.status();
+    return engine.vfilter().Filter(*query).candidates;
+  };
+  auto restored = Engine::LoadState(path, options);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_TRUE(restored->options().index_attributes);
-  const TreePattern bare = Parse("/a/b/c");
-  EXPECT_EQ(filter.Filter(bare).candidates,
-            restored->Filter(bare).candidates);
-  const TreePattern pred = Parse("/a/b[@id = 1]/c");
-  EXPECT_EQ(filter.Filter(pred).candidates,
-            restored->Filter(pred).candidates);
+  EXPECT_TRUE((*restored)->vfilter().options().index_attributes);
+  EXPECT_EQ(candidates(**restored, "/a/b/c"), std::vector<int32_t>{1});
+  EXPECT_EQ(candidates(**restored, "/a/b[@id = 1]/c"),
+            (std::vector<int32_t>{0, 1}));
+  // Without the extension the same image loads a purely structural filter.
+  auto structural = Engine::LoadState(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(structural.ok()) << structural.status();
+  EXPECT_EQ(candidates(**structural, "/a/b/c"),
+            (std::vector<int32_t>{0, 1}));
 }
 
 TEST_F(AttributeFilterTest, SoundOnGeneratedAttributeWorkload) {

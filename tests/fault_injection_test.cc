@@ -327,32 +327,6 @@ TEST_F(FaultPointTest, FragmentLoadFaultQuarantinesTheView) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultPointTest, VFilterDecodeFaultTriggersRebuild) {
-  const std::string path = TestTempPath("xvr_fi_vfilter.bin");
-  {
-    Engine engine(MakeDoc());
-    ASSERT_TRUE(engine.AddView(Parse(engine, "/r/s/p")).ok());
-    ASSERT_TRUE(engine.AddView(Parse(engine, "/r/t/u")).ok());
-    ASSERT_TRUE(engine.SaveState(path).ok());
-  }
-  Arm("vfilter_serde.decode");
-  auto loaded = Engine::LoadState(path);
-  FaultInjector::Instance().DisarmAll();
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  Engine& engine = **loaded;
-  EXPECT_TRUE(engine.vfilter_rebuilt());
-  EXPECT_TRUE(engine.quarantined_view_ids().empty());
-  for (const char* xpath : {"/r/s/p", "/r/t/u"}) {
-    const TreePattern q = Parse(engine, xpath);
-    auto hv = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-    ASSERT_TRUE(hv.ok()) << xpath << ": " << hv.status();
-    auto bn = engine.AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
-    ASSERT_TRUE(bn.ok());
-    EXPECT_EQ(hv->codes, bn->codes) << xpath;
-  }
-  std::remove(path.c_str());
-}
-
 TEST_F(FaultPointTest, MaterializerCapacityFaultFailsAddCleanly) {
   Engine engine(MakeDoc());
   Arm("materializer.capacity");
@@ -404,68 +378,6 @@ TEST_F(FaultPointTest, PlanFaultSurfacesWithoutPoisoningTheCache) {
   auto ok = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->codes.size(), 2u);
-}
-
-TEST_F(FaultPointTest, FilterFaultDegradesToUnfilteredPlanning) {
-  Engine engine(MakeDoc());
-  ASSERT_TRUE(engine.AddView(Parse(engine, "/r/s/p")).ok());
-  ASSERT_TRUE(engine.AddView(Parse(engine, "/r/t/u")).ok());
-  const TreePattern q = Parse(engine, "/r/s/p");
-  auto bn = engine.AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
-  ASSERT_TRUE(bn.ok());
-  Arm("planner.filter");
-  auto degraded = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_TRUE(degraded->stats.degraded_unfiltered);
-  EXPECT_EQ(degraded->codes, bn->codes);
-  FaultInjector::Instance().DisarmAll();
-  // The degraded plan was not cached: a healthy call plans afresh.
-  auto healthy = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(healthy.ok()) << healthy.status();
-  EXPECT_FALSE(healthy->stats.degraded_unfiltered);
-  EXPECT_FALSE(healthy->stats.plan_cache_hit);
-  EXPECT_EQ(healthy->codes, bn->codes);
-}
-
-// Satellite: a plan built during a VFILTER outage (degraded_unfiltered)
-// carries an unfiltered — hence untrustworthy — dependency set. It must
-// never enter the cache, so it can never poison the dependency index the
-// publish sweeps consult for targeted invalidation.
-TEST_F(FaultPointTest, FilterFaultPlanCannotPoisonTheDependencyIndex) {
-  Engine engine(MakeDoc());
-  ASSERT_TRUE(engine.AddView(Parse(engine, "/r/s/p")).ok());
-  const TreePattern q = Parse(engine, "/r/s/p");
-  Arm("planner.filter");
-  auto degraded = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_TRUE(degraded->stats.degraded_unfiltered);
-  ASSERT_NE(engine.plan_cache(), nullptr);
-  // The degraded plan was refused at insert: nothing for a sweep to
-  // misclassify against a bogus dependency set.
-  EXPECT_EQ(engine.plan_cache()->size(), 0u);
-
-  // Catalog churn while the outage persists sweeps an empty cache — no
-  // survival or invalidation is ever recorded for the degraded plan.
-  auto extra = engine.AddView(Parse(engine, "/r/t/u"));
-  ASSERT_TRUE(extra.ok());
-  ASSERT_TRUE(engine.RemoveView(*extra).ok());
-  const PlanCache::Stats mid = engine.plan_cache()->stats();
-  EXPECT_EQ(mid.dep_invalidations + mid.fingerprint_invalidations +
-                mid.survived_publications,
-            0u);
-
-  FaultInjector::Instance().DisarmAll();
-  // Healthy replan: a fresh VFILTER pass caches a correctly-tracked entry
-  // that then survives unrelated churn and keeps hitting.
-  auto healthy = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(healthy.ok()) << healthy.status();
-  EXPECT_FALSE(healthy->stats.degraded_unfiltered);
-  EXPECT_EQ(engine.plan_cache()->size(), 1u);
-  ASSERT_TRUE(engine.AddView(Parse(engine, "/r/t/u")).ok());
-  EXPECT_EQ(engine.plan_cache()->stats().survived_publications, 1u);
-  auto hit = engine.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
-  ASSERT_TRUE(hit.ok()) << hit.status();
-  EXPECT_TRUE(hit->stats.plan_cache_hit);
 }
 
 }  // namespace

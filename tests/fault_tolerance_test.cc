@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -288,6 +290,30 @@ TEST_F(FaultToleranceTest, BatchDeadlineFailsEverySlotCleanly) {
 // Crash-safe persistence: corruption of the stored image degrades service
 // (quarantine, rebuild) instead of failing the load.
 
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Engine images once stored VFILTER under vfilter/image; LoadState now
+// never reads that key. The filter of PersistenceFaultTest's two views, as
+// the last format's save wrote it (hex).
+std::string SavedVFilterImage() {
+  return FromHex(
+      "544c46560400000004010000000000000300000000000000020000000000000001000000"
+      "010000000100000006000000000000000000000000000000010000000000000001000000"
+      "010000000000000000000000000000000000000000000000020000000100000001000000"
+      "020000000400000001000000040000000000000000000000000000000000000000000000"
+      "010000000200000001000000030000000000000000000000020000000000000000000000"
+      "000000000000000001000000000000000000000003000000000000000000000000000000"
+      "010000000500000001000000050000000000000000000000020000000000000000000000"
+      "00000000000000000100000001000000000000000300000035d07a7ec6fe00c4");
+}
+
 class PersistenceFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -328,6 +354,34 @@ class PersistenceFaultTest : public ::testing::Test {
     EXPECT_EQ(hv->codes.size(), num_codes) << xpath;
   }
 
+
+  // Reloads the fixture's image with vfilter/image set to `image`
+  // (std::nullopt: the key is absent) and checks that the engine serves
+  // exactly the stored views and indexes a view added after the load.
+  void ExpectLoadServesCatalog(const std::optional<std::string>& image) {
+    auto original = ReadFileToString(path_);
+    ASSERT_TRUE(original.ok());
+    MutateImage([&image](KvStore* kv) {
+      // SaveState no longer writes the key.
+      ASSERT_EQ(kv->Get("vfilter/image"), nullptr);
+      if (image.has_value()) kv->Put("vfilter/image", *image);
+    });
+    auto loaded = Engine::LoadState(path_);
+    ASSERT_TRUE(WriteFileAtomic(path_, *original).ok());
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    Engine& engine = **loaded;
+    EXPECT_TRUE(engine.quarantined_view_ids().empty());
+    EXPECT_EQ(engine.view_ids(), view_ids_);
+    ExpectAnswers(engine, "/r/s/p", 2);
+    ExpectAnswers(engine, "/r/t/u", 1);
+    auto view = engine.Parse("/r/s/q");
+    ASSERT_TRUE(view.ok());
+    auto id = engine.AddView(std::move(view).value());
+    ASSERT_TRUE(id.ok()) << id.status();
+    EXPECT_EQ(*id, 2);
+    ExpectAnswers(engine, "/r/s/q", 1);
+  }
+
   std::string path_;
   std::vector<int32_t> view_ids_;  // {0, 1}: /r/s/p then /r/t/u
 };
@@ -349,7 +403,6 @@ TEST_F(PersistenceFaultTest, CorruptFragmentQuarantinesOnlyThatView) {
   Engine& engine = **loaded;
   EXPECT_EQ(engine.quarantined_view_ids(), std::vector<int32_t>{0});
   EXPECT_TRUE(engine.IsViewQuarantined(0));
-  EXPECT_FALSE(engine.vfilter_rebuilt());
   // The quarantined view is out of serving but kept for diagnosis.
   EXPECT_EQ(engine.view_ids(), std::vector<int32_t>{1});
   EXPECT_NE(engine.view(0), nullptr);
@@ -387,59 +440,65 @@ TEST_F(PersistenceFaultTest, QuarantineSurvivesSaveLoadRoundTrip) {
   ExpectAnswers(engine, "/r/t/u", 1);
 }
 
+// LoadState builds the filter from the stored views, so whatever an old
+// vfilter/image key holds, the filter indexes exactly the serving views.
+// The images below (hex) are what the last format wrote for this fixture's
+// document under other catalogs.
 TEST_F(PersistenceFaultTest, CorruptVFilterImageRebuildsFromCatalog) {
-  MutateImage([](KvStore* kv) {
-    kv->Put("vfilter/image", "not a vfilter image");
-  });
-  auto loaded = Engine::LoadState(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  Engine& engine = **loaded;
-  EXPECT_TRUE(engine.vfilter_rebuilt());
-  EXPECT_TRUE(engine.quarantined_view_ids().empty());
-  EXPECT_EQ(engine.num_views(), 2u);
-  ExpectAnswers(engine, "/r/s/p", 2);
-  ExpectAnswers(engine, "/r/t/u", 1);
+  // The filter of an engine holding view 0 (/r/s/p) alone.
+  const std::string without_view_1 = FromHex(
+      "544c465604000000a8000000000000000300000000000000010000000000000001000000"
+      "040000000000000000000000000000000100000000000000010000000100000000000000"
+      "000000000000000000000000000000000100000001000000010000000200000000000000"
+      "000000000000000000000000000000000100000002000000010000000300000000000000"
+      "000000000200000000000000000000000000000000000000010000000000000000000000"
+      "0300000087b91262520660fe");
+  // The filter of an engine that also holds /r/s/q as view 2.
+  const std::string extra_view_2 = FromHex(
+      "544c4656040000003c010000000000000300000000000000030000000000000001000000"
+      "010000000100000002000000010000000700000000000000000000000000000001000000"
+      "000000000100000001000000000000000000000000000000000000000000000002000000"
+      "010000000100000002000000040000000100000004000000000000000000000000000000"
+      "000000000000000002000000020000000100000003000000030000000100000006000000"
+      "000000000000000002000000000000000000000000000000000000000100000000000000"
+      "000000000300000000000000000000000000000001000000050000000100000005000000"
+      "000000000000000002000000000000000000000000000000000000000100000001000000"
+      "000000000300000002000000000000000000000000000000000000000100000002000000"
+      "0000000003000000733c859c56c6d3d0");
+  const std::pair<const char*, std::string> inputs[] = {
+      {"saved", SavedVFilterImage()},
+      {"garbage", "not a vfilter image"},
+      {"without view 1", without_view_1},
+      {"extra view 2", extra_view_2}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.first);
+    ExpectLoadServesCatalog(input.second);
+  }
 }
 
 TEST_F(PersistenceFaultTest, MissingVFilterImageRebuildsFromCatalog) {
-  MutateImage([](KvStore* kv) { kv->Delete("vfilter/image"); });
-  auto loaded = Engine::LoadState(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE((*loaded)->vfilter_rebuilt());
-  ExpectAnswers(**loaded, "/r/s/p", 2);
+  ExpectLoadServesCatalog(std::nullopt);
 }
 
 // An image whose VFILTER was built without prefix sharing or with the
 // literal NUM(V) counter, configurations the engine no longer has: the
 // load rebuilds the filter from the catalog and answers as before.
 TEST_F(PersistenceFaultTest, RemovedVFilterConfigurationRebuildsFromCatalog) {
-  auto original = ReadFileToString(path_);
-  ASSERT_TRUE(original.ok());
+  const std::string saved = SavedVFilterImage();
   // Options flags, the payload's first word: normalize 1, shared prefixes
   // 2, counter mode 4. The payload sits between a 16-byte header and an
   // FNV-1a checksum of it.
   for (const uint32_t flags : {1u, 7u}) {
     SCOPED_TRACE(flags == 1u ? "unshared" : "counter mode");
-    ASSERT_TRUE(WriteFileAtomic(path_, *original).ok());
-    MutateImage([flags](KvStore* kv) {
-      const std::string* image = kv->Get("vfilter/image");
-      ASSERT_NE(image, nullptr);
-      std::string payload = image->substr(16, image->size() - 24);
-      uint32_t saved_flags = 0;
-      std::memcpy(&saved_flags, payload.data(), 4);
-      ASSERT_EQ(saved_flags, 3u);
-      std::memcpy(payload.data(), &flags, 4);
-      const uint64_t checksum = Fnv1a(payload);
-      std::string bytes = image->substr(0, 16) + payload;
-      bytes.append(reinterpret_cast<const char*>(&checksum), 8);
-      kv->Put("vfilter/image", bytes);
-    });
-    auto loaded = Engine::LoadState(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_TRUE((*loaded)->vfilter_rebuilt());
-    EXPECT_EQ((*loaded)->view_ids(), view_ids_);
-    ExpectAnswers(**loaded, "/r/s/p", 2);
-    ExpectAnswers(**loaded, "/r/t/u", 1);
+    std::string payload = saved.substr(16, saved.size() - 24);
+    uint32_t saved_flags = 0;
+    std::memcpy(&saved_flags, payload.data(), 4);
+    ASSERT_EQ(saved_flags, 3u);
+    std::memcpy(payload.data(), &flags, 4);
+    const uint64_t checksum = Fnv1a(payload);
+    std::string image = saved.substr(0, 16) + payload;
+    image.append(reinterpret_cast<const char*>(&checksum), 8);
+    ExpectLoadServesCatalog(image);
   }
 }
 
@@ -574,8 +633,9 @@ TEST_F(PersistenceFaultTest, MalformedWalCheckpointIsRejected) {
   EXPECT_TRUE(Engine::LoadState(path_).ok());
 }
 
-// The failure the strict parse prevents: "-1" once read as 2^64-1, so the
-// WAL's acked add above the true checkpoint (0) was skipped at recovery.
+// A checkpoint above the true one (0) must never make recovery skip the
+// WAL's acked add: "-1" once parsed as 2^64-1, and "5" parses but claims
+// an add of view 2, an id the image (next id 2) never issued.
 TEST_F(PersistenceFaultTest, MisreadWalCheckpointNeverDropsAnAckedAdd) {
   const std::string wal_path = TestTempPath("xvr_fault_tolerance_wal.bin");
   std::remove(wal_path.c_str());
@@ -589,12 +649,15 @@ TEST_F(PersistenceFaultTest, MisreadWalCheckpointNeverDropsAnAckedAdd) {
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_NE((*recovered)->view(2), nullptr);
   }
-  MutateImage([](KvStore* kv) { kv->Put("meta/wal_seq", "-1"); });
-  auto recovered = Engine::LoadStateWithWal(path_, wal_path);
-  if (recovered.ok()) {
-    EXPECT_NE((*recovered)->view(2), nullptr) << "the acked add was dropped";
-  } else {
-    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  for (const char* value : {"-1", "5"}) {
+    MutateImage([value](KvStore* kv) { kv->Put("meta/wal_seq", value); });
+    auto recovered = Engine::LoadStateWithWal(path_, wal_path);
+    if (recovered.ok()) {
+      EXPECT_NE((*recovered)->view(2), nullptr)
+          << value << ": the acked add was dropped";
+    } else {
+      EXPECT_EQ(recovered.status().code(), StatusCode::kParseError) << value;
+    }
   }
   std::remove(wal_path.c_str());
 }

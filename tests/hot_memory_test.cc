@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -29,13 +30,15 @@
 #include "core/engine.h"
 #include "pattern/evaluate.h"
 #include "pattern/homomorphism.h"
+#include "pattern/pattern_writer.h"
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
+#include "test_util.h"
 #include "vfilter/vfilter.h"
-#include "vfilter/vfilter_serde.h"
 #include "workload/query_gen.h"
 #include "workload/random_doc.h"
 #include "workload/xmark.h"
+#include "xml/xml_parser.h"
 
 namespace xvr {
 namespace {
@@ -345,16 +348,39 @@ TEST_F(DenseNfaTest, HighFanoutCatalogKeepsContainingViews) {
   EXPECT_GE(containments, 20);
 }
 
+// The engine image holds the views, not the filter: LoadState rebuilds
+// VFILTER from them, dense tables included, and every query filters as it
+// did before the save.
 TEST_F(DenseNfaTest, SerdeRoundTripPreservesDenseBehavior) {
-  const VFilter filter = Build(HighFanoutViews());
-  auto loaded = DeserializeVFilter(SerializeVFilter(filter));
+  const std::string path = TestTempPath("xvr_dense_nfa_state.bin");
+  std::string xml = "<r>";
+  for (int i = 0; i < 20; ++i) {
+    xml += "<a" + std::to_string(i) + "/>";
+  }
+  xml += "<x><a1/></x><a2><a3/></a2><a4><a5/><a6/></a4></r>";
+  auto doc = ParseXml(xml);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  Engine engine(std::move(doc).value());
+  for (const TreePattern& view : HighFanoutViews()) {
+    auto parsed = engine.Parse(PatternToXPath(view, dict_));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_TRUE(engine.AddView(std::move(parsed).value()).ok());
+  }
+  ASSERT_GT(engine.vfilter().nfa().num_dense_states(), 0u);
+  ASSERT_TRUE(engine.SaveState(path).ok());
+  auto loaded = Engine::LoadState(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->nfa().num_dense_states(),
-            filter.nfa().num_dense_states());
+  EXPECT_EQ((*loaded)->vfilter().nfa().num_dense_states(),
+            engine.vfilter().nfa().num_dense_states());
   const std::vector<TreePattern> queries = Queries();
   for (size_t q = 0; q < queries.size(); ++q) {
-    ExpectSameResult(loaded->Filter(queries[q]), filter.Filter(queries[q]),
-                     "query " + std::to_string(q));
+    const std::string xpath = PatternToXPath(queries[q], dict_);
+    auto before = engine.Parse(xpath);
+    auto after = (*loaded)->Parse(xpath);
+    ASSERT_TRUE(before.ok() && after.ok()) << xpath;
+    ExpectSameResult((*loaded)->vfilter().Filter(*after),
+                     engine.vfilter().Filter(*before), xpath);
   }
 }
 

@@ -5,11 +5,11 @@
 
 #include "analysis/validate.h"
 #include "core/engine.h"
+#include "pattern/pattern_writer.h"
 #include "pattern/xpath_parser.h"
 #include "pattern/evaluate.h"
 #include "storage/kv_store.h"
 #include "test_util.h"
-#include "vfilter/vfilter_serde.h"
 #include "workload/workloads.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
@@ -114,29 +114,32 @@ TEST(Integration, PersistenceRoundTripThroughKvStoreFile) {
     before_codes = answer->codes;
 
     KvStore kv;
-    kv.Put("vfilter", SerializeVFilter(engine.vfilter()));
+    const TreePattern* stored = engine.view(0);
+    ASSERT_NE(stored, nullptr);
+    kv.Put("view", PatternToXPath(*stored, engine.doc().labels()));
     ASSERT_TRUE(engine.fragments().SaveTo(&kv).ok());
     ASSERT_TRUE(kv.SaveToFile(path).ok());
   }
 
-  // Reload: the filter and the fragments survive the round trip; the same
-  // document (regenerated deterministically) gives the same FST.
+  // Reload: the view pattern and the fragments survive the round trip, and
+  // VFILTER is rebuilt from the pattern; the same document (regenerated
+  // deterministically) gives the same FST.
   KvStore kv;
   ASSERT_TRUE(kv.LoadFromFile(path).ok());
-  auto filter = DeserializeVFilter(*kv.Get("vfilter"));
-  ASSERT_TRUE(filter.ok()) << filter.status();
   FragmentStore fragments;
   ASSERT_TRUE(fragments.LoadFrom(kv, /*id_limit=*/1).ok());  // one view, id 0
   EXPECT_EQ(fragments.num_views(), 1u);
 
   XmlTree doc = GenerateXmark(doc_options);
+  auto view = ParseXPath(*kv.Get("view"), &doc.labels());
+  ASSERT_TRUE(view.ok()) << view.status();
+  VFilter filter;
+  filter.AddView(0, *view);
   auto query =
       ParseXPath("/site/closed_auctions/closed_auction/date", &doc.labels());
   ASSERT_TRUE(query.ok());
-  // NOTE: label ids are deterministic because the document is regenerated
-  // identically; candidates from the restored filter match.
-  const FilterResult filtered = filter->Filter(*query);
-  EXPECT_EQ(filtered.candidates.size(), 1u);
+  const FilterResult filtered = filter.Filter(*query);
+  EXPECT_EQ(filtered.candidates, std::vector<int32_t>{0});
   std::remove(path.c_str());
 }
 

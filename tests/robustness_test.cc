@@ -12,8 +12,6 @@
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
 #include "test_util.h"
-#include "vfilter/vfilter.h"
-#include "vfilter/vfilter_serde.h"
 #include "workload/xmark.h"
 #include "xml/dewey.h"
 #include "xml/xml_parser.h"
@@ -131,49 +129,6 @@ TEST(FuzzDewey, FromStringNeverCrashes) {
 // ---------------------------------------------------------------------------
 // Serialization fuzzing: corrupted images must return errors, not crash.
 
-TEST(FuzzSerde, VFilterImageCorruption) {
-  LabelDict dict;
-  VFilter filter;
-  for (int i = 0; i < 20; ++i) {
-    auto p = ParseXPath("/a/b" + std::to_string(i) + "[c]//d", &dict);
-    ASSERT_TRUE(p.ok());
-    filter.AddView(i, *p);
-  }
-  const std::string image = SerializeVFilter(filter);
-  Rng rng(1006);
-  for (int i = 0; i < 500; ++i) {
-    std::string mutated = image;
-    switch (rng.NextBounded(3)) {
-      case 0:  // truncation
-        mutated.resize(rng.NextBounded(mutated.size() + 1));
-        break;
-      case 1: {  // byte flips
-        const int flips = rng.NextInt(1, 8);
-        for (int f = 0; f < flips && !mutated.empty(); ++f) {
-          mutated[rng.NextBounded(mutated.size())] =
-              static_cast<char>(rng.NextBounded(256));
-        }
-        break;
-      }
-      case 2:  // garbage append
-        mutated += RandomBytes(&rng, 32);
-        break;
-    }
-    auto restored = DeserializeVFilter(mutated);
-    if (restored.ok()) {
-      // Structurally plausible image: using it must not crash either.
-      auto q = ParseXPath("/a/b1[c]//d", &dict);
-      ASSERT_TRUE(q.ok());
-      // State ids may dangle after mutation only if they index out of
-      // bounds; the deserializer accepted it, so bounds were intact for the
-      // registry — guard the read with a size check.
-      if (restored->num_states() > 0) {
-        (void)restored->Filter(*q);  // crash probe (lint:discard-ok)
-      }
-    }
-  }
-}
-
 TEST(FuzzSerde, FragmentCorruption) {
   auto tree = ParseXml("<a><b n=\"1\"><c>t</c></b><b/></a>");
   ASSERT_TRUE(tree.ok());
@@ -198,75 +153,10 @@ TEST(FuzzSerde, FragmentCorruption) {
 
 // ---------------------------------------------------------------------------
 // Systematic corruption sweeps. The checksum-and-framing discipline on every
-// persisted image (VFilter v4, KvStore, the engine state file) guarantees
-// that a truncation at ANY byte offset and a corruption of ANY single byte
-// are rejected with an error — these loops prove it exhaustively rather
-// than sampling.
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-VFilter SmallFilter(LabelDict* dict) {
-  VFilter filter;
-  for (int i = 0; i < 4; ++i) {
-    auto p = ParseXPath("/a/b" + std::to_string(i) + "[c]//d", dict);
-    EXPECT_TRUE(p.ok());
-    filter.AddView(i, *p);
-  }
-  return filter;
-}
-
-TEST(CorruptionSweep, VFilterImageTruncationAtEveryOffset) {
-  LabelDict dict;
-  const std::string image = SerializeVFilter(SmallFilter(&dict));
-  for (size_t len = 0; len < image.size(); ++len) {
-    EXPECT_FALSE(DeserializeVFilter(image.substr(0, len)).ok())
-        << "truncation to " << len << " of " << image.size()
-        << " bytes was accepted";
-  }
-}
-
-TEST(CorruptionSweep, VFilterImageSingleByteCorruptionAtEveryOffset) {
-  LabelDict dict;
-  const std::string image = SerializeVFilter(SmallFilter(&dict));
-  for (size_t off = 0; off < image.size(); ++off) {
-    std::string mutated = image;
-    mutated[off] = static_cast<char>(mutated[off] ^ 0xFF);
-    EXPECT_FALSE(DeserializeVFilter(mutated).ok())
-        << "flip at offset " << off << " was accepted";
-  }
-}
-
-TEST(CorruptionSweep, VFilterImageRandomByteCorruption) {
-  LabelDict dict;
-  const std::string image = SerializeVFilter(SmallFilter(&dict));
-  Rng rng(1008);
-  for (int i = 0; i < 500; ++i) {
-    std::string mutated = image;
-    const size_t off = rng.NextBounded(mutated.size());
-    mutated[off] = static_cast<char>(
-        mutated[off] ^ static_cast<char>(rng.NextInt(1, 255)));
-    EXPECT_FALSE(DeserializeVFilter(mutated).ok()) << "flip at offset " << off;
-  }
-}
-
-TEST(CorruptionSweep, VFilterVersion3LabelIsRejected) {
-  LabelDict dict;
-  const std::string v4 = SerializeVFilter(SmallFilter(&dict));
-  ASSERT_GT(v4.size(), 24u);
-  // The pre-checksum v3 layout: magic, version, then the bare payload — no
-  // length framing, no checksum. Readers accept only framed v4 images.
-  std::string v3;
-  AppendU32(0x56464C54, &v3);  // "VFLT"
-  AppendU32(3, &v3);
-  v3 += v4.substr(16, v4.size() - 24);
-  auto restored = DeserializeVFilter(v3);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-}
+// persisted image (KvStore, the engine state file) guarantees that a
+// truncation at ANY byte offset and a corruption of ANY single byte are
+// rejected with an error — these loops prove it exhaustively rather than
+// sampling.
 
 TEST(CorruptionSweep, KvStoreImageTruncationAtEveryOffset) {
   KvStore kv;

@@ -195,6 +195,28 @@ TEST_F(VFilterTest, PrefixSharingShrinksAutomaton) {
   EXPECT_EQ(shared.num_states(), 1u + 1 + 2 + 5);
 }
 
+TEST_F(VFilterTest, SizeGrowsSubLinearlyWithSharedPrefixes) {
+  // Views sharing a long common prefix: doubling the view count should far
+  // less than double the automaton (the Fig. 11 effect).
+  auto build = [&](int n) {
+    VFilter filter;
+    for (int i = 0; i < n; ++i) {
+      filter.AddView(i, Parse("/site/regions/africa/item/name" +
+                              std::string(i % 2 == 0 ? "" : "/x" +
+                                                               std::to_string(
+                                                                   i))));
+    }
+    EXPECT_EQ(filter.automaton_size(), filter.num_states() +
+                                           filter.num_transitions() +
+                                           filter.nfa().num_accept_entries());
+    return filter.automaton_size();
+  };
+  const size_t s1 = build(10);
+  const size_t s2 = build(20);
+  EXPECT_LT(static_cast<double>(s2),
+            1.9 * static_cast<double>(s1));
+}
+
 TEST_F(VFilterTest, NoFalseNegativesAgainstHomomorphism) {
   // Any view with a homomorphism to the query must be a candidate.
   const std::vector<std::string> views = {
