@@ -11,7 +11,8 @@
 // after the first, so its view rows time execution only. BM_Fig8Cold
 // answers the view strategies from a second engine with the plan cache off
 // (plan_cache_capacity = 0): every call pays lookup plus execution, the
-// paper's semantics.
+// paper's semantics. Before timing, every row checks its answer against
+// BN's and fails on any difference.
 
 #include <benchmark/benchmark.h>
 
@@ -62,6 +63,18 @@ void TimeAnswers(benchmark::State& state, xvr::PaperSetup& setup,
       kStrategies[static_cast<size_t>(state.range(1))];
   state.SetLabel(setup.query_names[qi] + "/" +
                  xvr::AnswerStrategyName(strategy) + suffix);
+  const auto expected = setup.engine->AnswerQuery(
+      setup.queries[qi], xvr::AnswerStrategy::kBaseNodeIndex);
+  const auto checked = setup.engine->AnswerQuery(setup.queries[qi], strategy);
+  if (!expected.ok() || !checked.ok()) {
+    state.SkipWithError(
+        (expected.ok() ? checked : expected).status().ToString().c_str());
+    return;
+  }
+  if (checked->codes != expected->codes) {
+    state.SkipWithError("answer differs from BN's");
+    return;
+  }
   size_t results = 0;
   for (auto _ : state) {
     auto answer = setup.engine->AnswerQuery(setup.queries[qi], strategy);

@@ -186,7 +186,7 @@ std::string Certificate::Summary() const {
 Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
                         const CertifyOptions& options) {
   Certificate cert;
-  cert.degraded_plan = plan.degraded;
+  cert.degraded_plan = plan.plan_stats.degraded_selection;
   const auto reject = [&cert](std::string check, std::string detail) {
     cert.verdict = CertifyVerdict::kRejected;
     cert.findings.push_back({std::move(check), std::move(detail)});

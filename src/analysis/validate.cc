@@ -685,7 +685,7 @@ Status ValidatePlanCacheDependencies(const PlanCache* cache,
     // removals their stale candidate lists mention, MN plans record only
     // the selected cover, and degraded plans are barred from the cache.
     if (plan == nullptr || !plan->uses_views || plan->not_answerable ||
-        !plan->deps.filtered || plan->degraded) {
+        !plan->deps.filtered || plan->plan_stats.degraded_selection) {
       continue;
     }
     const FilterResult fresh = catalog.vfilter.Filter(plan->query, &scratch);

@@ -114,7 +114,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
     // filter + selection work until a view that could change the verdict
     // is published.
     if (deps_.cache != nullptr && tombstone.not_answerable &&
-        !tombstone.degraded) {
+        !tombstone.plan_stats.degraded_selection) {
       deps_.cache->Insert(
           key, std::make_shared<const QueryPlan>(std::move(tombstone)));
     }
@@ -130,7 +130,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
   // A degraded plan reflects this call's deadline, not the query: callers
   // with ample time must not inherit its greedy fallback, so it is never
   // cached.
-  if (deps_.cache != nullptr && !shared->degraded) {
+  if (deps_.cache != nullptr && !shared->plan_stats.degraded_selection) {
     deps_.cache->Insert(key, shared);
   }
   return shared;

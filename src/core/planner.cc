@@ -215,10 +215,9 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
   Result<SelectionResult> selection =
       Select(catalog, plan.query, strategy, &plan.plan_stats, scratch,
              limits, trace, &candidates);
-  plan.degraded = plan.plan_stats.degraded_selection;
   if (!selection.ok()) {
     if (selection.status().code() == StatusCode::kNotAnswerable &&
-        tombstone_out != nullptr && !plan.degraded) {
+        tombstone_out != nullptr && !plan.plan_stats.degraded_selection) {
       // Selection proved no view set answers the query (over the candidate
       // set for filtered strategies, over the whole catalog for MN).
       // Record the verdict as a cacheable negative plan: its fingerprint
@@ -315,7 +314,7 @@ void PlanCache::Insert(const std::string& key,
   MutexLock lock(&mu_);
   // A degraded plan must never enter the cache: it would serve later
   // callers a plan shaped by one call's deadline.
-  if (plan->degraded) {
+  if (plan->plan_stats.degraded_selection) {
     return;
   }
   // A plan built against a catalog older than the last swept publication

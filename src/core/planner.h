@@ -129,13 +129,11 @@ struct QueryPlan {
   PlanCompensation compensation;
 
   // Planning-phase stats (filter/selection timings, candidate counts).
+  // Plans with plan_stats.degraded_selection are never inserted into the
+  // PlanCache: a plan degraded under one call's deadline must not be
+  // served to later calls with ample time (PlanCache::Insert rejects them
+  // defensively).
   AnswerStats plan_stats;
-
-  // True when a degradation fired while planning. Degraded plans are
-  // never inserted into the PlanCache: a plan degraded under one call's
-  // deadline must not be served to later calls with ample time
-  // (PlanCache::Insert rejects them defensively).
-  bool degraded = false;
 
   // Negative plan ("tombstone"): selection proved the query unanswerable
   // over the plan's candidate set. Cached like any plan so repeated
@@ -231,7 +229,7 @@ class PlanCache {
                                           uint64_t catalog_version);
 
   // Caches `plan` under `key`. Degraded plans are rejected (see
-  // QueryPlan::degraded), as are plans built against a catalog older than
+  // QueryPlan::plan_stats), as are plans built against a catalog older than
   // the last swept publication (their dependencies never saw the newer
   // mutations).
   void Insert(const std::string& key,

@@ -7,73 +7,74 @@
 namespace xvr {
 namespace {
 
-// Keeps x ∈ `xs` that have a child in `ys` (both document-ordered).
+// True iff every list is sorted by interval begin (document order).
+[[maybe_unused]] bool AllSortedByBegin(
+    const std::vector<std::vector<NodeId>>& lists, const TreeIntervals& iv) {
+  const auto by_begin = [&iv](NodeId a, NodeId b) {
+    return iv.begin[static_cast<size_t>(a)] < iv.begin[static_cast<size_t>(b)];
+  };
+  return std::all_of(lists.begin(), lists.end(), [&](const auto& list) {
+    return std::is_sorted(list.begin(), list.end(), by_begin);
+  });
+}
+
+// Keeps x ∈ `xs` that have a child in `ys`: one pass marks the parents of
+// ys in a per-call bitmap over node ids, one pass tests xs against it.
 std::vector<NodeId> FilterHasChildIn(const std::vector<NodeId>& xs,
                                      const std::vector<NodeId>& ys,
                                      const XmlTree& tree) {
-  // Sorted probe table instead of a hash set: one sort, then cache-friendly
-  // binary searches (xs is doc-ordered already, the probe loop is branchy
-  // either way and the sorted table avoids per-call rehashing).
-  std::vector<NodeId> parents;
-  parents.reserve(ys.size());
+  std::vector<bool> is_parent(tree.size());
   for (NodeId y : ys) {
     const NodeId p = tree.node(y).parent;
     if (p != kNullNode) {
-      parents.push_back(p);
+      is_parent[static_cast<size_t>(p)] = true;
     }
   }
-  std::sort(parents.begin(), parents.end());
   std::vector<NodeId> out;
   for (NodeId x : xs) {
-    if (std::binary_search(parents.begin(), parents.end(), x)) {
+    if (is_parent[static_cast<size_t>(x)]) {
       out.push_back(x);
     }
   }
   return out;
 }
 
-// Keeps x ∈ `xs` that have a proper descendant in `ys`.
+// Keeps x ∈ `xs` that have a proper descendant in `ys`. Both lists are
+// sorted by interval begin, so one cursor moving forward over ys serves
+// every x — the merge of Al-Khalifa et al.'s stack-tree joins (ICDE 2002).
 std::vector<NodeId> FilterHasDescendantIn(const std::vector<NodeId>& xs,
                                           const std::vector<NodeId>& ys,
                                           const TreeIntervals& iv) {
-  // ys sorted by begin (document order).
-  std::vector<int32_t> begins;
-  begins.reserve(ys.size());
-  for (NodeId y : ys) {
-    begins.push_back(iv.begin[static_cast<size_t>(y)]);
-  }
   std::vector<NodeId> out;
+  size_t yi = 0;
   for (NodeId x : xs) {
+    // The first y after x in document order is a proper descendant of x
+    // iff its begin lies in (bx, ex).
     const int32_t bx = iv.begin[static_cast<size_t>(x)];
     const int32_t ex = iv.end[static_cast<size_t>(x)];
-    // A proper descendant has begin in (bx, ex).
-    auto it = std::upper_bound(begins.begin(), begins.end(), bx);
-    if (it != begins.end() && *it < ex) {
+    while (yi < ys.size() && iv.begin[static_cast<size_t>(ys[yi])] <= bx) {
+      ++yi;
+    }
+    if (yi < ys.size() && iv.begin[static_cast<size_t>(ys[yi])] < ex) {
       out.push_back(x);
     }
   }
   return out;
 }
 
-// Keeps y ∈ `ys` whose parent is in `xs`.
+// Keeps y ∈ `ys` whose parent is in `xs`, tested against a per-call bitmap
+// of xs over node ids.
 std::vector<NodeId> FilterParentIn(const std::vector<NodeId>& ys,
                                    const std::vector<NodeId>& xs,
                                    const XmlTree& tree) {
-  // xs arrives in document order (strictly increasing NodeIds), so probe
-  // it directly with binary search; no per-call hash set.
-  std::vector<NodeId> sorted_xs;
-  const NodeId* probe_begin = xs.data();
-  const NodeId* probe_end = xs.data() + xs.size();
-  if (!std::is_sorted(xs.begin(), xs.end())) {
-    sorted_xs = xs;
-    std::sort(sorted_xs.begin(), sorted_xs.end());
-    probe_begin = sorted_xs.data();
-    probe_end = sorted_xs.data() + sorted_xs.size();
+  std::vector<bool> in_xs(tree.size());
+  for (NodeId x : xs) {
+    in_xs[static_cast<size_t>(x)] = true;
   }
   std::vector<NodeId> out;
   for (NodeId y : ys) {
     const NodeId p = tree.node(y).parent;
-    if (p != kNullNode && std::binary_search(probe_begin, probe_end, p)) {
+    if (p != kNullNode && in_xs[static_cast<size_t>(p)]) {
       out.push_back(y);
     }
   }
@@ -195,6 +196,10 @@ std::vector<NodeId> StructuralJoinEvaluate(
   if (pattern.empty()) {
     return {};
   }
+  // The descendant and ancestor filters are merges over lists sorted by
+  // interval begin; both indexes build their candidates that way.
+  XVR_DCHECK(AllSortedByBegin(candidates, intervals))
+      << "structural-join candidates must be sorted by interval begin";
   // Bottom-up filtering (children have larger pattern indices).
   for (size_t pi = pattern.size(); pi-- > 0;) {
     const auto pn = static_cast<TreePattern::NodeIndex>(pi);

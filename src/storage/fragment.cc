@@ -41,6 +41,40 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// The node after `n` in the preorder of root's subtree, or kNullNode after
+// its last node. `*up` counts the levels the step rises: 0 when it moves to
+// n's first child, k >= 1 when it moves to the next sibling of n's
+// (k-1)-th ancestor (k = 1: n's own next sibling).
+NodeId NextInPreorder(const XmlTree& tree, NodeId root, NodeId n, int* up) {
+  *up = 0;
+  if (tree.node(n).first_child != kNullNode) {
+    return tree.node(n).first_child;
+  }
+  for (; n != root; n = tree.node(n).parent) {
+    ++*up;
+    if (tree.node(n).next_sibling != kNullNode) {
+      return tree.node(n).next_sibling;
+    }
+  }
+  return kNullNode;
+}
+
+// The serialized image's byte counts (see Serialize), shared by ByteSize
+// and SubtreeByteSize so the format has one owner.
+size_t HeaderBytes(size_t code_depth) {
+  // Magic, code depth, code, node count and the two table counts.
+  return 4 + 4 + code_depth * 4 + 4 + 8;
+}
+constexpr size_t kNodeBytes = 12;
+size_t TextBytes(const std::string& text) { return 8 + text.size(); }
+size_t AttrsBytes(const std::vector<XmlAttribute>& list) {
+  size_t bytes = 8;
+  for (const XmlAttribute& a : list) {
+    bytes += 8 + a.name.size() + a.value.size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root) {
@@ -48,13 +82,10 @@ FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root) {
   FlatFragment out;
   out.root_code_ = tree.dewey(root);
 
-  // DFS copy preserving document order of children; the visit order is
-  // preorder, which is exactly the storage order the flat layout wants.
-  std::vector<std::pair<NodeId, int32_t>> stack;  // (tree node, frag parent)
-  stack.emplace_back(root, -1);
-  while (!stack.empty()) {
-    const auto [tn, parent] = stack.back();
-    stack.pop_back();
+  // Copy in preorder, which is exactly the storage order the flat layout
+  // wants; `parent` is the fragment index of tn's parent.
+  int32_t parent = -1;
+  for (NodeId tn = root; tn != kNullNode;) {
     const int32_t fi = static_cast<int32_t>(out.nodes_.size());
     FragmentNode fn;
     fn.label = tree.label(tn);
@@ -68,14 +99,32 @@ FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root) {
     if (const auto* attrs = tree.attributes(tn)) {
       out.attrs_.emplace_back(fi, *attrs);
     }
-    // Push children in reverse so they pop in document order.
-    const std::vector<NodeId> children = tree.Children(tn);
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      stack.emplace_back(*it, fi);
+    int up = 0;
+    tn = NextInPreorder(tree, root, tn, &up);
+    parent = fi;
+    for (; up > 0; --up) {
+      parent = out.nodes_[static_cast<size_t>(parent)].parent;
     }
   }
   out.BuildTopology();
   return out;
+}
+
+size_t FlatFragment::SubtreeByteSize(const XmlTree& tree, NodeId root,
+                                     size_t limit) {
+  size_t bytes = HeaderBytes(tree.dewey(root).depth());
+  int up = 0;
+  for (NodeId n = root; n != kNullNode && bytes <= limit;
+       n = NextInPreorder(tree, root, n, &up)) {
+    bytes += kNodeBytes;
+    if (const std::string* text = tree.text(n)) {
+      bytes += TextBytes(*text);
+    }
+    if (const auto* attrs = tree.attributes(n)) {
+      bytes += AttrsBytes(*attrs);
+    }
+  }
+  return bytes;
 }
 
 void FlatFragment::BuildTopology() {
@@ -435,18 +484,14 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
 }
 
 size_t FlatFragment::ByteSize() const {
-  // v2 header (magic) + code + nodes + the two table headers.
-  size_t bytes = 4 + 4 + root_code_.depth() * 4 + 4 + nodes_.size() * 12 + 8;
+  size_t bytes = HeaderBytes(root_code_.depth()) + nodes_.size() * kNodeBytes;
   for (const auto& [id, text] : texts_) {
     (void)id;
-    bytes += 8 + text.size();
+    bytes += TextBytes(text);
   }
   for (const auto& [id, list] : attrs_) {
     (void)id;
-    bytes += 8;
-    for (const XmlAttribute& a : list) {
-      bytes += 8 + a.name.size() + a.value.size();
-    }
+    bytes += AttrsBytes(list);
   }
   return bytes;
 }

@@ -75,6 +75,13 @@ class FlatFragment {
   // codes assigned.
   static FlatFragment FromTree(const XmlTree& tree, NodeId root);
 
+  // FromTree(tree, root).ByteSize(), computed without building the
+  // fragment: an allocation-free preorder walk. The walk stops once the
+  // running total passes `limit` and returns that partial total, which is
+  // then above `limit`.
+  static size_t SubtreeByteSize(const XmlTree& tree, NodeId root,
+                                size_t limit = SIZE_MAX);
+
   const DeweyCode& root_code() const { return root_code_; }
   size_t size() const { return nodes_.size(); }
   const FragmentNode& node(int32_t i) const {
@@ -140,6 +147,7 @@ class FlatFragment {
   static Result<FlatFragment> Deserialize(const std::string& bytes);
 
   // Bytes the fragment occupies when serialized (the 128 KB budget metric).
+  // SubtreeByteSize computes the same figure from the tree.
   size_t ByteSize() const;
 
  private:

@@ -1,6 +1,9 @@
 #include "storage/materializer.h"
 
+#include <cstdint>
+
 #include "common/fault_injection.h"
+#include "common/logging.h"
 #include "pattern/evaluate.h"
 
 namespace xvr {
@@ -17,18 +20,27 @@ Result<std::vector<Fragment>> MaterializeView(
   if (answers.empty()) {
     return Status::NotFound("view has an empty result");
   }
-  std::vector<Fragment> fragments;
-  fragments.reserve(answers.size());
+  // Size every answer before building any fragment, so a view over the
+  // budget is rejected without copying a node.
+  const size_t budget =
+      options.max_bytes_per_view > 0 ? options.max_bytes_per_view : SIZE_MAX;
   size_t bytes = 0;
   for (NodeId n : answers) {
-    Fragment fragment = Fragment::FromTree(tree, n);
-    bytes += fragment.ByteSize();
-    if (options.max_bytes_per_view > 0 &&
-        bytes > options.max_bytes_per_view) {
+    bytes += Fragment::SubtreeByteSize(tree, n, budget - bytes);
+    if (bytes > budget) {
       return Status::CapacityExceeded(
           "materialized fragments exceed the per-view budget");
     }
-    fragments.push_back(std::move(fragment));
+  }
+  std::vector<Fragment> fragments;
+  fragments.reserve(answers.size());
+  for (NodeId n : answers) {
+    fragments.push_back(Fragment::FromTree(tree, n));
+#if defined(XVR_VALIDATE)
+    const size_t sized = Fragment::SubtreeByteSize(tree, n);
+    XVR_CHECK(fragments.back().ByteSize() == sized)
+        << "node " << n << ": built size differs from pre-build size";
+#endif
   }
   return fragments;
 }

@@ -29,9 +29,10 @@ struct MaterializeOptions {
 };
 
 // Evaluates `view` on `tree` (which must have Dewey codes) and returns its
-// fragments in document order. Fails with CAPACITY_EXCEEDED when the budget
-// is hit and with NOT_FOUND when the view has an empty result (the paper
-// materializes positive queries only).
+// fragments in document order. Fails with CAPACITY_EXCEEDED when the
+// fragments would exceed the budget (every answer is sized first, so a
+// rejected view builds no fragment) and with NOT_FOUND when the view has an
+// empty result (the paper materializes positive queries only).
 Result<std::vector<Fragment>> MaterializeView(
     const TreePattern& view, const XmlTree& tree,
     const MaterializeOptions& options = {});

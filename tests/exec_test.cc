@@ -5,8 +5,10 @@
 #include "common/random.h"
 #include "exec/evaluator.h"
 #include "pattern/evaluate.h"
+#include "pattern/pattern_writer.h"
 #include "pattern/xpath_parser.h"
 #include "workload/query_gen.h"
+#include "workload/random_doc.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
 
@@ -129,6 +131,47 @@ TEST(ExecSweep, IndexedEvaluationAgreesOnXmark) {
     EXPECT_EQ(bn, direct);
     EXPECT_EQ(bf, direct);
   }
+}
+
+// The same check on recursive documents: alphabets of 2-4 labels repeat
+// along root paths, so the structural joins meet candidates nested in
+// other candidates, and frequent '*' and '//' steps exercise the child,
+// parent and descendant filters on them.
+TEST(ExecSweep, IndexedEvaluationAgreesOnRecursiveDocs) {
+  size_t answered = 0;
+  for (int alphabet = 2; alphabet <= 4; ++alphabet) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      RandomDocOptions doc_options;
+      doc_options.seed = seed * 10 + static_cast<uint64_t>(alphabet);
+      doc_options.num_nodes = 300;
+      doc_options.alphabet_size = alphabet;
+      XmlTree tree = GenerateRandomDoc(doc_options);
+      BaseEvaluator eval(tree);
+      QueryGenOptions gen_options;
+      gen_options.max_depth = 4;
+      gen_options.prob_wild = 0.4;
+      gen_options.prob_desc = 0.5;
+      gen_options.num_pred = 2;
+      gen_options.num_nestedpath = 2;
+      gen_options.prob_attr = 0.1;
+      QueryGenerator generator(tree, gen_options);
+      Rng rng(seed);
+      for (int trial = 0; trial < 40; ++trial) {
+        const TreePattern q = generator.Generate(&rng);
+        const std::vector<NodeId> direct = EvaluatePattern(q, tree);
+        std::vector<NodeId> bn = eval.Evaluate(q, BaseStrategy::kNodeIndex);
+        std::vector<NodeId> bf = eval.Evaluate(q, BaseStrategy::kFullIndex);
+        std::sort(bn.begin(), bn.end());
+        std::sort(bf.begin(), bf.end());
+        const std::string xpath = PatternToXPath(q, tree.labels());
+        EXPECT_EQ(bn, direct) << xpath << " (alphabet " << alphabet << ")";
+        EXPECT_EQ(bf, direct) << xpath << " (alphabet " << alphabet << ")";
+        answered += direct.empty() ? 0 : 1;
+      }
+    }
+  }
+  // Most generated queries have answers, so the sweep compares real sets.
+  EXPECT_GT(answered, 180u);
 }
 
 }  // namespace

@@ -406,7 +406,7 @@ TEST_F(PipelineTest, PublishSweepFreesCapacityEagerly) {
 TEST_F(PipelineTest, InsertRejectsDegradedAndPreSweepPlans) {
   PlanCache cache(/*capacity=*/4);
   auto degraded = std::make_shared<QueryPlan>();
-  degraded->degraded = true;
+  degraded->plan_stats.degraded_selection = true;
   cache.Insert("d", std::move(degraded));
   EXPECT_EQ(cache.size(), 0u);
 

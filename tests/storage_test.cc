@@ -8,6 +8,8 @@
 #include "storage/kv_store.h"
 #include "storage/materializer.h"
 #include "test_util.h"
+#include "workload/random_doc.h"
+#include "workload/xmark.h"
 #include "xml/xml_parser.h"
 
 namespace xvr {
@@ -234,6 +236,61 @@ TEST_F(FragmentTest, MaterializeRespectsCap) {
   options.max_bytes_per_view = 10;  // absurdly small
   auto fragments = MaterializeView(Parse("//s"), tree_, options);
   EXPECT_EQ(fragments.status().code(), StatusCode::kCapacityExceeded);
+
+  // The budget bounds the total: exactly the total is accepted, one byte
+  // less is rejected.
+  options.max_bytes_per_view = 0;
+  auto uncapped = MaterializeView(Parse("//s"), tree_, options);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status();
+  ASSERT_EQ(uncapped->size(), 2u);
+  size_t total = 0;
+  for (const Fragment& f : *uncapped) {
+    total += f.ByteSize();
+  }
+  options.max_bytes_per_view = total;
+  auto at_cap = MaterializeView(Parse("//s"), tree_, options);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap->size(), 2u);
+  options.max_bytes_per_view = total - 1;
+  EXPECT_EQ(MaterializeView(Parse("//s"), tree_, options).status().code(),
+            StatusCode::kCapacityExceeded);
+
+  // A root view copies the whole document: a small budget rejects it.
+  options.max_bytes_per_view = 64;
+  EXPECT_EQ(MaterializeView(Parse("/b"), tree_, options).status().code(),
+            StatusCode::kCapacityExceeded);
+}
+
+// The size MaterializeView computes before building must be the built
+// fragment's size, on every node of documents with texts and attributes;
+// with a limit, the walk passes the limit exactly when the size does.
+void ExpectPreBuildSizesMatch(const XmlTree& tree) {
+  for (size_t i = 0; i < tree.size(); ++i) {
+    const auto n = static_cast<NodeId>(i);
+    const size_t built = Fragment::FromTree(tree, n).ByteSize();
+    ASSERT_EQ(Fragment::SubtreeByteSize(tree, n), built) << "node " << n;
+    EXPECT_EQ(Fragment::SubtreeByteSize(tree, n, built), built);
+    EXPECT_GT(Fragment::SubtreeByteSize(tree, n, built - 1), built - 1);
+  }
+}
+
+TEST(FragmentSizeTest, PreBuildSizeMatchesBuiltSizeOnXmark) {
+  XmarkOptions options;
+  options.scale = 0.1;
+  options.seed = 5;
+  ExpectPreBuildSizesMatch(GenerateXmark(options));
+}
+
+TEST(FragmentSizeTest, PreBuildSizeMatchesBuiltSizeOnRandomDocs) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomDocOptions options;
+    options.seed = seed;
+    options.num_nodes = 300;
+    options.alphabet_size = 2 + static_cast<int>(seed % 3);
+    options.attr_probability = 0.4;
+    options.text_probability = 0.4;
+    ExpectPreBuildSizesMatch(GenerateRandomDoc(options));
+  }
 }
 
 TEST_F(FragmentTest, FragmentStorePersistence) {
