@@ -1,7 +1,7 @@
 // Ablations for the design choices DESIGN.md calls out:
 //
-//  * normalization on/off — false-negative rate of the filter relative to
-//    homomorphism containment (§III-C claims normalization removes them);
+//  * normalization on/off — candidate matches the filter loses without
+//    normalization (§III-C), recomputed from a raw-only NFA;
 //  * prefix sharing on/off — automaton size (the §III-D space argument);
 //  * set-based vs counter-based NUM(V) candidate accounting (our fix vs the
 //    paper's literal Algorithm 1, recomputed from the NFA's accepts);
@@ -28,40 +28,75 @@ namespace {
 // equivalent forms of §III-C (Example 3.2: s/*//t vs s//*/t) that no
 // homomorphism relates. This ablation filters wildcard-heavy queries —
 // including a synthetic Example 3.2 family — and counts the candidate
-// matches that disappear when normalization is off.
+// matches that disappear without normalization. The normalized row is the
+// filter. The raw row is recomputed from a PathNfa that indexes and reads
+// every path in its raw form only, with Filter's candidate rule: a view is
+// a candidate when each of its paths accepts some query path.
 
 void BM_Ablation_Normalization(benchmark::State& state) {
   const bool normalize = state.range(0) != 0;
   xvr_bench::FilterSetup& setup = xvr_bench::ViewScalingSetup();
-  xvr::VFilterOptions options;
-  options.normalize = normalize;
-  auto filter = xvr_bench::BuildFilter(2000, options);
+  std::vector<xvr::TreePattern> views(setup.views.begin(),
+                                      setup.views.begin() + 2000);
   // The Example 3.2 family over the XMark schema.
-  std::vector<xvr::TreePattern> equivalence_views;
-  int32_t next_id = 2000;
   for (const char* vx :
        {"/site//*/item/name", "/site/open_auctions//*/increase",
         "/site//*/person/name"}) {
-    auto v = xvr::ParseXPath(vx, &setup.doc.labels());
-    equivalence_views.push_back(std::move(v).value());
-    filter->AddView(next_id++, equivalence_views.back());
+    views.push_back(xvr::ParseXPath(vx, &setup.doc.labels()).value());
   }
   std::vector<xvr::TreePattern> probes;
   for (const char* qx :
        {"/site/*//item/name", "/site/open_auctions/*//increase",
         "/site/*//person/name"}) {
-    auto q = xvr::ParseXPath(qx, &setup.doc.labels());
-    probes.push_back(std::move(q).value());
+    probes.push_back(xvr::ParseXPath(qx, &setup.doc.labels()).value());
   }
   for (size_t qi = 0; qi < 300; ++qi) {
     probes.push_back(setup.views[qi]);
   }
 
+  xvr::VFilter filter;
+  xvr::PathNfa raw;
+  std::vector<size_t> num_paths;  // |D(V)| by view id
+  for (size_t v = 0; v < views.size(); ++v) {
+    const int32_t id = static_cast<int32_t>(v);
+    if (normalize) {
+      filter.AddView(id, views[v]);
+      continue;
+    }
+    const std::vector<xvr::PathPattern> paths = xvr::Decompose(views[v]).paths;
+    num_paths.push_back(paths.size());
+    for (size_t p = 0; p < paths.size(); ++p) {
+      raw.Insert(paths[p], id, static_cast<int32_t>(p));
+    }
+  }
+  xvr::NfaReadScratch scratch;
+  std::vector<int32_t> tokens;
+  std::vector<const xvr::AcceptEntry*> hits;
   size_t total_candidates = 0;
   for (auto _ : state) {
     total_candidates = 0;
     for (const xvr::TreePattern& query : probes) {
-      total_candidates += filter->Filter(query).candidates.size();
+      if (normalize) {
+        total_candidates += filter.Filter(query, &scratch).candidates.size();
+        continue;
+      }
+      std::set<std::pair<int32_t, int32_t>> accepted;  // (view, view path)
+      for (const xvr::PathPattern& path : xvr::Decompose(query).paths) {
+        xvr::PathToTokens(path, &tokens);
+        raw.Read(tokens, &hits, &scratch);
+        for (const xvr::AcceptEntry* e : hits) {
+          accepted.emplace(e->view_id, e->path_id);
+        }
+      }
+      std::map<int32_t, size_t> covered;  // view id -> its paths accepted
+      for (const auto& [view_id, path_id] : accepted) {
+        ++covered[view_id];
+      }
+      for (const auto& [view_id, count] : covered) {
+        if (count == num_paths[static_cast<size_t>(view_id)]) {
+          ++total_candidates;
+        }
+      }
     }
   }
   state.SetLabel(normalize ? "normalized" : "raw");
@@ -94,12 +129,11 @@ void BM_Ablation_PrefixSharing(benchmark::State& state) {
     states = 1;
     for (size_t i = 0; i < 4000 && i < setup.views.size(); ++i) {
       for (const xvr::PathPattern& path : xvr::Decompose(setup.views[i]).paths) {
-        xvr::ForEachPathForm(path, /*normalize=*/true,
-                             [&](const xvr::PathPattern& form) {
-                               xvr::PathNfa chain;
-                               chain.Insert(form, 0, 0);
-                               states += chain.num_states() - 1;
-                             });
+        xvr::ForEachPathForm(path, [&](const xvr::PathPattern& form) {
+          xvr::PathNfa chain;
+          chain.Insert(form, 0, 0);
+          states += chain.num_states() - 1;
+        });
       }
     }
   }
@@ -136,7 +170,7 @@ void BM_Ablation_CounterMode(benchmark::State& state) {
       std::map<int32_t, int32_t> num;  // view id -> NUM(V)
       for (const xvr::PathPattern& path : xvr::Decompose(query).paths) {
         std::vector<std::vector<int32_t>> reads;
-        xvr::AppendStructuralReads(path, filter->options().normalize, &reads);
+        xvr::AppendStructuralReads(path, &reads);
         std::set<std::pair<int32_t, int32_t>> accepted;  // (view, view path)
         for (const std::vector<int32_t>& tokens : reads) {
           filter->nfa().Read(tokens, &hits, &scratch);
@@ -163,51 +197,6 @@ void BM_Ablation_CounterMode(benchmark::State& state) {
   state.counters["queries_diverging"] = static_cast<double>(disagreements);
 }
 BENCHMARK(BM_Ablation_CounterMode)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// --- attribute-aware filtering (§VII future work) ---------------------------
-//
-// With attribute predicates in views and queries, the structural filter
-// keeps views whose attribute comparisons the query cannot satisfy; the
-// attribute extension prunes them. Reported: total candidates across an
-// attribute-heavy probe workload (lower = more pruning, both sound).
-
-void BM_Ablation_AttributeIndexing(benchmark::State& state) {
-  const bool attrs = state.range(0) != 0;
-  xvr_bench::FilterSetup& setup = xvr_bench::ViewScalingSetup();
-  xvr::QueryGenOptions gen;
-  gen.max_depth = 4;
-  gen.num_pred = 2;
-  gen.prob_attr = 0.6;
-  xvr::QueryGenerator generator(setup.doc, gen);
-  xvr::Rng rng(77);
-  xvr::VFilterOptions options;
-  options.index_attributes = attrs;
-  xvr::VFilter filter(options);
-  std::vector<xvr::TreePattern> views;
-  for (int i = 0; i < 2000; ++i) {
-    views.push_back(generator.Generate(&rng));
-    filter.AddView(i, views.back());
-  }
-  std::vector<xvr::TreePattern> probes;
-  for (int i = 0; i < 300; ++i) {
-    probes.push_back(generator.Generate(&rng));
-  }
-  size_t total_candidates = 0;
-  for (auto _ : state) {
-    total_candidates = 0;
-    for (const xvr::TreePattern& query : probes) {
-      total_candidates += filter.Filter(query).candidates.size();
-    }
-  }
-  state.SetLabel(attrs ? "attr-aware" : "structural");
-  state.counters["total_candidates"] = static_cast<double>(total_candidates);
-  state.counters["states"] = static_cast<double>(filter.num_states());
-}
-BENCHMARK(BM_Ablation_AttributeIndexing)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -91,10 +91,9 @@ inline FilterSetup& ViewScalingSetup() {
 }
 
 // A VFilter over the first `count` views of the scaling setup.
-inline std::unique_ptr<xvr::VFilter> BuildFilter(
-    size_t count, xvr::VFilterOptions options = {}) {
+inline std::unique_ptr<xvr::VFilter> BuildFilter(size_t count) {
   FilterSetup& setup = ViewScalingSetup();
-  auto filter = std::make_unique<xvr::VFilter>(options);
+  auto filter = std::make_unique<xvr::VFilter>();
   const size_t n = std::min(count, setup.views.size());
   for (size_t i = 0; i < n; ++i) {
     filter->AddView(static_cast<int32_t>(i), setup.views[i]);

@@ -336,16 +336,6 @@ Status ValidateVFilter(const VFilter& filter) {
                          std::to_string(s.loop_state));
       }
     }
-    for (const auto& [token, t] : s.pred_trans) {
-      if (!IsPredToken(token)) {
-        return Violation(where + ": pred transition on non-pred token " +
-                         std::to_string(token));
-      }
-      if (!in_range(t)) {
-        return Violation(where + ": dangling pred transition to state " +
-                         std::to_string(t));
-      }
-    }
     if (s.is_accepting != !s.accepts.empty()) {
       return Violation(where + ": is_accepting disagrees with accept list");
     }

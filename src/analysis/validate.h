@@ -50,7 +50,7 @@ Status ValidateTreePattern(const TreePattern& pattern,
 Status ValidatePathPattern(const PathPattern& path,
                            bool require_normalized = false);
 
-// VFILTER invariants: every NFA transition (label, '*', '//'-loop, pred)
+// VFILTER invariants: every NFA transition (label, '*', '//'-loop)
 // targets an existing state, loop bookkeeping is consistent, accepting
 // states and accept entries agree with the view registry (|D(V)| counts,
 // no duplicate (view, path) registrations, positive path lengths).

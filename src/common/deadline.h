@@ -11,11 +11,11 @@
 // as CANCELLED, and a blown budget as RESOURCE_EXHAUSTED — always through
 // the normal Status plumbing, never by aborting.
 //
-// Degradation, not failure, where the paper sanctions it: exhaustive
-// minimum-set selection (§IV set cover, exponential in |LF(Q)|) runs under a
-// deadline *slice*; when only the slice expires, the planner falls back to
-// the greedy heuristic (Algorithm 2) and records the degradation in
-// AnswerStats instead of failing the query.
+// Degradation, not failure, where the paper sanctions it: when exhaustive
+// minimum-set selection (§IV set cover, exponential in |LF(Q)|) meets a leaf
+// universe too large for its DP, the planner falls back to the greedy
+// heuristic (Algorithm 2) and records the degradation in AnswerStats
+// instead of failing the query.
 
 #include <atomic>
 #include <chrono>
@@ -57,21 +57,6 @@ class Deadline {
     return rem < 0 ? 0 : rem;
   }
 
-  // The earlier of this deadline and now + `micros`. micros == 0 leaves the
-  // deadline unchanged (no slice); micros < 0 yields an already-expired
-  // slice (useful to disable a sliced phase outright, e.g. forcing the
-  // greedy selection fallback deterministically).
-  Deadline SliceMicros(int64_t micros) const {
-    if (micros == 0) {
-      return *this;
-    }
-    const Deadline slice = AfterMicros(micros < 0 ? -1 : micros);
-    if (!has_deadline_ || slice.at_ < at_) {
-      return slice;
-    }
-    return *this;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   bool has_deadline_ = false;
@@ -111,12 +96,6 @@ struct QueryLimits {
   // the rewriter keeps the answer nodes of every refined primary fragment
   // before the join runs, whatever this cap (max_join_fragments bounds them).
   size_t max_result_codes = 0;
-
-  // Deadline slice granted to exhaustive minimum-set selection before it
-  // degrades to the greedy heuristic: 0 = the full remaining deadline,
-  // > 0 = at most this many microseconds, < 0 = zero-width slice (always
-  // degrade; exhaustive selection disabled).
-  int64_t exhaustive_selection_slice_micros = 0;
 };
 
 // The stage-boundary / hot-loop check. `where` names the checkpoint for the

@@ -54,10 +54,6 @@ struct CatalogSnapshot {
   // unaffected entries to the new version and drops the rest.
   uint64_t version = 0;
 
-  CatalogSnapshot() = default;
-  explicit CatalogSnapshot(VFilterOptions vfilter_options)
-      : vfilter(vfilter_options) {}
-
   const TreePattern* view(int32_t id) const { return views.Find(id); }
 
   bool IsViewQuarantined(int32_t id) const {

@@ -49,7 +49,7 @@ Engine::Engine(XmlTree doc, EngineOptions options)
   // outside PublishCatalog (lint:publish-hook-ok).
   {
     MutexLock lock(&published_mu_);
-    catalog_ = std::make_shared<const CatalogSnapshot>(options_.vfilter);
+    catalog_ = std::make_shared<const CatalogSnapshot>();
   }
 
   metrics_ = std::make_unique<EngineMetrics>(&metrics_registry_);
@@ -153,10 +153,9 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, bool log_to_wal) {
   next.fragments.PutView(id, std::move(fragments));
   next.vfilter.AddView(id, view);
   // Summarize the (minimized) view for the plan-cache sweep before the
-  // pattern moves into the snapshot. Options come from the successor's
-  // filter — the index the summarized candidacy must mirror.
-  auto publication = std::make_shared<const ViewPublication>(
-      MakeViewPublication(id, view, next.vfilter.options()));
+  // pattern moves into the snapshot.
+  auto publication =
+      std::make_shared<const ViewPublication>(MakeViewPublication(id, view));
   next.views.Set(id, std::move(view));
   PublishCatalog(std::move(next), CatalogDelta::Added(std::move(publication)));
   XVR_DEBUG_VALIDATE(ValidateVFilter(Catalog()->vfilter));
@@ -385,7 +384,7 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
 
   // The restored catalog is assembled privately and published once at the
   // end: a reader of the returned engine only ever sees the complete state.
-  CatalogSnapshot next(engine->options_.vfilter);
+  CatalogSnapshot next;
 
   // Every id the image names must be one its catalog issued, below
   // next_view_id, before it indexes a table: the id tables size themselves

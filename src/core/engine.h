@@ -72,7 +72,6 @@ namespace xvr {
 
 struct EngineOptions {
   MaterializeOptions materialize;  // 128 KB per-view cap by default
-  VFilterOptions vfilter;
   // Number of plans the LRU PlanCache retains; 0 disables plan caching.
   size_t plan_cache_capacity = 1024;
   // Storage environment for all persistence (state images, catalog WAL).
@@ -217,10 +216,10 @@ class Engine {
 
   // Limit-aware variant: `limits` carries the deadline, the cancel token
   // and the resource budgets (common/deadline.h). An expired deadline
-  // surfaces as DEADLINE_EXCEEDED within one stage boundary; when only the
-  // exhaustive-selection slice overruns, the planner degrades to the greedy
-  // heuristic instead (stats.degraded_selection) and the query still
-  // answers.
+  // surfaces as DEADLINE_EXCEEDED within one stage boundary. When exact
+  // minimum selection meets a leaf universe too large for its DP, the
+  // planner degrades to the greedy heuristic instead
+  // (stats.degraded_selection) and the query still answers.
   Result<Answer> AnswerQuery(const TreePattern& query, AnswerStrategy strategy,
                              const QueryLimits& limits) const;
 
@@ -245,8 +244,7 @@ class Engine {
   // Saves the complete state (document, view patterns, materialized
   // fragments) into one KvStore image on disk and restores it, as the
   // paper's deployment keeps the fragments in BDB across sessions. VFILTER
-  // is not saved: LoadState rebuilds it from the serving views' patterns
-  // with `options.vfilter`, as every other option comes from `options`.
+  // is not saved: LoadState rebuilds it from the serving views' patterns.
   //
   // Crash safety and corruption tolerance: the image is written via
   // write-temp-then-rename and carries a FNV-1a checksum, so a crash

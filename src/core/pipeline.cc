@@ -127,9 +127,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
   auto shared = std::make_shared<const QueryPlan>(std::move(plan));
   XVR_DEBUG_VALIDATE(CertifyPlanHook(*shared, catalog, deps_.doc->labels(),
                                      *deps_.metrics));
-  // A degraded plan reflects this call's deadline, not the query: callers
-  // with ample time must not inherit its greedy fallback, so it is never
-  // cached.
+  // A degraded plan is never cached (see QueryPlan::plan_stats).
   if (deps_.cache != nullptr && !shared->plan_stats.degraded_selection) {
     deps_.cache->Insert(key, shared);
   }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "pattern/path_pattern.h"
+#include "vfilter/vfilter.h"
 
 namespace xvr {
 namespace {
@@ -16,8 +17,7 @@ uint64_t LabelBloomBit(int32_t token) {
 
 PlanDependencies BuildPlanDependencies(const TreePattern& query,
                                        std::vector<int32_t> views,
-                                       bool filtered,
-                                       const VFilterOptions& options) {
+                                       bool filtered) {
   PlanDependencies deps;
   deps.filtered = filtered;
   std::sort(views.begin(), views.end());
@@ -26,11 +26,8 @@ PlanDependencies BuildPlanDependencies(const TreePattern& query,
   const Decomposition decomposition = Decompose(query);
   deps.leaf_streams.reserve(decomposition.paths.size());
   // Mirror VFilter::Filter's read union per path, one stream per form.
-  // Streams are structural (no pred tokens): the one-view NFA carries no
-  // required pred transitions, to which pred tokens are invisible, so the
-  // reads are equivalent.
   for (const PathPattern& path : decomposition.paths) {
-    AppendStructuralReads(path, options.normalize, &deps.leaf_streams);
+    AppendStructuralReads(path, &deps.leaf_streams);
   }
   for (const std::vector<int32_t>& stream : deps.leaf_streams) {
     for (const int32_t token : stream) {
@@ -42,8 +39,7 @@ PlanDependencies BuildPlanDependencies(const TreePattern& query,
   return deps;
 }
 
-ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view,
-                                    const VFilterOptions& options) {
+ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view) {
   ViewPublication pub;
   pub.view_id = view_id;
   const Decomposition decomposition = Decompose(view);
@@ -58,7 +54,7 @@ ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view,
       }
     }
     pub.path_label_masks.push_back(mask);
-    ForEachPathForm(raw, options.normalize, [&](const PathPattern& form) {
+    ForEachPathForm(raw, [&](const PathPattern& form) {
       pub.nfa.Insert(form, view_id, static_cast<int32_t>(i));
     });
   }

@@ -35,10 +35,6 @@
 //    path carries a literal label the query streams never mention — such
 //    a path can accept no query stream (a label transition consumes only
 //    its own token), so bloom rejects are exact, never optimistic.
-//  - Value predicates (VFilterOptions::index_attributes) are modeled
-//    structurally: the one-view NFA carries no required pred transitions,
-//    which can only widen its accepting set versus the real filter —
-//    over-admitting, i.e. over-invalidating, never the reverse.
 
 #include <cstdint>
 #include <memory>
@@ -46,7 +42,6 @@
 
 #include "pattern/tree_pattern.h"
 #include "vfilter/nfa.h"
-#include "vfilter/vfilter.h"
 
 namespace xvr {
 
@@ -71,12 +66,10 @@ struct PlanDependencies {
 // Builds the dependency record for a plan of `query` (the plan's possibly
 // minimized pattern — the one Filter actually read). `views` is the
 // positive set (candidates and/or selected ids; sorted and deduplicated
-// here). `options` must be the catalog VFILTER's options so the streams
-// mirror its normalization.
+// here).
 PlanDependencies BuildPlanDependencies(const TreePattern& query,
                                        std::vector<int32_t> views,
-                                       bool filtered,
-                                       const VFilterOptions& options);
+                                       bool filtered);
 
 // The publish-time summary of one added view: a single-view VFILTER NFA
 // plus per-path required-literal-label blooms. Built once per AddView*,
@@ -94,9 +87,8 @@ struct ViewPublication {
 };
 
 // Summarizes `view` (the minimized pattern entering the catalog) for the
-// publish sweep. `options` are the catalog VFILTER's options.
-ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view,
-                                    const VFilterOptions& options);
+// publish sweep.
+ViewPublication MakeViewPublication(int32_t view_id, const TreePattern& view);
 
 // Could publishing `pub` have changed a plan with dependencies `deps`?
 // True exactly when the view would be a VFILTER candidate for the plan's

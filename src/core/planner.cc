@@ -12,25 +12,11 @@
 namespace xvr {
 namespace {
 
-// The exhaustive set-cover phase degrades to the greedy heuristic when it
-// — and only it — ran out of room: its deadline slice expired while the
-// call's own deadline has time left, or the DP's bitmask universe
-// overflowed (RESOURCE_EXHAUSTED). A call-wide deadline expiry or a
-// cancellation propagates as the failure it is.
-bool ShouldDegradeExhaustive(const Status& status, const QueryLimits& limits) {
-  if (status.code() == StatusCode::kResourceExhausted) {
-    return true;
-  }
-  return status.code() == StatusCode::kDeadlineExceeded &&
-         !limits.deadline.Expired();
-}
-
-// Slice the call deadline for the exhaustive phase (see QueryLimits).
-QueryLimits ExhaustiveLimits(const QueryLimits& limits) {
-  QueryLimits sliced = limits;
-  sliced.deadline =
-      limits.deadline.SliceMicros(limits.exhaustive_selection_slice_micros);
-  return sliced;
+// The exhaustive set-cover phase degrades to the greedy heuristic when the
+// DP's bitmask universe overflowed (RESOURCE_EXHAUSTED). A deadline expiry
+// or a cancellation propagates as the failure it is.
+bool ShouldDegradeExhaustive(const Status& status) {
+  return status.code() == StatusCode::kResourceExhausted;
 }
 
 // The filter step of the filtered strategies (MV, HV, HB), timed as
@@ -102,11 +88,10 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       const std::vector<int32_t> ids = catalog.view_ids();
       ScopedSpan selection_span(trace, "plan.selection");
       Result<SelectionResult> selection =
-          SelectMinimum(query, ids, lookup, ExhaustiveLimits(limits));
+          SelectMinimum(query, ids, lookup, limits);
       stats->selection_micros = selection_span.StopMicros();
       stats->candidates_after_filter = ids.size();
-      if (!selection.ok() &&
-          ShouldDegradeExhaustive(selection.status(), limits)) {
+      if (!selection.ok() && ShouldDegradeExhaustive(selection.status())) {
         // Degrade to the greedy heuristic. It consumes per-path candidate
         // lists, so run VFILTER now — sound even for MN, since every
         // catalog view is indexed and filtering only removes views that
@@ -137,10 +122,8 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
                                       trace, candidates_out));
       ScopedSpan selection_span(trace, "plan.selection");
       Result<SelectionResult> selection =
-          SelectMinimum(query, filtered.candidates, lookup,
-                        ExhaustiveLimits(limits));
-      if (!selection.ok() &&
-          ShouldDegradeExhaustive(selection.status(), limits)) {
+          SelectMinimum(query, filtered.candidates, lookup, limits);
+      if (!selection.ok() && ShouldDegradeExhaustive(selection.status())) {
         stats->degraded_selection = true;
         HeuristicOptions options;
         options.limits = limits;
@@ -226,7 +209,7 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
       plan.not_answerable = true;
       plan.failure_message = selection.status().message();
       plan.deps = BuildPlanDependencies(plan.query, std::move(candidates),
-                                        filtered, catalog.vfilter.options());
+                                        filtered);
       *tombstone_out = std::move(plan);
     }
     return selection.status();
@@ -240,7 +223,7 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
     candidates.push_back(selected.view_id);
   }
   plan.deps = BuildPlanDependencies(plan.query, std::move(candidates),
-                                    filtered, catalog.vfilter.options());
+                                    filtered);
   // Hoist the compensating patterns into the plan: every execution of this
   // plan (and every plan-cache hit) reuses them instead of rebuilding them
   // per call inside the rewrite.
@@ -312,8 +295,7 @@ void PlanCache::Insert(const std::string& key,
     return;
   }
   MutexLock lock(&mu_);
-  // A degraded plan must never enter the cache: it would serve later
-  // callers a plan shaped by one call's deadline.
+  // A degraded plan never enters the cache (see QueryPlan::plan_stats).
   if (plan->plan_stats.degraded_selection) {
     return;
   }

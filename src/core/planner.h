@@ -130,9 +130,8 @@ struct QueryPlan {
 
   // Planning-phase stats (filter/selection timings, candidate counts).
   // Plans with plan_stats.degraded_selection are never inserted into the
-  // PlanCache: a plan degraded under one call's deadline must not be
-  // served to later calls with ample time (PlanCache::Insert rejects them
-  // defensively).
+  // PlanCache (PlanCache::Insert rejects them defensively), so a query
+  // whose leaf universe overflows exact selection replans on every call.
   AnswerStats plan_stats;
 
   // Negative plan ("tombstone"): selection proved the query unanswerable
@@ -159,11 +158,11 @@ class Planner {
   // INVALID_ARGUMENT.
   //
   // `limits` governs planning: the deadline/cancel token are honored inside
-  // filtering and selection, and exhaustive minimum-set selection (MN/MV)
-  // runs under limits.exhaustive_selection_slice_micros — when only that
-  // slice expires (or the set-cover DP's universe overflows), the planner
-  // *degrades* to the greedy heuristic over the same candidates and records
-  // it in stats->degraded_selection rather than failing the query.
+  // filtering and selection. When exhaustive minimum-set selection (MN/MV)
+  // cannot run because the set-cover DP's leaf universe overflows its 20
+  // bits, the planner *degrades* to the greedy heuristic over the same
+  // candidates and records it in stats->degraded_selection rather than
+  // failing the query.
   //
   // `trace`, when non-null, receives "plan.filter" / "plan.selection" spans
   // mirroring the timings written into `stats`.

@@ -55,16 +55,15 @@ size_t PathPatternHash::operator()(const PathPattern& p) const {
   return h;
 }
 
-std::vector<int32_t> PathToTokens(const PathPattern& path) {
-  std::vector<int32_t> tokens;
-  tokens.reserve(path.steps().size() * 2);
+void PathToTokens(const PathPattern& path, std::vector<int32_t>* out) {
+  out->clear();
+  out->reserve(path.steps().size() * 2);
   for (const PathStep& step : path.steps()) {
     if (step.axis == Axis::kDescendant) {
-      tokens.push_back(kHashToken);
+      out->push_back(kHashToken);
     }
-    tokens.push_back(step.label);
+    out->push_back(step.label);
   }
-  return tokens;
 }
 
 PathPattern PathTo(const TreePattern& q, TreePattern::NodeIndex n) {

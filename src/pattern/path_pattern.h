@@ -17,8 +17,9 @@ namespace xvr {
 struct PathStep {
   Axis axis = Axis::kChild;
   LabelId label = kInvalidLabel;  // kWildcardLabel for '*'
-  // Carried through decomposition so the attribute-aware VFILTER extension
-  // can index it; ignored by the structural token stream.
+  // Kept through decomposition: D(Q) keeps paths with different predicates
+  // apart, normalization never moves a predicated wildcard, and paths print
+  // their predicates. VFILTER's token stream ignores it.
   std::optional<ValuePredicate> pred;
 
   friend bool operator==(const PathStep& a, const PathStep& b) = default;
@@ -66,8 +67,9 @@ struct PathPatternHash {
 inline constexpr int32_t kHashToken = -4;
 
 // STR(P): e.g. /b//f -> {b, #, f}; s//t -> {s, #, t}; /a/*/c -> {a, *, c}.
-// (* is encoded as kWildcardLabel.)
-std::vector<int32_t> PathToTokens(const PathPattern& path);
+// (* is encoded as kWildcardLabel.) Written into `out` in place, replacing
+// its contents, so a caller can reuse the buffer across paths.
+void PathToTokens(const PathPattern& path, std::vector<int32_t>* out);
 
 // The decomposition D(Q) plus the bookkeeping selection needs: which leaf of
 // Q produced which (distinct) path pattern.

@@ -90,26 +90,11 @@ void PathNfa::NoteTransition(StateId from, LabelId label, StateId to) {
 }
 
 void PathNfa::Insert(const PathPattern& path, int32_t view_id,
-                     int32_t path_id, const PredInterner& pred_intern,
-                     int32_t slot) {
+                     int32_t path_id, int32_t slot) {
   XVR_CHECK(!path.empty()) << "cannot insert an empty path pattern";
   StateId cur = start();
   for (const PathStep& step : path.steps()) {
     cur = Step(cur, step);
-    if (step.pred.has_value() && pred_intern) {
-      // The continuation of a predicated step hangs off the required pred
-      // transition.
-      const int32_t token = PredTokenFor(pred_intern(*step.pred));
-      const auto& pred_trans = states_[cur].pred_trans;
-      const auto it = pred_trans.find(token);
-      if (it != pred_trans.end()) {
-        cur = it->second;
-      } else {
-        const StateId next = NewState();
-        states_.Mutable(cur).pred_trans.emplace(token, next);
-        cur = next;
-      }
-    }
   }
   State& fin = states_.Mutable(cur);
   fin.is_accepting = true;
@@ -182,8 +167,7 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
       scratch->mark[static_cast<size_t>(id)] = scratch->epoch;
       const bool has_outgoing = s.is_loop || !s.label_trans.empty() ||
                                 s.star_trans != kNoState ||
-                                s.loop_state != kNoState ||
-                                !s.pred_trans.empty();
+                                s.loop_state != kNoState;
       if (has_outgoing) {
         set->push_back(id);
       }
@@ -210,18 +194,6 @@ void PathNfa::Read(const std::vector<int32_t>& tokens,
       // active only through their outgoing edges below.)
       if (s.is_loop) {
         add(&scratch->next, id);
-      }
-      if (IsPredToken(token)) {
-        // Pred tokens are invisible to states without the matching required
-        // predicate (a view without the predicate is weaker and still
-        // contains the query)...
-        add(&scratch->next, id);
-        // ...and advance the views that require exactly this predicate.
-        const auto it = s.pred_trans.find(token);
-        if (it != s.pred_trans.end()) {
-          add(&scratch->next, it->second);
-        }
-        continue;
       }
       if (token == kHashToken) {
         continue;  // '#' can only be absorbed by self-loops
@@ -267,7 +239,7 @@ size_t PathNfa::num_transitions() const {
   size_t count = 0;
   for (const auto& [id, s] : states_) {
     (void)id;
-    count += s.label_trans.size() + s.pred_trans.size();
+    count += s.label_trans.size();
     if (s.star_trans != kNoState) ++count;
     if (s.loop_state != kNoState) ++count;     // the epsilon edge
     if (s.is_loop || s.is_accepting) ++count;  // the self-loop

@@ -3,9 +3,12 @@
 
 // The NFA underlying VFILTER (paper §III-B, Figures 4 and 5).
 //
-// The automaton reads the token string STR(P) of a (normalized) query path
-// pattern — labels, '*' tokens and '#' tokens (for //) — and reaches the
-// accepting state of every indexed view path pattern P_f with P ⊑ P_f.
+// The automaton reads the token string STR(P) of a query path pattern —
+// labels, '*' tokens and '#' tokens (for //) — and reaches the accepting
+// state of every indexed view path pattern P_f with P ⊑ P_f. VFilter
+// indexes and reads each path in its raw and its normalized form
+// (ForEachPathForm, vfilter/vfilter.h); the automaton is purely
+// structural, and value predicates are not indexed.
 //
 // Construction mirrors the paper's four basic fragments:
 //   /l   : a transition on label l
@@ -15,9 +18,9 @@
 //   //*  : the self-loop state, then a '*' transition
 // Fragments are concatenated along the trie of path patterns so common
 // prefixes share states: each state has at most one target per label, one
-// per pred token, one '*' target and one '//' loop state. Accepting states
-// additionally self-loop on every token ("accepts any label or edge"), so a
-// longer query path stays accepted by a shorter view path it extends.
+// '*' target and one '//' loop state. Accepting states additionally
+// self-loop on every token ("accepts any label or edge"), so a longer query
+// path stays accepted by a shorter view path it extends.
 //
 // States live in a copy-on-write table indexed by state id
 // (common/cow_table.h): a catalog snapshot's copy of the NFA shares every
@@ -26,16 +29,8 @@
 //
 // Token conventions (see pattern/path_pattern.h):
 //   label ids >= 0, kWildcardLabel for '*', kHashToken for '#'.
-//
-// Attribute extension (the paper's §VII future work): a step carrying a
-// value predicate emits a pred token (encoded below kPredTokenBase) right
-// after its label token. A view step that REQUIRES the predicate routes its
-// continuation through a pred transition; pred tokens are otherwise
-// invisible (every state survives them), since a view without the predicate
-// is weaker and still contains the query.
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,14 +42,6 @@ namespace xvr {
 
 using StateId = int32_t;
 inline constexpr StateId kNoState = -1;
-
-// Pred tokens are kPredTokenBase - pred_id (pred ids interned by VFilter).
-inline constexpr int32_t kPredTokenBase = -1000;
-
-inline bool IsPredToken(int32_t token) { return token <= kPredTokenBase; }
-inline int32_t PredTokenFor(int32_t pred_id) {
-  return kPredTokenBase - pred_id;
-}
 
 // A view path pattern registered at an accepting state.
 struct AcceptEntry {
@@ -104,16 +91,11 @@ class PathNfa {
  public:
   PathNfa();
 
-  // Interns a value predicate into a pred id (attribute extension).
-  using PredInterner = std::function<int32_t(const ValuePredicate&)>;
-
   // Inserts path pattern `path` of view `view_id`, following the trie as
-  // far as it matches and adding states for the rest. When `pred_intern` is
-  // provided, steps carrying value predicates route through required pred
-  // transitions. `slot` is copied into the accept entry (VFilter passes the
-  // view's slot).
+  // far as it matches and adding states for the rest. `slot` is copied into
+  // the accept entry (VFilter passes the view's slot).
   void Insert(const PathPattern& path, int32_t view_id, int32_t path_id,
-              const PredInterner& pred_intern = nullptr, int32_t slot = 0);
+              int32_t slot = 0);
 
   // Removes the accept entries of `view_id` (states are retained; the NFA
   // supports cheap logical deletion as pointed out in §III-D (3)). Writes
@@ -148,8 +130,6 @@ class PathNfa {
     std::unordered_map<LabelId, StateId> label_trans;
     StateId star_trans = kNoState;
     StateId loop_state = kNoState;  // the '//' waiting state hanging off this
-    // Required-predicate continuations, keyed by pred token.
-    std::unordered_map<int32_t, StateId> pred_trans;
     bool is_loop = false;           // self-loops on every token
     bool is_accepting = false;
     std::vector<AcceptEntry> accepts;

@@ -6,50 +6,12 @@
 
 namespace xvr {
 
-void AppendStructuralReads(const PathPattern& path, bool normalize,
+void AppendStructuralReads(const PathPattern& path,
                            std::vector<std::vector<int32_t>>* out) {
-  ForEachPathForm(path, normalize, [out](const PathPattern& form) {
-    out->push_back(PathToTokens(form));
+  ForEachPathForm(path, [out](const PathPattern& form) {
+    out->emplace_back();
+    PathToTokens(form, &out->back());
   });
-}
-
-VFilter::VFilter(VFilterOptions options) : options_(options) {}
-
-namespace {
-std::string PredKey(const ValuePredicate& pred) {
-  return pred.attribute + "\x01" +
-         std::to_string(static_cast<int>(pred.op)) + "\x01" + pred.value;
-}
-}  // namespace
-
-int32_t VFilter::InternPred(const ValuePredicate& pred) {
-  auto [it, inserted] =
-      pred_ids_.emplace(PredKey(pred), static_cast<int32_t>(pred_ids_.size()));
-  return it->second;
-}
-
-int32_t VFilter::FindPredToken(const ValuePredicate& pred) const {
-  auto it = pred_ids_.find(PredKey(pred));
-  // Unknown predicates get a token no view requires; it is still absorbed
-  // as an invisible token by every state.
-  const int32_t id =
-      it == pred_ids_.end() ? static_cast<int32_t>(pred_ids_.size()) : it->second;
-  return PredTokenFor(id);
-}
-
-void VFilter::TokensInto(const PathPattern& path,
-                         std::vector<int32_t>* out) const {
-  out->clear();
-  for (const PathStep& step : path.steps()) {
-    if (step.axis == Axis::kDescendant) {
-      out->push_back(kHashToken);
-    }
-    out->push_back(step.label);
-    // Pred tokens interleave after their step labels (attribute indexing).
-    if (options_.index_attributes && step.pred.has_value()) {
-      out->push_back(FindPredToken(*step.pred));
-    }
-  }
 }
 
 void VFilter::AddView(int32_t view_id, const TreePattern& view) {
@@ -65,17 +27,11 @@ void VFilter::AddView(int32_t view_id, const TreePattern& view) {
   }
   slots_[static_cast<size_t>(slot)] =
       ViewSlot{view_id, static_cast<int32_t>(d.paths.size())};
-  PathNfa::PredInterner interner;
-  if (options_.index_attributes) {
-    interner = [this](const ValuePredicate& pred) { return InternPred(pred); };
-  }
   for (size_t i = 0; i < d.paths.size(); ++i) {
     // Every form shares the path id, so coverage accounting is unaffected.
-    ForEachPathForm(d.paths[i], options_.normalize,
-                    [&](const PathPattern& form) {
-                      nfa_.Insert(form, view_id, static_cast<int32_t>(i),
-                                  interner, slot);
-                    });
+    ForEachPathForm(d.paths[i], [&](const PathPattern& form) {
+      nfa_.Insert(form, view_id, static_cast<int32_t>(i), slot);
+    });
   }
 }
 
@@ -160,12 +116,12 @@ Result<FilterResult> VFilter::Filter(const TreePattern& query,
     // would have.
     std::vector<std::vector<int32_t>>& reads = scratch->read_tokens;
     size_t num_reads = 0;
-    ForEachPathForm(result.decomposition.paths[i], options_.normalize,
+    ForEachPathForm(result.decomposition.paths[i],
                     [&](const PathPattern& form) {
                       if (reads.size() == num_reads) {
                         reads.emplace_back();
                       }
-                      TokensInto(form, &reads[num_reads]);
+                      PathToTokens(form, &reads[num_reads]);
                       ++num_reads;
                     });
     // LIST(P_i) holds slots until the candidates are known.

@@ -1,9 +1,10 @@
 #ifndef XVR_VFILTER_VFILTER_H_
 #define XVR_VFILTER_VFILTER_H_
 
-// VFILTER (paper §III): indexes the decomposed, normalized path patterns of
-// a view set in a prefix-shared NFA and, per query, returns the candidate
-// views that may contain the query (Algorithm 1, VIEWFILTERING).
+// VFILTER (paper §III): indexes the decomposed path patterns of a view set,
+// raw and normalized (ForEachPathForm), in a prefix-shared NFA and, per
+// query, returns the candidate views that may contain the query
+// (Algorithm 1, VIEWFILTERING).
 //
 // Guarantee (Proposition 3.1 + §III-C): a view with a homomorphism to the
 // query is never filtered (no false negatives w.r.t. homomorphism-based
@@ -16,7 +17,6 @@
 // the heuristic selector (Algorithm 2).
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,38 +29,25 @@
 
 namespace xvr {
 
-struct VFilterOptions {
-  // Normalize path patterns on insert and on read (§III-C). Disabling this
-  // reintroduces the false negatives of Example 3.2 (ablation).
-  bool normalize = true;
-  // Attribute extension (§VII future work): index value predicates as
-  // required pred transitions, pruning views whose attribute comparisons
-  // the query does not carry. Off by default (the paper's filter is purely
-  // structural). Sound either way.
-  bool index_attributes = false;
-};
-
 // VFILTER's rule for the forms of a decomposed path (§III-C): the raw path,
-// plus its normalized form when `normalize` is on and normalization changes
-// it. AddView indexes every form of a view path under the path's id, and
-// Filter reads every form of a query path: a view path can accept the raw
-// form by a prefix containment that normalization obscures (the // pushed in
-// front of a wildcard breaks child-edge homomorphisms), and the normalized
-// form by an Example 3.2 equivalence. Calls `fn` on the raw form first.
+// plus its normalized form when normalization changes it. AddView indexes
+// every form of a view path under the path's id, and Filter reads every
+// form of a query path: a view path can accept the raw form by a prefix
+// containment that normalization obscures (the // pushed in front of a
+// wildcard breaks child-edge homomorphisms), and the normalized form by an
+// Example 3.2 equivalence. Calls `fn` on the raw form first.
 template <typename Fn>
-void ForEachPathForm(const PathPattern& path, bool normalize, Fn&& fn) {
+void ForEachPathForm(const PathPattern& path, Fn&& fn) {
   fn(path);
-  if (normalize) {
-    const PathPattern normalized = NormalizePath(path);
-    if (!(normalized == path)) {
-      fn(normalized);
-    }
+  const PathPattern normalized = NormalizePath(path);
+  if (!(normalized == path)) {
+    fn(normalized);
   }
 }
 
 // The token strings Filter reads for query path `path`, one per form,
-// without the attribute extension's pred tokens; appended to `out`.
-void AppendStructuralReads(const PathPattern& path, bool normalize,
+// appended to `out`.
+void AppendStructuralReads(const PathPattern& path,
                            std::vector<std::vector<int32_t>>* out);
 
 // LIST(P_i) entry: a candidate view and the length (number of labels) of its
@@ -89,8 +76,6 @@ struct FilterResult {
 
 class VFilter {
  public:
-  explicit VFilter(VFilterOptions options = {});
-
   // Indexes `view`. `view_id` must be unique and non-negative. The view
   // gets the slot RemoveView freed last, or a new one.
   void AddView(int32_t view_id, const TreePattern& view);
@@ -132,7 +117,6 @@ class VFilter {
   }
   const PathNfa& nfa() const { return nfa_; }
   PathNfa& mutable_nfa() { return nfa_; }
-  const VFilterOptions& options() const { return options_; }
 
   // Number of distinct path patterns of an indexed view (|D(V)|), or -1.
   int32_t NumPathsOf(int32_t view_id) const;
@@ -152,21 +136,9 @@ class VFilter {
   std::vector<std::pair<int32_t, int32_t>> ViewPathCounts() const;
 
  private:
-  // Token string of a path — labels, '*', '#', plus pred tokens when the
-  // attribute extension is on — written into `out` in place (the Filter hot
-  // loop reuses the buffers in NfaReadScratch::read_tokens).
-  void TokensInto(const PathPattern& path, std::vector<int32_t>* out) const;
-  int32_t InternPred(const ValuePredicate& pred);
-  // Read-side variant: unknown predicates map to a fresh token that matches
-  // no required transition (but is still absorbed as "invisible").
-  int32_t FindPredToken(const ValuePredicate& pred) const;
-
-  VFilterOptions options_;
   PathNfa nfa_;
   std::vector<ViewSlot> slots_;
   std::vector<int32_t> free_slots_;
-  // Pred dictionary (attribute extension): interned predicate keys.
-  std::unordered_map<std::string, int32_t> pred_ids_;
 };
 
 }  // namespace xvr

@@ -27,8 +27,8 @@ struct QueryGenOptions {
   int num_nestedpath = 1;   // maximum steps inside each predicate path
   // Probability of attaching an attribute comparison ([@a = "v"]) to a
   // non-wildcard step, drawing attribute names and values observed in the
-  // document. 0 matches the paper's structural-only workloads; used by the
-  // attribute-aware VFILTER extension benches.
+  // document. 0 matches the paper's structural-only workloads; tests of
+  // attribute predicates set it.
   double prob_attr = 0.0;
 };
 

@@ -17,7 +17,8 @@ namespace xvr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Attribute-aware VFILTER (§VII future work).
+// Value predicates under VFILTER. The filter is structural (§III): it
+// indexes no value predicate, so a predicate only ever keeps a view in.
 
 class AttributeFilterTest : public ::testing::Test {
  protected:
@@ -26,10 +27,8 @@ class AttributeFilterTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
     return std::move(r).value();
   }
-  VFilter Build(const std::vector<std::string>& views, bool attrs) {
-    VFilterOptions options;
-    options.index_attributes = attrs;
-    VFilter filter(options);
+  VFilter Build(const std::vector<std::string>& views) {
+    VFilter filter;
     for (size_t i = 0; i < views.size(); ++i) {
       filter.AddView(static_cast<int32_t>(i), Parse(views[i]));
     }
@@ -42,84 +41,15 @@ class AttributeFilterTest : public ::testing::Test {
   LabelDict dict_;
 };
 
-TEST_F(AttributeFilterTest, PrunesViewsWithForeignPredicates) {
-  // A view requiring @id=1 cannot answer a query without that predicate.
-  VFilter structural = Build({"/a/b[@id = 1]/c", "/a/b/c"}, false);
-  VFilter attr_aware = Build({"/a/b[@id = 1]/c", "/a/b/c"}, true);
-  const TreePattern bare = Parse("/a/b/c");
-  // Structural filter keeps both (attribute-blind, sound but loose).
-  EXPECT_TRUE(Has(structural.Filter(bare), 0));
-  EXPECT_TRUE(Has(structural.Filter(bare), 1));
-  // Attribute-aware filter prunes the predicated view.
-  EXPECT_FALSE(Has(attr_aware.Filter(bare), 0));
-  EXPECT_TRUE(Has(attr_aware.Filter(bare), 1));
-}
-
-TEST_F(AttributeFilterTest, MatchingPredicateKept) {
-  VFilter filter = Build({"/a/b[@id = 1]/c", "/a/b[@id = 2]/c"}, true);
-  const FilterResult r = filter.Filter(Parse("/a/b[@id = 1]/c"));
-  EXPECT_TRUE(Has(r, 0));
-  EXPECT_FALSE(Has(r, 1));  // different value
-}
-
 TEST_F(AttributeFilterTest, PredicatedQueryMatchesUnpredicatedView) {
-  VFilter filter = Build({"/a/b/c"}, true);
+  VFilter filter = Build({"/a/b/c"});
   EXPECT_TRUE(Has(filter.Filter(Parse("/a/b[@id = 1]/c")), 0));
-}
-
-TEST_F(AttributeFilterTest, OperatorsDistinguished) {
-  VFilter filter = Build({"/a/b[@n < 5]/c"}, true);
-  EXPECT_TRUE(Has(filter.Filter(Parse("/a/b[@n < 5]/c")), 0));
-  EXPECT_FALSE(Has(filter.Filter(Parse("/a/b[@n <= 5]/c")), 0));
-  EXPECT_FALSE(Has(filter.Filter(Parse("/a/b[@n < 6]/c")), 0));
-}
-
-TEST_F(AttributeFilterTest, PredUnderDescendantAxis) {
-  VFilter filter = Build({"//b[@id = 1]/c"}, true);
-  EXPECT_TRUE(Has(filter.Filter(Parse("/a/b[@id = 1]/c")), 0));
-  EXPECT_FALSE(Has(filter.Filter(Parse("/a/b/c")), 0));
 }
 
 TEST_F(AttributeFilterTest, UnknownQueryPredicateIsInvisible) {
-  VFilter filter = Build({"/a/b/c"}, true);
-  // The query carries a predicate the dictionary has never seen.
+  VFilter filter = Build({"/a/b/c"});
+  // The query carries a predicate no view has.
   EXPECT_TRUE(Has(filter.Filter(Parse("/a/b[@zzz = \"q\"]/c")), 0));
-}
-
-// The engine image holds the views, not the filter: LoadState rebuilds
-// VFILTER with the options it is given, pred transitions included.
-TEST_F(AttributeFilterTest, SerdeRoundTripsPredTransitions) {
-  const std::string path = TestTempPath("xvr_attribute_state.bin");
-  auto doc = ParseXml("<a><b id=\"1\"><c/></b><b id=\"2\"><c/></b></a>");
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  EngineOptions options;
-  options.vfilter.index_attributes = true;
-  {
-    Engine engine(std::move(doc).value(), options);
-    for (const char* xpath : {"/a/b[@id = 1]/c", "/a/b/c"}) {
-      auto view = engine.Parse(xpath);
-      ASSERT_TRUE(view.ok()) << view.status();
-      ASSERT_TRUE(engine.AddView(std::move(view).value()).ok()) << xpath;
-    }
-    ASSERT_TRUE(engine.SaveState(path).ok());
-  }
-  const auto candidates = [](Engine& engine, const char* xpath) {
-    auto query = engine.Parse(xpath);
-    EXPECT_TRUE(query.ok()) << query.status();
-    return engine.vfilter().Filter(*query).candidates;
-  };
-  auto restored = Engine::LoadState(path, options);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_TRUE((*restored)->vfilter().options().index_attributes);
-  EXPECT_EQ(candidates(**restored, "/a/b/c"), std::vector<int32_t>{1});
-  EXPECT_EQ(candidates(**restored, "/a/b[@id = 1]/c"),
-            (std::vector<int32_t>{0, 1}));
-  // Without the extension the same image loads a purely structural filter.
-  auto structural = Engine::LoadState(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(structural.ok()) << structural.status();
-  EXPECT_EQ(candidates(**structural, "/a/b/c"),
-            (std::vector<int32_t>{0, 1}));
 }
 
 TEST_F(AttributeFilterTest, SoundOnGeneratedAttributeWorkload) {
@@ -132,9 +62,7 @@ TEST_F(AttributeFilterTest, SoundOnGeneratedAttributeWorkload) {
   QueryGenerator generator(doc, gen);
   Rng rng(5);
   std::vector<TreePattern> views;
-  VFilterOptions options;
-  options.index_attributes = true;
-  VFilter filter(options);
+  VFilter filter;
   for (int i = 0; i < 120; ++i) {
     views.push_back(generator.Generate(&rng));
     filter.AddView(i, views.back());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,22 +35,6 @@ TEST(DeadlineTest, PastDeadlineIsExpired) {
   EXPECT_FALSE(d.infinite());
   EXPECT_TRUE(d.Expired());
   EXPECT_EQ(d.RemainingMicros(), 0);
-}
-
-TEST(DeadlineTest, SliceSemantics) {
-  const Deadline infinite;
-  // 0 = no slice.
-  EXPECT_TRUE(infinite.SliceMicros(0).infinite());
-  // < 0 = zero-width slice, expired even off an infinite deadline.
-  EXPECT_TRUE(infinite.SliceMicros(-1).Expired());
-  // > 0 bounds an infinite deadline.
-  const Deadline sliced = infinite.SliceMicros(10'000'000);
-  EXPECT_FALSE(sliced.infinite());
-  EXPECT_FALSE(sliced.Expired());
-  EXPECT_LE(sliced.RemainingMicros(), 10'000'000);
-  // Slicing never extends: a tight deadline stays tight.
-  const Deadline tight = Deadline::AfterMicros(-1);
-  EXPECT_TRUE(tight.SliceMicros(10'000'000).Expired());
 }
 
 TEST(DeadlineTest, CheckInterruptedReportsCause) {
@@ -188,37 +173,21 @@ TEST_F(FaultToleranceTest, JoinWidthBudgetExhausts) {
 }
 
 // ---------------------------------------------------------------------------
-// Graceful degradation: when only the exhaustive-selection phase runs out of
+// Graceful degradation: when the exhaustive-selection phase runs out of
 // room, the planner falls back to the greedy heuristic and the query still
 // answers — correctly, with the degradation recorded in the stats.
 
 TEST(DegradationTest, OversizedLeafUniverseDegradesToGreedy) {
   // 20 predicate leaves + the answer overflow the exact set-cover DP's
   // 20-bit universe; MN/MV must degrade instead of failing.
-  std::string xml = "<a>";
-  std::string query = "/a";
-  for (int i = 1; i <= 20; ++i) {
-    xml += "<b" + std::to_string(i) + "/>";
-    query += "[b" + std::to_string(i) + "]";
-  }
-  xml += "<c/></a>";
-  query += "/c";
-  auto doc = ParseXml(xml);
-  ASSERT_TRUE(doc.ok());
-  Engine engine(std::move(doc).value());
-  for (int i = 1; i <= 20; ++i) {
-    auto v = engine.Parse("/a[b" + std::to_string(i) + "]/c");
-    ASSERT_TRUE(v.ok());
-    ASSERT_TRUE(engine.AddView(std::move(v).value()).ok());
-  }
-  auto q = engine.Parse(query);
-  ASSERT_TRUE(q.ok());
-  auto bn = engine.AnswerQuery(*q, AnswerStrategy::kBaseNodeIndex);
+  TreePattern q;
+  const std::unique_ptr<Engine> engine = NewOversizedLeafEngine(&q);
+  auto bn = engine->AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
   ASSERT_TRUE(bn.ok());
   ASSERT_EQ(bn->codes.size(), 1u);
   for (AnswerStrategy strategy : {AnswerStrategy::kMinimumNoFilter,
                                   AnswerStrategy::kMinimumFiltered}) {
-    auto a = engine.AnswerQuery(*q, strategy);
+    auto a = engine->AnswerQuery(q, strategy);
     ASSERT_TRUE(a.ok()) << AnswerStrategyName(strategy) << ": " << a.status();
     EXPECT_TRUE(a->stats.degraded_selection) << AnswerStrategyName(strategy);
     EXPECT_EQ(a->codes, bn->codes) << AnswerStrategyName(strategy);
@@ -226,24 +195,20 @@ TEST(DegradationTest, OversizedLeafUniverseDegradesToGreedy) {
 }
 
 TEST_F(FaultToleranceTest, ZeroSliceForcesGreedyFallback) {
-  AddViews({"/r/s/p"});
-  const TreePattern q = Parse("/r/s/p");
-  QueryLimits limits;
-  limits.exhaustive_selection_slice_micros = -1;  // exhaustive disabled
-  auto degraded = engine_.AnswerQuery(q, AnswerStrategy::kMinimumFiltered,
-                                      limits);
+  TreePattern q;
+  const std::unique_ptr<Engine> engine = NewOversizedLeafEngine(&q);
+  auto bn = engine->AnswerQuery(q, AnswerStrategy::kBaseNodeIndex);
+  ASSERT_TRUE(bn.ok());
+  auto degraded = engine->AnswerQuery(q, AnswerStrategy::kMinimumFiltered);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   EXPECT_TRUE(degraded->stats.degraded_selection);
-  EXPECT_EQ(degraded->codes.size(), 2u);
+  EXPECT_EQ(degraded->codes, bn->codes);
 
-  // The degraded plan reflects this call's limits, not the query: it must
-  // not have been cached. A follow-up call with no limits plans afresh and
-  // runs the exhaustive phase.
-  auto fresh = engine_.AnswerQuery(q, AnswerStrategy::kMinimumFiltered);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_FALSE(fresh->stats.degraded_selection);
-  EXPECT_FALSE(fresh->stats.plan_cache_hit);
-  EXPECT_EQ(fresh->codes, degraded->codes);
+  // A degraded plan is never cached: a second call plans afresh.
+  auto again = engine->AnswerQuery(q, AnswerStrategy::kMinimumFiltered);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_FALSE(again->stats.plan_cache_hit);
+  EXPECT_EQ(again->codes, degraded->codes);
 }
 
 // ---------------------------------------------------------------------------

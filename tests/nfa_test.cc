@@ -22,8 +22,10 @@ class PathNfaTest : public ::testing::Test {
   // View ids accepted when reading the token string of `query_xpath`.
   std::set<int32_t> Accepted(const PathNfa& nfa,
                              const std::string& query_xpath) {
+    std::vector<int32_t> tokens;
+    PathToTokens(Path(query_xpath), &tokens);
     std::vector<const AcceptEntry*> hits;
-    nfa.Read(PathToTokens(Path(query_xpath)), &hits);
+    nfa.Read(tokens, &hits);
     std::set<int32_t> ids;
     for (const AcceptEntry* e : hits) {
       ids.insert(e->view_id);
@@ -165,8 +167,10 @@ TEST_F(PathNfaTest, MultipleAcceptEntriesAtOneState) {
   PathNfa nfa;
   nfa.Insert(Path("/a/b"), 0, 0);
   nfa.Insert(Path("/a/b"), 7, 2);
+  std::vector<int32_t> tokens;
+  PathToTokens(Path("/a/b"), &tokens);
   std::vector<const AcceptEntry*> hits;
-  nfa.Read(PathToTokens(Path("/a/b")), &hits);
+  nfa.Read(tokens, &hits);
   ASSERT_EQ(hits.size(), 2u);
   std::set<int32_t> paths;
   for (const AcceptEntry* e : hits) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -430,17 +431,17 @@ TEST_F(EngineObservabilityTest, StageHistogramsSeeTheServingPath) {
 }
 
 TEST_F(EngineObservabilityTest, DegradedSelectionIsCounted) {
-  AddViews();
-  const TreePattern q = Parse("/r/s[f]/p");
-  QueryLimits limits;
-  limits.exhaustive_selection_slice_micros = -1;  // force the greedy fallback
-  auto answer =
-      engine_.AnswerQuery(q, AnswerStrategy::kMinimumFiltered, limits);
+  TreePattern q;
+  const std::unique_ptr<Engine> engine = NewOversizedLeafEngine(&q);
+  auto answer = engine->AnswerQuery(q, AnswerStrategy::kMinimumFiltered);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_TRUE(answer->stats.degraded_selection);
-  const xvr::ServerStats stats = engine_.ServerStats();
+  const xvr::ServerStats stats = engine->ServerStats();
   EXPECT_EQ(stats.queries_ok, 1u);
   EXPECT_EQ(stats.queries_degraded_selection, 1u);
+  EXPECT_EQ(
+      engine->metrics().GetCounter("xvr.queries.degraded_selection")->Value(),
+      1u);
 }
 
 TEST_F(EngineObservabilityTest, BatchRecordsQueueWaitAndQueryCount) {

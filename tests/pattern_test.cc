@@ -121,7 +121,9 @@ TEST_F(PatternTest, PathToTokens) {
   TreePattern q = Parse("/b//f/*");
   const Decomposition d = Decompose(q);
   ASSERT_EQ(d.paths.size(), 1u);
-  const std::vector<int32_t> tokens = PathToTokens(d.paths[0]);
+  // The writer replaces what the buffer held.
+  std::vector<int32_t> tokens = {kHashToken, kHashToken};
+  PathToTokens(d.paths[0], &tokens);
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[0], dict_.Find("b"));
   EXPECT_EQ(tokens[1], kHashToken);

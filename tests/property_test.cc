@@ -131,15 +131,13 @@ TEST(EndToEndHeavy, AllStrategiesMatchDirectEvaluation) {
   EXPECT_GT(answered, 5);
 }
 
-// Same end-to-end invariant with attribute predicates in the workload and
-// the attribute-aware filter enabled (the §VII extension path).
+// Same end-to-end invariant with attribute predicates in the views and
+// queries; VFILTER ignores them, and selection and rewriting must not.
 TEST(EndToEndAttributes, RewritingMatchesDirectEvaluation) {
   XmarkOptions doc_options;
   doc_options.scale = 0.12;
   doc_options.seed = 17;
-  EngineOptions engine_options;
-  engine_options.vfilter.index_attributes = true;
-  Engine engine(GenerateXmark(doc_options), engine_options);
+  Engine engine(GenerateXmark(doc_options));
 
   QueryGenOptions gen_options;
   gen_options.max_depth = 4;

@@ -254,8 +254,8 @@ bool SameState(const PathNfa::State& a, const PathNfa::State& b) {
            x.length == y.length && x.slot == y.slot;
   };
   return a.label_trans == b.label_trans && a.star_trans == b.star_trans &&
-         a.loop_state == b.loop_state && a.pred_trans == b.pred_trans &&
-         a.is_loop == b.is_loop && a.is_accepting == b.is_accepting &&
+         a.loop_state == b.loop_state && a.is_loop == b.is_loop &&
+         a.is_accepting == b.is_accepting &&
          std::equal(a.accepts.begin(), a.accepts.end(), b.accepts.begin(),
                     b.accepts.end(), same_entry);
 }

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "analysis/validate.h"
+#include "common/hash.h"
 #include "core/plan_deps.h"
 #include "pattern/homomorphism.h"
 #include "pattern/normalize.h"
@@ -24,9 +25,8 @@ class VFilterTest : public ::testing::Test {
     return std::move(r).value();
   }
   // Builds a filter over the given views (ids = positions).
-  VFilter Build(const std::vector<std::string>& views,
-                VFilterOptions options = {}) {
-    VFilter filter(options);
+  VFilter Build(const std::vector<std::string>& views) {
+    VFilter filter;
     for (size_t i = 0; i < views.size(); ++i) {
       filter.AddView(static_cast<int32_t>(i), Parse(views[i]));
     }
@@ -104,11 +104,15 @@ TEST_F(VFilterTest, NormalizationEliminatesFalseNegatives) {
   VFilter filter = Build({"/s//*/t"});
   EXPECT_TRUE(Has(filter.Filter(Parse("/s/*//t")), 0));
 
-  // Without normalization the equivalent query is over-filtered.
-  VFilterOptions no_norm;
-  no_norm.normalize = false;
-  VFilter raw = Build({"/s//*/t"}, no_norm);
-  EXPECT_FALSE(Has(raw.Filter(Parse("/s/*//t")), 0));
+  // Without normalization the equivalent query is over-filtered: an NFA
+  // that indexes and reads the raw forms only does not accept it.
+  PathNfa raw;
+  raw.Insert(Decompose(Parse("/s//*/t")).paths[0], 0, 0);
+  std::vector<int32_t> tokens;
+  PathToTokens(Decompose(Parse("/s/*//t")).paths[0], &tokens);
+  std::vector<const AcceptEntry*> hits;
+  raw.Read(tokens, &hits);
+  EXPECT_TRUE(hits.empty());
 }
 
 TEST_F(VFilterTest, RawReadCatchesPrefixContainmentThroughNormalization) {
@@ -183,7 +187,7 @@ TEST_F(VFilterTest, PrefixSharingShrinksAutomaton) {
   size_t unshared_states = 1;  // the start state
   for (const std::string& view : views) {
     for (const PathPattern& path : Decompose(Parse(view)).paths) {
-      ForEachPathForm(path, /*normalize=*/true, [&](const PathPattern& form) {
+      ForEachPathForm(path, [&](const PathPattern& form) {
         PathNfa chain;
         chain.Insert(form, 0, 0);
         unshared_states += chain.num_states() - 1;
@@ -332,6 +336,32 @@ TEST_F(VFilterTest, ScratchStampsRestartBeforeWrapping) {
   }
 }
 
+// The catalog of the VFilterCandidacyTest cases: 400 generated views
+// (seed 7) and up to 120 generated queries with two predicates (seed 8)
+// over a small XMark document, with the paper's workload parameters
+// (§VI-A).
+struct CandidacyCatalog {
+  std::vector<TreePattern> views;
+  std::vector<TreePattern> queries;
+};
+
+CandidacyCatalog GenerateCandidacyCatalog() {
+  XmarkOptions xmark;
+  xmark.scale = 0.05;
+  const XmlTree doc = GenerateXmark(xmark);
+  QueryGenOptions gen;
+  gen.max_depth = 4;
+  gen.prob_wild = 0.2;
+  gen.prob_desc = 0.2;
+  gen.num_pred = 1;
+  gen.num_nestedpath = 1;
+  CandidacyCatalog catalog;
+  catalog.views = GenerateViewSet(doc, 400, gen, 7);
+  gen.num_pred = 2;
+  catalog.queries = GenerateViewSet(doc, 120, gen, 8);
+  return catalog;
+}
+
 // Filter against an independent implementation of the same test:
 // PublicationAdmits (core/plan_deps.h) reads the query's streams through a
 // one-view NFA per view. For every (query, view) pair, candidacy must
@@ -340,24 +370,14 @@ TEST_F(VFilterTest, ScratchStampsRestartBeforeWrapping) {
 // churn reuses slots, with one scratch for every call, including calls on
 // a second, smaller filter.
 TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
-  XmarkOptions xmark;
-  xmark.scale = 0.05;
-  const XmlTree doc = GenerateXmark(xmark);
-  QueryGenOptions gen;  // the paper's workload parameters (§VI-A)
-  gen.max_depth = 4;
-  gen.prob_wild = 0.2;
-  gen.prob_desc = 0.2;
-  gen.num_pred = 1;
-  gen.num_nestedpath = 1;
-  const std::vector<TreePattern> views = GenerateViewSet(doc, 400, gen, 7);
+  const CandidacyCatalog catalog = GenerateCandidacyCatalog();
+  const std::vector<TreePattern>& views = catalog.views;
+  const std::vector<TreePattern>& queries = catalog.queries;
   ASSERT_EQ(views.size(), 400u);
-  gen.num_pred = 2;
-  const std::vector<TreePattern> queries = GenerateViewSet(doc, 120, gen, 8);
   ASSERT_GE(queries.size(), 100u);
 
-  const VFilterOptions options;
-  VFilter big(options);
-  VFilter small(options);
+  VFilter big;
+  VFilter small;
   std::vector<int32_t> big_ids;
   std::vector<int32_t> small_ids;
   std::vector<ViewPublication> pubs;
@@ -369,7 +389,7 @@ TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
       small.AddView(id, views[i]);
       small_ids.push_back(id);
     }
-    pubs.push_back(MakeViewPublication(id, views[i], options));
+    pubs.push_back(MakeViewPublication(id, views[i]));
     ASSERT_LT(pubs.back().num_paths, 64);  // PublicationAdmits is exact
   }
 
@@ -381,9 +401,10 @@ TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
                          const TreePattern& query) {
     const FilterResult result = filter.Filter(query, &scratch);
     const PlanDependencies deps =
-        BuildPlanDependencies(query, {}, /*filtered=*/true, options);
+        BuildPlanDependencies(query, {}, /*filtered=*/true);
     std::vector<std::vector<ViewLengthEntry>> want_lists(
         result.decomposition.paths.size());
+    std::vector<int32_t> tokens;
     std::vector<const AcceptEntry*> hits;
     for (const int32_t id : view_ids) {
       const ViewPublication& pub = pubs[static_cast<size_t>(id)];
@@ -401,7 +422,8 @@ TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
         const PathPattern normalized = NormalizePath(raw);
         int32_t longest = 0;
         for (const PathPattern* p : {&normalized, &raw}) {
-          pub.nfa.Read(PathToTokens(*p), &hits, &scratch);
+          PathToTokens(*p, &tokens);
+          pub.nfa.Read(tokens, &hits, &scratch);
           for (const AcceptEntry* e : hits) {
             longest = std::max(longest, e->length);
           }
@@ -445,7 +467,7 @@ TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
     const int32_t id = static_cast<int32_t>(i);
     big.AddView(id, views[i]);
     big_ids.push_back(id);
-    pubs.push_back(MakeViewPublication(id, views[i], options));
+    pubs.push_back(MakeViewPublication(id, views[i]));
   }
   EXPECT_EQ(big.slots().size(), 300u);
   const Status valid = ValidateVFilter(big);
@@ -453,6 +475,39 @@ TEST(VFilterCandidacyTest, AgreesWithOneViewNfas) {
   check_all();
   EXPECT_GT(candidates, queries.size());  // the check is not vacuous
   EXPECT_EQ(pairs, queries.size() * 2 * (300 + 30));
+}
+
+// The automaton and its outputs on the candidacy catalog, pinned: its
+// size, and an FNV-1a digest over every query's candidates and LIST(P_i)
+// (Summary), before and after removing every 7th view. A refactor that
+// changes either fails here even when both stay sound.
+TEST(VFilterCandidacyTest, PinnedOnGeneratedCatalog) {
+  const CandidacyCatalog catalog = GenerateCandidacyCatalog();
+  VFilter filter;
+  for (size_t i = 0; i < catalog.views.size(); ++i) {
+    filter.AddView(static_cast<int32_t>(i), catalog.views[i]);
+  }
+  const auto digest = [&] {
+    NfaReadScratch scratch;
+    uint64_t h = kFnv1aOffset;
+    for (const TreePattern& query : catalog.queries) {
+      h = Fnv1a(Summary(filter.Filter(query, &scratch)), h);
+    }
+    return h;
+  };
+  EXPECT_EQ(catalog.queries.size(), 120u);
+  EXPECT_EQ(filter.num_states(), 487u);
+  EXPECT_EQ(filter.num_transitions(), 909u);
+  EXPECT_EQ(filter.nfa().num_accept_entries(), 691u);
+  EXPECT_EQ(digest(), 0x8e6e29aecbf7a1daULL);
+  for (int32_t id = 0; id < static_cast<int32_t>(catalog.views.size());
+       id += 7) {
+    filter.RemoveView(id);
+  }
+  EXPECT_EQ(filter.num_states(), 487u);
+  EXPECT_EQ(filter.num_transitions(), 864u);
+  EXPECT_EQ(filter.nfa().num_accept_entries(), 590u);
+  EXPECT_EQ(digest(), 0xd06a37090b3dc29fULL);
 }
 
 }  // namespace
