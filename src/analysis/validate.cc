@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <span>
@@ -39,22 +40,13 @@ std::vector<LabelId> LabelPathOf(const XmlTree& doc, NodeId id) {
   return path;
 }
 
+// What the layout check leaves to the catalog: every node carries a real
+// label, and every node code is FST-decodable to it (the rewriter verifies
+// encodings exactly this way, Example 5.1).
 Status ValidateFragmentTree(int32_t view_id, size_t seq, const Fragment& f,
                             const Fst& fst) {
   const std::string where =
       "view " + std::to_string(view_id) + " fragment " + std::to_string(seq);
-  if (f.size() == 0) {
-    return Violation(where + " is empty");
-  }
-  if (f.node(0).parent != -1) {
-    return Violation(where + ": root has a parent");
-  }
-  if (f.root_code().empty()) {
-    return Violation(where + ": empty root code");
-  }
-  if (f.AbsoluteCode(0) != f.root_code()) {
-    return Violation(where + ": root component disagrees with root code");
-  }
   const int32_t n = static_cast<int32_t>(f.size());
   for (int32_t j = 0; j < n; ++j) {
     const FragmentNode& node = f.node(j);
@@ -62,40 +54,6 @@ Status ValidateFragmentTree(int32_t view_id, size_t seq, const Fragment& f,
       return Violation(where + ": node " + std::to_string(j) +
                        " has invalid label");
     }
-    if (j > 0 && (node.parent < 0 || node.parent >= n)) {
-      return Violation(where + ": node " + std::to_string(j) +
-                       " has out-of-range parent");
-    }
-    for (const int32_t c : f.children(j)) {
-      if (c <= 0 || c >= n) {
-        return Violation(where + ": node " + std::to_string(j) +
-                         " has out-of-range child " + std::to_string(c));
-      }
-      if (f.node(c).parent != j) {
-        return Violation(where + ": child link " + std::to_string(j) + "->" +
-                         std::to_string(c) + " not mirrored by parent link");
-      }
-    }
-    if (j > 0) {
-      const std::span<const int32_t> siblings = f.children(node.parent);
-      if (std::find(siblings.begin(), siblings.end(), j) == siblings.end()) {
-        return Violation(where + ": node " + std::to_string(j) +
-                         " missing from its parent's child list");
-      }
-    }
-    // Flat-layout invariants: preorder storage with contiguous subtrees.
-    if (node.subtree_end <= static_cast<uint32_t>(j) ||
-        node.subtree_end > static_cast<uint32_t>(n)) {
-      return Violation(where + ": node " + std::to_string(j) +
-                       " has out-of-range subtree end");
-    }
-    if (j > 0 && (node.parent >= j ||
-                  node.subtree_end > f.node(node.parent).subtree_end)) {
-      return Violation(where + ": node " + std::to_string(j) +
-                       " breaks preorder subtree nesting");
-    }
-    // Every node code must be FST-decodable and decode to the node's label
-    // (the rewriter verifies encodings exactly this way, Example 5.1).
     const DeweyCode code = f.AbsoluteCode(j);
     std::vector<LabelId> decoded;
     if (!fst.Decode(code.components(), &decoded)) {
@@ -413,17 +371,20 @@ Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
     }
     for (size_t seq = 0; seq < fragments.size(); ++seq) {
       const Fragment& f = fragments[seq];
-      if (seq > 0 &&
-          !(fragments[seq - 1].root_code() < f.root_code())) {
+      if (seq > 0 && !CodeLess(fragments[seq - 1].root_code(), f.root_code())) {
         return Violation("view " + std::to_string(view_id) +
                          ": fragments out of Dewey order at index " +
                          std::to_string(seq));
       }
+      const Status layout = ValidateFlatFragment(f);
+      if (!layout.ok()) {
+        return Violation("view " + std::to_string(view_id) + " fragment " +
+                         std::to_string(seq) + ": " + layout.message());
+      }
       XVR_RETURN_IF_ERROR(ValidateFragmentTree(view_id, seq, f, fst));
-      XVR_RETURN_IF_ERROR(ValidateFlatFragment(f));
       if (!answer_path.empty()) {
         std::vector<LabelId> decoded;
-        if (!fst.Decode(f.root_code().components(), &decoded)) {
+        if (!fst.Decode(f.root_code(), &decoded)) {
           return Violation("view " + std::to_string(view_id) + " fragment " +
                            std::to_string(seq) +
                            ": root code is not decodable");
@@ -431,7 +392,7 @@ Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
         if (!PathMatchesLabels(answer_path, decoded)) {
           return Violation("view " + std::to_string(view_id) + " fragment " +
                            std::to_string(seq) + " root " +
-                           f.root_code().ToString() +
+                           f.AbsoluteCode(0).ToString() +
                            " does not lie on the view's answer path");
         }
       }
@@ -541,18 +502,55 @@ Status ValidateCatalogWalRecords(
   return Status::Ok();
 }
 
-Status ValidateFlatFragmentLayout(std::span<const FragmentNode> nodes,
-                                  std::span<const int32_t> child_index) {
-  if (nodes.empty()) {
+namespace {
+
+// The T at `offset` of a block whose size the caller has checked.
+template <typename T>
+T BlockAt(std::span<const std::byte> block, size_t offset) {
+  T value;
+  std::memcpy(&value, block.data() + offset, sizeof(T));
+  return value;
+}
+
+Status CheckPoolString(const PoolString& s, uint32_t pool_bytes,
+                       const std::string& what) {
+  if (uint64_t{s.offset} + s.length > pool_bytes) {
+    return Violation("flat fragment " + what + ": pool bytes [" +
+                     std::to_string(s.offset) + ", " +
+                     std::to_string(uint64_t{s.offset} + s.length) +
+                     ") outside the pool of " + std::to_string(pool_bytes));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status ValidateFlatFragmentLayout(std::span<const std::byte> block) {
+  if (block.size() < sizeof(FragmentBlockHeader)) {
+    return Violation("flat fragment: block of " +
+                     std::to_string(block.size()) + " bytes has no header");
+  }
+  const auto header = BlockAt<FragmentBlockHeader>(block, 0);
+  const FragmentBlockLayout layout = FragmentBlockLayout::Of(header);
+  if (layout.end != block.size()) {
+    return Violation("flat fragment: header counts size a block of " +
+                     std::to_string(layout.end) + " bytes, not " +
+                     std::to_string(block.size()));
+  }
+  const size_t n = header.num_nodes;
+  if (n == 0) {
     return Violation("flat fragment: no nodes");
   }
-  const size_t n = nodes.size();
-  if (nodes[0].parent != -1) {
+  const auto node = [&block, &layout](size_t i) {
+    return BlockAt<FragmentNode>(block,
+                                 layout.nodes + i * sizeof(FragmentNode));
+  };
+  if (node(0).parent != -1) {
     return Violation("flat fragment: root parent is " +
-                     std::to_string(nodes[0].parent) + ", want -1");
+                     std::to_string(node(0).parent) + ", want -1");
   }
   for (size_t i = 1; i < n; ++i) {
-    const int32_t parent = nodes[i].parent;
+    const int32_t parent = node(i).parent;
     if (parent < 0 || static_cast<size_t>(parent) >= i) {
       return Violation("flat fragment node " + std::to_string(i) +
                        ": parent " + std::to_string(parent) +
@@ -560,77 +558,113 @@ Status ValidateFlatFragmentLayout(std::span<const FragmentNode> nodes,
     }
   }
   for (size_t i = 0; i < n; ++i) {
-    const FragmentNode& node = nodes[i];
-    if (node.subtree_end <= i || node.subtree_end > n) {
+    const uint32_t end = node(i).subtree_end;
+    if (end <= i || end > n || (i == 0 && end != n)) {
       return Violation("flat fragment node " + std::to_string(i) +
-                       ": subtree_end " + std::to_string(node.subtree_end) +
+                       ": subtree_end " + std::to_string(end) +
                        " outside (" + std::to_string(i) + ", " +
-                       std::to_string(n) + "]");
+                       std::to_string(n) + "]" +
+                       (i == 0 ? " or short of the last node" : ""));
     }
-    if (node.children_begin > node.children_end ||
-        node.children_end > child_index.size()) {
+  }
+  // One walk enforces the rest: in preorder, node i's children tile
+  // (i, subtree_end(i)) — the first child is i+1 and each next one starts
+  // where the previous child's subtree ends — each names i as its parent,
+  // and their Dewey components ascend (document order).
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t end = node(i).subtree_end;
+    size_t c = i + 1;
+    for (uint32_t prev_component = 0; c < end;) {
+      const FragmentNode child = node(c);
+      if (child.parent != static_cast<int32_t>(i)) {
+        return Violation("flat fragment node " + std::to_string(c) +
+                         ": parent link " + std::to_string(child.parent) +
+                         " disagrees with the subtree walk under node " +
+                         std::to_string(i));
+      }
+      if (c > i + 1 && child.dewey_component <= prev_component) {
+        return Violation("flat fragment node " + std::to_string(c) +
+                         ": Dewey component " +
+                         std::to_string(child.dewey_component) +
+                         " not above its previous sibling's " +
+                         std::to_string(prev_component) +
+                         " (children out of document order)");
+      }
+      prev_component = child.dewey_component;
+      c = child.subtree_end;
+    }
+    if (c != end) {
       return Violation("flat fragment node " + std::to_string(i) +
-                       ": CSR child range [" +
-                       std::to_string(node.children_begin) + ", " +
-                       std::to_string(node.children_end) +
-                       ") not within child_index of size " +
-                       std::to_string(child_index.size()));
+                       ": children cover up to " + std::to_string(c) +
+                       " but subtree_end is " + std::to_string(end));
     }
-    // One walk enforces the rest: in preorder, node i's children partition
-    // (i, subtree_end(i)) into back-to-back subtrees, so the first child is
-    // i+1 and each subsequent child starts where the previous child's
-    // subtree ends.
-    size_t expected_next = i + 1;
-    for (uint32_t slot = node.children_begin; slot < node.children_end;
-         ++slot) {
-      const int32_t child = child_index[slot];
-      if (child < 0 || static_cast<size_t>(child) >= n) {
-        return Violation("flat fragment node " + std::to_string(i) +
-                         ": CSR slot " + std::to_string(slot) +
-                         " holds out-of-range child " + std::to_string(child));
-      }
-      if (static_cast<size_t>(child) != expected_next) {
-        return Violation("flat fragment node " + std::to_string(i) +
-                         ": child " + std::to_string(child) + " at slot " +
-                         std::to_string(slot) + ", want node " +
-                         std::to_string(expected_next) +
-                         " (children out of preorder)");
-      }
-      if (nodes[static_cast<size_t>(child)].parent !=
-          static_cast<int32_t>(i)) {
-        return Violation(
-            "flat fragment node " + std::to_string(child) + ": parent link " +
-            std::to_string(nodes[static_cast<size_t>(child)].parent) +
-            " disagrees with CSR listing under node " + std::to_string(i));
-      }
-      expected_next = nodes[static_cast<size_t>(child)].subtree_end;
+  }
+  // Text and attribute tables: one entry per node, ids strictly ascending
+  // and below the node count, every string inside the pool.
+  int64_t prev_id = -1;
+  for (uint32_t t = 0; t < header.num_texts; ++t) {
+    const auto text = BlockAt<FragmentText>(
+        block, layout.texts + t * sizeof(FragmentText));
+    if (text.node <= prev_id || static_cast<size_t>(text.node) >= n) {
+      return Violation("flat fragment text " + std::to_string(t) +
+                       ": node " + std::to_string(text.node) + " after " +
+                       std::to_string(prev_id) + " or not below " +
+                       std::to_string(n));
     }
-    if (expected_next != node.subtree_end) {
-      return Violation("flat fragment node " + std::to_string(i) +
-                       ": children cover up to " +
-                       std::to_string(expected_next) + " but subtree_end is " +
-                       std::to_string(node.subtree_end));
+    prev_id = text.node;
+    XVR_RETURN_IF_ERROR(CheckPoolString(text.text, header.pool_bytes,
+                                        "text " + std::to_string(t)));
+  }
+  prev_id = -1;
+  uint32_t next_attr = 0;
+  for (uint32_t l = 0; l < header.num_attr_lists; ++l) {
+    const auto list = BlockAt<FragmentAttrList>(
+        block, layout.attr_lists + l * sizeof(FragmentAttrList));
+    if (list.node <= prev_id || static_cast<size_t>(list.node) >= n) {
+      return Violation("flat fragment attribute list " + std::to_string(l) +
+                       ": node " + std::to_string(list.node) + " after " +
+                       std::to_string(prev_id) + " or not below " +
+                       std::to_string(n));
     }
+    prev_id = list.node;
+    if (list.begin != next_attr || list.end < list.begin ||
+        list.end > header.num_attrs) {
+      return Violation("flat fragment attribute list " + std::to_string(l) +
+                       ": range [" + std::to_string(list.begin) + ", " +
+                       std::to_string(list.end) + ") does not follow " +
+                       std::to_string(next_attr) + " within " +
+                       std::to_string(header.num_attrs) + " attributes");
+    }
+    next_attr = list.end;
+  }
+  if (next_attr != header.num_attrs) {
+    return Violation("flat fragment: attribute lists cover " +
+                     std::to_string(next_attr) + " of " +
+                     std::to_string(header.num_attrs) + " attributes");
+  }
+  for (uint32_t a = 0; a < header.num_attrs; ++a) {
+    const auto attr = BlockAt<FragmentAttr>(
+        block, layout.attrs + a * sizeof(FragmentAttr));
+    const std::string what = "attribute " + std::to_string(a);
+    XVR_RETURN_IF_ERROR(
+        CheckPoolString(attr.name, header.pool_bytes, what + " name"));
+    XVR_RETURN_IF_ERROR(
+        CheckPoolString(attr.value, header.pool_bytes, what + " value"));
   }
   return Status::Ok();
 }
 
 Status ValidateFlatFragment(const Fragment& fragment) {
-  Status layout =
-      ValidateFlatFragmentLayout(fragment.raw_nodes(),
-                                 fragment.raw_child_index());
-  if (!layout.ok()) {
-    return layout;
-  }
-  if (fragment.root_code().empty()) {
+  XVR_RETURN_IF_ERROR(ValidateFlatFragmentLayout(fragment.block()));
+  const std::span<const uint32_t> code = fragment.root_code();
+  if (code.empty()) {
     return Violation("flat fragment: empty root code");
   }
-  const DeweyCode& code = fragment.root_code();
-  if (code.at(code.depth() - 1) != fragment.node(0).dewey_component) {
+  if (code.back() != fragment.node(0).dewey_component) {
     return Violation("flat fragment: root dewey_component " +
                      std::to_string(fragment.node(0).dewey_component) +
                      " != last root-code component " +
-                     std::to_string(code.at(code.depth() - 1)));
+                     std::to_string(code.back()));
   }
   return Status::Ok();
 }

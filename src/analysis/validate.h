@@ -75,19 +75,19 @@ Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
 // order (what every AnswerQuery strategy promises).
 Status ValidateAnswerCodes(const std::vector<DeweyCode>& codes);
 
-// Flat-fragment layout invariants, on the raw arrays (storage/fragment.h):
-// node 0 is the root and every other node's parent precedes it (preorder);
-// every CSR child range is within child_index, lists the node's subtrees
-// back to back in document order (child c starts at the previous child's
-// subtree_end), and agrees with the child's parent link; and every
-// subtree_end is in (i, nodes.size()] and exactly covers the children.
-// Takes spans rather than a Fragment so tests can hand-build corrupt
-// layouts — Deserialize rejects any image whose nodes are not in preorder,
-// so a corrupt in-memory fragment can only come from a bug in BuildTopology
-// itself or from memory corruption, neither of which can be round-tripped
-// through the public constructors.
-Status ValidateFlatFragmentLayout(std::span<const FragmentNode> nodes,
-                                  std::span<const int32_t> child_index);
+// Flat-fragment layout invariants, on the raw block (storage/fragment.h):
+// the header's counts size exactly the block; node 0 is the root and every
+// other node's parent precedes it (preorder); every subtree_end is in
+// (i, num_nodes] (the root's is num_nodes), and each node's children tile
+// its subtree range by subtree_end jumps, name it as their parent and
+// ascend in Dewey component; text and attribute-list ids are strictly
+// ascending and below the node count, the attribute ranges tile the
+// attribute array, and every pool string lies inside the pool, the block's
+// tail. Takes the bytes rather than a Fragment so tests can hand-edit
+// corrupt blocks — Deserialize rejects any image whose nodes are not in
+// preorder, so a corrupt in-memory fragment can only come from a bug in the
+// block writer itself or from memory corruption.
+Status ValidateFlatFragmentLayout(std::span<const std::byte> block);
 
 // The live-fragment wrapper: layout invariants plus a non-empty root code
 // whose last component matches the root node's dewey_component.

@@ -28,18 +28,19 @@ namespace {
 constexpr size_t kMaxAssignmentsPerFragment = 256;
 
 // A signature prefix as a reference: the first `len` components of a
-// fragment's root code. Fragments are pinned by the catalog snapshot for
-// the duration of the query, so the pointed-at code is stable.
+// fragment's root code, which the fragment's block holds. Fragments are
+// pinned by the catalog snapshot for the duration of the query, so the
+// pointed-at components are stable.
 struct PrefixRef {
-  const DeweyCode* code = nullptr;
+  const uint32_t* code = nullptr;
   uint32_t len = 0;
 };
 
 // Lexicographic three-way compare of two prefixes (shorter-is-smaller on a
 // tie, matching DeweyCode::operator<). Both refs must be bound.
 int PrefixCompare(const PrefixRef& a, const PrefixRef& b) {
-  const uint32_t* ap = a.code->components().data();
-  const uint32_t* bp = b.code->components().data();
+  const uint32_t* ap = a.code;
+  const uint32_t* bp = b.code;
   const uint32_t n = a.len < b.len ? a.len : b.len;
   for (uint32_t i = 0; i < n; ++i) {
     if (ap[i] != bp[i]) {
@@ -295,27 +296,27 @@ Status AnswerCore(const TreePattern& query, const SelectionResult& selection,
     }
     const size_t width = data.width();
 
-    // The previous fragment's root code; scratch.labels holds its decode
-    // and scratch.matched_labels the path scratch.assignments were matched
-    // on. Both restart with each view, whose anchor path is its own.
-    const DeweyCode* prev_code = nullptr;
+    // The previous fragment; scratch.labels holds the decode of its root
+    // code and scratch.matched_labels the path scratch.assignments were
+    // matched on. Both restart with each view, whose anchor path is its own.
+    const Fragment* prev = nullptr;
     for (const Fragment& fragment : *fragments) {
       XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.refinement"));
       ++st->fragments_scanned;
-      const DeweyCode& code = fragment.root_code();
+      const std::span<const uint32_t> code = fragment.root_code();
       const size_t keep =
-          prev_code == nullptr ? 0 : code.CommonPrefixLength(*prev_code);
-      if (!fst.Decode(code.components(), &scratch.labels, keep)) {
+          prev == nullptr ? 0 : CommonPrefixLength(code, prev->root_code());
+      if (!fst.Decode(code, &scratch.labels, keep)) {
         return Status::Internal("fragment code does not decode: " +
-                                code.ToString());
+                                fragment.AbsoluteCode(0).ToString());
       }
       // Equal-length codes can decode to different paths: compare them all.
-      if (prev_code == nullptr || scratch.labels != scratch.matched_labels) {
+      if (prev == nullptr || scratch.labels != scratch.matched_labels) {
         MatchPathOnLabels(anchor_path, scratch.labels,
                           kMaxAssignmentsPerFragment, &scratch.assignments);
         scratch.matched_labels = scratch.labels;
       }
-      prev_code = &code;
+      prev = &fragment;
       if (scratch.assignments.empty()) {
         continue;  // the fragment root does not sit under Q's anchor path
       }
@@ -346,8 +347,8 @@ Status AnswerCore(const TreePattern& query, const SelectionResult& selection,
         const size_t tail = data.sig_store.size();
         for (size_t s = 0; s < width; ++s) {
           const int pos = a[data.shared_path_pos[s]];
-          data.sig_store.push_back(PrefixRef{&code,
-                                             static_cast<uint32_t>(pos) + 1});
+          data.sig_store.push_back(
+              PrefixRef{code.data(), static_cast<uint32_t>(pos) + 1});
         }
         bool duplicate = false;
         for (uint32_t row = jf.sig_begin; row < data.num_rows; ++row) {
@@ -419,9 +420,13 @@ Status AnswerCore(const TreePattern& query, const SelectionResult& selection,
 
   ArenaVector<const JoinFrag*> survivors{
       ArenaAllocator<const JoinFrag*>(arena)};
+  size_t survivor_nodes = 0;
+  // One primary fragment is one Satisfiable() search. The ticker checks
+  // before the first and then before every 16th, so once the deadline
+  // passes at most 15 more searches run before the query stops.
+  InterruptTicker join_ticker(limits, /*stride=*/16);
   for (const JoinFrag& jf : primary_data.fragments) {
-    // One primary fragment is one Satisfiable() search; check per fragment.
-    XVR_RETURN_IF_ERROR(CheckInterrupted(limits, "rewrite.join"));
+    XVR_RETURN_IF_ERROR(join_ticker.Tick("rewrite.join"));
     bool supported = false;
     for (uint32_t row = jf.sig_begin; row < jf.sig_end && !supported; ++row) {
       std::fill(binding, binding + num_shared, PrefixRef{});
@@ -436,12 +441,17 @@ Status AnswerCore(const TreePattern& query, const SelectionResult& selection,
     if (supported) {
       ++st->join_survivors;
       survivors.push_back(&jf);
+      survivor_nodes += jf.node_end - jf.node_begin;
     }
   }
   join_span.Stop();
 
   // Phase 3: emit the answer nodes phase 1 kept for each survivor.
   ScopedSpan extract_span(options.trace, "execute.extract");
+  out->reserve(out->size() + (limits.max_result_codes > 0
+                                  ? std::min(survivor_nodes,
+                                             limits.max_result_codes)
+                                  : survivor_nodes));
   size_t emitted = 0;
   for (const JoinFrag* jf : survivors) {
     XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.extract"));

@@ -6,6 +6,27 @@
 #include "common/logging.h"
 
 namespace xvr {
+
+static_assert(sizeof(FragmentBlockHeader) == 24 &&
+                  sizeof(FragmentNode) == 16 && sizeof(FragmentText) == 12 &&
+                  sizeof(FragmentAttrList) == 12 &&
+                  sizeof(FragmentAttr) == 16,
+              "block sections are packed arrays of 32-bit fields");
+static_assert(sizeof(FlatFragment) == sizeof(void*),
+              "a fragment is a one-pointer handle to its block");
+
+FragmentBlockLayout FragmentBlockLayout::Of(const FragmentBlockHeader& h) {
+  FragmentBlockLayout l;
+  l.code = sizeof(FragmentBlockHeader);
+  l.nodes = l.code + size_t{h.code_depth} * sizeof(uint32_t);
+  l.texts = l.nodes + size_t{h.num_nodes} * sizeof(FragmentNode);
+  l.attr_lists = l.texts + size_t{h.num_texts} * sizeof(FragmentText);
+  l.attrs = l.attr_lists + size_t{h.num_attr_lists} * sizeof(FragmentAttrList);
+  l.pool = l.attrs + size_t{h.num_attrs} * sizeof(FragmentAttr);
+  l.end = l.pool + h.pool_bytes;
+  return l;
+}
+
 namespace {
 
 void PutU32(uint32_t v, std::string* out) {
@@ -14,7 +35,7 @@ void PutU32(uint32_t v, std::string* out) {
   out->append(buf, 4);
 }
 
-void PutString(const std::string& s, std::string* out) {
+void PutString(std::string_view s, std::string* out) {
   PutU32(static_cast<uint32_t>(s.size()), out);
   out->append(s);
 }
@@ -28,10 +49,10 @@ class Reader {
     pos_ += 4;
     return true;
   }
-  bool ReadString(std::string* s) {
+  bool ReadString(std::string_view* s) {
     uint32_t len = 0;
     if (!ReadU32(&len) || pos_ + len > bytes_.size()) return false;
-    s->assign(bytes_.data() + pos_, len);
+    *s = std::string_view(bytes_).substr(pos_, len);
     pos_ += len;
     return true;
   }
@@ -59,147 +80,283 @@ NodeId NextInPreorder(const XmlTree& tree, NodeId root, NodeId n, int* up) {
   return kNullNode;
 }
 
-// The serialized image's byte counts (see Serialize), shared by ByteSize
-// and SubtreeByteSize so the format has one owner.
-size_t HeaderBytes(size_t code_depth) {
-  // Magic, code depth, code, node count and the two table counts.
-  return 4 + 4 + code_depth * 4 + 4 + 8;
+// The image's byte count for a fragment with these counts (see Serialize):
+// magic, code depth, code, node count and the two table counts; 12 bytes a
+// node; an id and a length or count a table entry; two lengths an
+// attribute; and the strings.
+template <typename Counts>
+size_t ImageBytes(const Counts& c) {
+  return 20 + 4 * size_t{c.code_depth} + 12 * size_t{c.num_nodes} +
+         8 * size_t{c.num_texts} + 8 * size_t{c.num_attr_lists} +
+         8 * size_t{c.num_attrs} + size_t{c.pool_bytes};
 }
-constexpr size_t kNodeBytes = 12;
-size_t TextBytes(const std::string& text) { return 8 + text.size(); }
-size_t AttrsBytes(const std::vector<XmlAttribute>& list) {
-  size_t bytes = 8;
-  for (const XmlAttribute& a : list) {
-    bytes += 8 + a.name.size() + a.value.size();
+
+// Counts a fragment's parts in the order a block holds them, which sizes
+// both its block and its image. A sink of ReadImage, as BlockWriter is.
+struct PartCounts {
+  size_t code_depth = 0;
+  size_t num_nodes = 0;
+  size_t num_texts = 0;
+  size_t num_attr_lists = 0;
+  size_t num_attrs = 0;
+  size_t pool_bytes = 0;
+
+  void AddCode(uint32_t) { ++code_depth; }
+  void AddNode(LabelId, int32_t, uint32_t) { ++num_nodes; }
+  void AddText(int32_t, std::string_view text) {
+    ++num_texts;
+    pool_bytes += text.size();
   }
-  return bytes;
+  void AddAttrList(int32_t) { ++num_attr_lists; }
+  void AddAttr(std::string_view name, std::string_view value) {
+    ++num_attrs;
+    pool_bytes += name.size() + value.size();
+  }
+
+  // Each count must fit 32 bits.
+  FragmentBlockHeader Header() const {
+    XVR_CHECK(ImageBytes(*this) <= UINT32_MAX) << "fragment too large";
+    return FragmentBlockHeader{static_cast<uint32_t>(code_depth),
+                               static_cast<uint32_t>(num_nodes),
+                               static_cast<uint32_t>(num_texts),
+                               static_cast<uint32_t>(num_attr_lists),
+                               static_cast<uint32_t>(num_attrs),
+                               static_cast<uint32_t>(pool_bytes)};
+  }
+};
+
+// Counts the parts of root's subtree in preorder, an allocation-free walk
+// that stops once the image passes `limit` bytes.
+PartCounts CountSubtree(const XmlTree& tree, NodeId root, size_t limit) {
+  PartCounts counts;
+  counts.code_depth = tree.dewey(root).depth();
+  int up = 0;
+  for (NodeId n = root; n != kNullNode && ImageBytes(counts) <= limit;
+       n = NextInPreorder(tree, root, n, &up)) {
+    counts.AddNode(tree.label(n), 0, 0);
+    if (const std::string* text = tree.text(n)) {
+      counts.AddText(0, *text);
+    }
+    if (const std::vector<XmlAttribute>* attrs = tree.attributes(n)) {
+      counts.AddAttrList(0);
+      for (const XmlAttribute& a : *attrs) {
+        counts.AddAttr(a.name, a.value);
+      }
+    }
+  }
+  return counts;
 }
+
+// Fills a block allocated for its header's counts, each section in order;
+// strings go to the pool.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::byte* block) {
+    FragmentBlockHeader h;
+    std::memcpy(&h, block, sizeof(h));
+    const FragmentBlockLayout l = FragmentBlockLayout::Of(h);
+    code_ = reinterpret_cast<uint32_t*>(block + l.code);
+    nodes_ = reinterpret_cast<FragmentNode*>(block + l.nodes);
+    texts_ = reinterpret_cast<FragmentText*>(block + l.texts);
+    lists_ = reinterpret_cast<FragmentAttrList*>(block + l.attr_lists);
+    attrs_ = reinterpret_cast<FragmentAttr*>(block + l.attrs);
+    pool_ = reinterpret_cast<char*>(block + l.pool);
+  }
+
+  void AddCode(uint32_t c) { code_[num_code_++] = c; }
+  int32_t AddNode(LabelId label, int32_t parent, uint32_t dewey_component) {
+    nodes_[num_nodes_] = FragmentNode{label, parent, dewey_component, 0};
+    return static_cast<int32_t>(num_nodes_++);
+  }
+  void AddText(int32_t node, std::string_view text) {
+    texts_[num_texts_++] = FragmentText{node, Pool(text)};
+  }
+  void AddAttrList(int32_t node) {
+    lists_[num_lists_++] = FragmentAttrList{node, num_attrs_, num_attrs_};
+  }
+  void AddAttr(std::string_view name, std::string_view value) {
+    const PoolString n = Pool(name);
+    attrs_[num_attrs_++] = FragmentAttr{n, Pool(value)};
+    lists_[num_lists_ - 1].end = num_attrs_;
+  }
+
+  int32_t parent(int32_t i) const {
+    return nodes_[static_cast<size_t>(i)].parent;
+  }
+
+  // Sets every subtree_end from the parent links. False unless the nodes
+  // are in preorder: node 0 is the root, every other node's parent
+  // precedes it, and each node's children tile its subtree range.
+  [[nodiscard]] bool Finish() {
+    const uint32_t n = num_nodes_;
+    for (uint32_t i = 0; i < n; ++i) {
+      const int32_t parent = nodes_[i].parent;
+      if (i == 0 ? parent != -1
+                 : parent < 0 || static_cast<uint32_t>(parent) >= i) {
+        return false;
+      }
+      nodes_[i].subtree_end = i + 1;
+    }
+    // Children have higher indices: a bottom-up sweep sees each subtree
+    // whole before its parent.
+    for (uint32_t i = n; i-- > 1;) {
+      FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
+      p.subtree_end = std::max(p.subtree_end, nodes_[i].subtree_end);
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t c = i + 1; c < nodes_[i].subtree_end;
+           c = nodes_[c].subtree_end) {
+        if (nodes_[c].parent != static_cast<int32_t>(i)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+ private:
+  PoolString Pool(std::string_view s) {
+    const PoolString out{pool_used_, static_cast<uint32_t>(s.size())};
+    std::memcpy(pool_ + pool_used_, s.data(), s.size());
+    pool_used_ += out.length;
+    return out;
+  }
+
+  uint32_t* code_;
+  FragmentNode* nodes_;
+  FragmentText* texts_;
+  FragmentAttrList* lists_;
+  FragmentAttr* attrs_;
+  char* pool_;
+  uint32_t num_code_ = 0;
+  uint32_t num_nodes_ = 0;
+  uint32_t num_texts_ = 0;
+  uint32_t num_lists_ = 0;
+  uint32_t num_attrs_ = 0;
+  uint32_t pool_used_ = 0;
+};
+
+// A block's text and attribute tables.
+struct Tables {
+  std::span<const FragmentText> texts;
+  std::span<const FragmentAttrList> attr_lists;
+  std::span<const FragmentAttr> attrs;
+  const char* pool = nullptr;
+
+  explicit Tables(std::span<const std::byte> block) {
+    if (block.empty()) {
+      return;
+    }
+    FragmentBlockHeader h;
+    std::memcpy(&h, block.data(), sizeof(h));
+    const FragmentBlockLayout l = FragmentBlockLayout::Of(h);
+    texts = {reinterpret_cast<const FragmentText*>(block.data() + l.texts),
+             h.num_texts};
+    attr_lists = {
+        reinterpret_cast<const FragmentAttrList*>(block.data() + l.attr_lists),
+        h.num_attr_lists};
+    attrs = {reinterpret_cast<const FragmentAttr*>(block.data() + l.attrs),
+             h.num_attrs};
+    pool = reinterpret_cast<const char*>(block.data() + l.pool);
+  }
+
+  std::string_view Str(PoolString s) const {
+    return {pool + s.offset, s.length};
+  }
+};
 
 }  // namespace
 
+FlatFragment::FlatFragment(const FragmentBlockHeader& header)
+    : block_(new std::byte[FragmentBlockLayout::Of(header).end]) {
+  std::memcpy(block_.get(), &header, sizeof(header));
+}
+
 FlatFragment FlatFragment::FromTree(const XmlTree& tree, NodeId root) {
   XVR_CHECK(tree.has_dewey()) << "assign Dewey codes before materializing";
-  FlatFragment out;
-  out.root_code_ = tree.dewey(root);
-
+  FlatFragment out(CountSubtree(tree, root, SIZE_MAX).Header());
+  BlockWriter writer(out.block_.get());
+  for (uint32_t c : tree.dewey(root).components()) {
+    writer.AddCode(c);
+  }
   // Copy in preorder, which is exactly the storage order the flat layout
   // wants; `parent` is the fragment index of tn's parent.
+  int up = 0;
   int32_t parent = -1;
   for (NodeId tn = root; tn != kNullNode;) {
-    const int32_t fi = static_cast<int32_t>(out.nodes_.size());
-    FragmentNode fn;
-    fn.label = tree.label(tn);
-    fn.parent = parent;
     const DeweyCode& code = tree.dewey(tn);
-    fn.dewey_component = code.at(code.depth() - 1);
-    out.nodes_.push_back(fn);
+    const int32_t fi =
+        writer.AddNode(tree.label(tn), parent, code.at(code.depth() - 1));
     if (const std::string* text = tree.text(tn)) {
-      out.texts_.emplace_back(fi, *text);  // fi ascending -> already sorted
+      writer.AddText(fi, *text);  // fi ascending -> already sorted
     }
-    if (const auto* attrs = tree.attributes(tn)) {
-      out.attrs_.emplace_back(fi, *attrs);
+    if (const std::vector<XmlAttribute>* attrs = tree.attributes(tn)) {
+      writer.AddAttrList(fi);
+      for (const XmlAttribute& a : *attrs) {
+        writer.AddAttr(a.name, a.value);
+      }
     }
-    int up = 0;
     tn = NextInPreorder(tree, root, tn, &up);
     parent = fi;
     for (; up > 0; --up) {
-      parent = out.nodes_[static_cast<size_t>(parent)].parent;
+      parent = writer.parent(parent);
     }
   }
-  out.BuildTopology();
+  XVR_CHECK(writer.Finish());
   return out;
 }
 
 size_t FlatFragment::SubtreeByteSize(const XmlTree& tree, NodeId root,
                                      size_t limit) {
-  size_t bytes = HeaderBytes(tree.dewey(root).depth());
-  int up = 0;
-  for (NodeId n = root; n != kNullNode && bytes <= limit;
-       n = NextInPreorder(tree, root, n, &up)) {
-    bytes += kNodeBytes;
-    if (const std::string* text = tree.text(n)) {
-      bytes += TextBytes(*text);
+  return ImageBytes(CountSubtree(tree, root, limit));
+}
+
+std::span<const std::byte> FlatFragment::block() const {
+  if (block_ == nullptr) {
+    return {};
+  }
+  return {block_.get(), FragmentBlockLayout::Of(header()).end};
+}
+
+std::optional<std::string_view> FlatFragment::text(int32_t i) const {
+  const Tables tables(block());
+  const auto it = std::lower_bound(
+      tables.texts.begin(), tables.texts.end(), i,
+      [](const FragmentText& entry, int32_t key) { return entry.node < key; });
+  if (it == tables.texts.end() || it->node != i) {
+    return std::nullopt;
+  }
+  return tables.Str(it->text);
+}
+
+std::optional<std::string_view> FlatFragment::attribute(
+    int32_t i, std::string_view name) const {
+  const Tables tables(block());
+  const auto it = std::lower_bound(
+      tables.attr_lists.begin(), tables.attr_lists.end(), i,
+      [](const FragmentAttrList& entry, int32_t key) {
+        return entry.node < key;
+      });
+  if (it == tables.attr_lists.end() || it->node != i) {
+    return std::nullopt;
+  }
+  for (uint32_t a = it->begin; a < it->end; ++a) {
+    if (tables.Str(tables.attrs[a].name) == name) {
+      return tables.Str(tables.attrs[a].value);
     }
-    if (const auto* attrs = tree.attributes(n)) {
-      bytes += AttrsBytes(*attrs);
-    }
   }
-  return bytes;
-}
-
-void FlatFragment::BuildTopology() {
-  const size_t n = nodes_.size();
-  child_index_.clear();
-  if (n == 0) {
-    return;
-  }
-  child_index_.resize(n - 1);
-  // CSR fill: count children, prefix-sum into ranges, then place child
-  // indices in node order (document order, since nodes are in preorder).
-  for (FragmentNode& node : nodes_) {
-    node.children_begin = 0;
-    node.children_end = 0;
-  }
-  for (size_t i = 1; i < n; ++i) {
-    ++nodes_[static_cast<size_t>(nodes_[i].parent)].children_end;
-  }
-  uint32_t offset = 0;
-  for (FragmentNode& node : nodes_) {
-    node.children_begin = offset;
-    offset += node.children_end;
-    node.children_end = node.children_begin;
-  }
-  for (size_t i = 1; i < n; ++i) {
-    FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
-    child_index_[p.children_end++] = static_cast<int32_t>(i);
-  }
-
-  // Preorder subtree bounds: a node's range ends where its last child's
-  // range ends; sweep bottom-up (children have higher indices).
-  for (size_t i = 0; i < n; ++i) {
-    nodes_[i].subtree_end = static_cast<uint32_t>(i + 1);
-  }
-  for (size_t i = n; i-- > 1;) {
-    FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
-    p.subtree_end = std::max(p.subtree_end, nodes_[i].subtree_end);
-  }
-}
-
-const std::string* FlatFragment::FindText(int32_t i) const {
-  auto it = std::lower_bound(
-      texts_.begin(), texts_.end(), i,
-      [](const auto& entry, int32_t key) { return entry.first < key; });
-  return it == texts_.end() || it->first != i ? nullptr : &it->second;
-}
-
-const std::vector<XmlAttribute>* FlatFragment::FindAttrs(int32_t i) const {
-  auto it = std::lower_bound(
-      attrs_.begin(), attrs_.end(), i,
-      [](const auto& entry, int32_t key) { return entry.first < key; });
-  return it == attrs_.end() || it->first != i ? nullptr : &it->second;
-}
-
-const std::string* FlatFragment::text(int32_t i) const { return FindText(i); }
-
-const std::string* FlatFragment::attribute(int32_t i,
-                                           const std::string& name) const {
-  const std::vector<XmlAttribute>* list = FindAttrs(i);
-  if (list == nullptr) return nullptr;
-  for (const XmlAttribute& a : *list) {
-    if (a.name == name) return &a.value;
-  }
-  return nullptr;
+  return std::nullopt;
 }
 
 DeweyCode FlatFragment::AbsoluteCode(int32_t i) const {
-  size_t depth = root_code_.depth();
+  const std::span<const uint32_t> root = root_code();
+  size_t depth = root.size();
   for (int32_t cur = i; cur != 0; cur = node(cur).parent) {
     ++depth;
   }
   // Sized once: the root code, then the path components filled bottom-up.
   std::vector<uint32_t> components(depth);
-  std::copy(root_code_.components().begin(), root_code_.components().end(),
-            components.begin());
+  std::copy(root.begin(), root.end(), components.begin());
   for (int32_t cur = i; cur != 0; cur = node(cur).parent) {
     components[--depth] = node(cur).dewey_component;
   }
@@ -213,8 +370,9 @@ bool FlatFragment::NodeMatches(const TreePattern& pattern,
     return false;
   }
   if (p.value_pred.has_value()) {
-    const std::string* value = attribute(fn, p.value_pred->attribute);
-    if (value == nullptr || !p.value_pred->Matches(*value)) {
+    const std::optional<std::string_view> value =
+        attribute(fn, p.value_pred->attribute);
+    if (!value.has_value() || !p.value_pred->Matches(std::string(*value))) {
       return false;
     }
   }
@@ -248,7 +406,7 @@ bool FlatFragment::Embeds(const TreePattern& pattern,
                           TreePattern::NodeIndex pn, int32_t fn,
                           FragmentScratch* scratch) const {
   const size_t idx =
-      static_cast<size_t>(pn) * nodes_.size() + static_cast<size_t>(fn);
+      static_cast<size_t>(pn) * size() + static_cast<size_t>(fn);
   if (scratch->memo_epoch[idx] == scratch->epoch) {
     return scratch->memo[idx] != 0;
   }
@@ -257,24 +415,17 @@ bool FlatFragment::Embeds(const TreePattern& pattern,
   if (!NodeMatches(pattern, pn, fn)) {
     return false;
   }
+  const int32_t end = subtree_end(fn);
   for (TreePattern::NodeIndex pc : pattern.node(pn).children) {
+    // Children jump from subtree to subtree; proper descendants are the
+    // whole contiguous preorder range — linear scans, no stack.
+    const bool child_axis = pattern.axis(pc) == Axis::kChild;
     bool found = false;
-    if (pattern.axis(pc) == Axis::kChild) {
-      for (int32_t fc : children(fn)) {
-        if (Embeds(pattern, pc, fc, scratch)) {
-          found = true;
-          break;
-        }
-      }
-    } else {
-      // Proper descendants are the contiguous preorder range — a linear
-      // scan, no stack.
-      const int32_t end = subtree_end(fn);
-      for (int32_t fd = fn + 1; fd < end; ++fd) {
-        if (Embeds(pattern, pc, fd, scratch)) {
-          found = true;
-          break;
-        }
+    for (int32_t fd = fn + 1; fd < end;
+         fd = child_axis ? subtree_end(fd) : fd + 1) {
+      if (Embeds(pattern, pc, fd, scratch)) {
+        found = true;
+        break;
       }
     }
     if (!found) {
@@ -287,20 +438,20 @@ bool FlatFragment::Embeds(const TreePattern& pattern,
 
 bool FlatFragment::MatchesAnchored(const TreePattern& pattern,
                                    FragmentScratch* scratch) const {
-  if (pattern.empty() || nodes_.empty()) {
+  if (pattern.empty() || size() == 0) {
     return false;
   }
-  OpenMemoEpoch(pattern.size() * nodes_.size(), nodes_.size(), scratch);
+  OpenMemoEpoch(pattern.size() * size(), size(), scratch);
   return Embeds(pattern, pattern.root(), 0, scratch);
 }
 
 void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
                                     FragmentScratch* scratch,
                                     std::vector<int32_t>* out) const {
-  if (pattern.empty() || nodes_.empty()) {
+  if (pattern.empty() || size() == 0) {
     return;
   }
-  OpenMemoEpoch(pattern.size() * nodes_.size(), nodes_.size(), scratch);
+  OpenMemoEpoch(pattern.size() * size(), size(), scratch);
   if (!Embeds(pattern, pattern.root(), 0, scratch)) {
     return;
   }
@@ -309,28 +460,21 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
   const auto chain = pattern.PathFromRoot(pattern.answer());
   for (size_t ci = 1; ci < chain.size() && !scratch->reach.empty(); ++ci) {
     const TreePattern::NodeIndex pc = chain[ci];
+    const bool child_axis = pattern.axis(pc) == Axis::kChild;
     scratch->next.clear();
     if (++scratch->seen_generation == 0) {
       std::fill(scratch->seen_epoch.begin(), scratch->seen_epoch.end(), 0u);
       scratch->seen_generation = 1;
     }
-    auto try_add = [this, &pattern, pc, scratch](int32_t fd) {
-      uint32_t& seen = scratch->seen_epoch[static_cast<size_t>(fd)];
-      if (seen != scratch->seen_generation &&
-          Embeds(pattern, pc, fd, scratch)) {
-        seen = scratch->seen_generation;
-        scratch->next.push_back(fd);
-      }
-    };
     for (int32_t fx : scratch->reach) {
-      if (pattern.axis(pc) == Axis::kChild) {
-        for (int32_t fc : children(fx)) {
-          try_add(fc);
-        }
-      } else {
-        const int32_t end = subtree_end(fx);
-        for (int32_t fd = fx + 1; fd < end; ++fd) {
-          try_add(fd);
+      const int32_t end = subtree_end(fx);
+      for (int32_t fd = fx + 1; fd < end;
+           fd = child_axis ? subtree_end(fd) : fd + 1) {
+        uint32_t& seen = scratch->seen_epoch[static_cast<size_t>(fd)];
+        if (seen != scratch->seen_generation &&
+            Embeds(pattern, pc, fd, scratch)) {
+          seen = scratch->seen_generation;
+          scratch->next.push_back(fd);
         }
       }
     }
@@ -344,73 +488,18 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
 
 namespace {
 
-// Parents must precede children (node 0 is the root with parent -1), and
-// every node's parent must lie on the root path of the node before it —
-// exactly the images whose node order is a preorder.
-bool IsPreorder(const std::vector<FragmentNode>& nodes) {
-  std::vector<int32_t> path;  // root -> the previous node
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const int32_t parent = nodes[i].parent;
-    if (i == 0) {
-      if (parent != -1) return false;
-    } else {
-      while (!path.empty() && path.back() != parent) path.pop_back();
-      if (path.empty()) return false;
-    }
-    path.push_back(static_cast<int32_t>(i));
-  }
-  return true;
-}
-
-// Side tables are keyed by strictly ascending node id: one entry per node.
-template <typename Entry>
-bool IdsStrictlyAscending(const std::vector<Entry>& entries) {
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i - 1].first >= entries[i].first) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string FlatFragment::Serialize() const {
-  std::string out;
-  PutU32(kFlatMagic, &out);
-  PutU32(static_cast<uint32_t>(root_code_.depth()), &out);
-  for (uint32_t c : root_code_.components()) {
-    PutU32(c, &out);
-  }
-  PutU32(static_cast<uint32_t>(nodes_.size()), &out);
-  for (const FragmentNode& n : nodes_) {
-    PutU32(static_cast<uint32_t>(n.label), &out);
-    PutU32(static_cast<uint32_t>(n.parent), &out);
-    PutU32(n.dewey_component, &out);
-  }
-  PutU32(static_cast<uint32_t>(texts_.size()), &out);
-  for (const auto& [id, text] : texts_) {
-    PutU32(static_cast<uint32_t>(id), &out);
-    PutString(text, &out);
-  }
-  PutU32(static_cast<uint32_t>(attrs_.size()), &out);
-  for (const auto& [id, list] : attrs_) {
-    PutU32(static_cast<uint32_t>(id), &out);
-    PutU32(static_cast<uint32_t>(list.size()), &out);
-    for (const XmlAttribute& a : list) {
-      PutString(a.name, &out);
-      PutString(a.value, &out);
-    }
-  }
-  return out;
-}
-
-Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
+// Reads a v2 image into `sink` (PartCounts or BlockWriter) part by part, in
+// block order, checking its framing: every length within the image and the
+// table ids strictly ascending below the node count. The node order is
+// checked by BlockWriter::Finish.
+template <typename Sink>
+Status ReadImage(const std::string& bytes, Sink* sink) {
   Reader r(bytes);
-  FlatFragment out;
   uint32_t magic = 0;
   if (!r.ReadU32(&magic)) {
     return Status::ParseError("truncated fragment (header)");
   }
-  if (magic != kFlatMagic) {
+  if (magic != FlatFragment::kFlatMagic) {
     return Status::ParseError("bad fragment image magic");
   }
   uint32_t depth = 0;
@@ -422,78 +511,125 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
     if (!r.ReadU32(&c)) {
       return Status::ParseError("truncated fragment (code)");
     }
-    out.root_code_.Append(c);
+    sink->AddCode(c);
   }
   uint32_t count = 0;
   if (!r.ReadU32(&count) || count > bytes.size() / 12 + 1) {
     return Status::ParseError("truncated fragment (node count)");
   }
-  out.nodes_.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t label = 0;
     uint32_t parent = 0;
+    uint32_t dewey_component = 0;
     if (!r.ReadU32(&label) || !r.ReadU32(&parent) ||
-        !r.ReadU32(&out.nodes_[i].dewey_component)) {
+        !r.ReadU32(&dewey_component)) {
       return Status::ParseError("truncated fragment (node)");
     }
-    out.nodes_[i].label = static_cast<LabelId>(label);
-    out.nodes_[i].parent = static_cast<int32_t>(parent);
+    sink->AddNode(static_cast<LabelId>(label), static_cast<int32_t>(parent),
+                  dewey_component);
   }
-  if (!IsPreorder(out.nodes_)) {
-    return Status::ParseError("corrupt fragment (nodes not in preorder)");
-  }
+  // One entry per node: ids strictly ascending.
+  const Status side_table_ids =
+      Status::ParseError("corrupt fragment (side-table ids)");
   uint32_t num_texts = 0;
   if (!r.ReadU32(&num_texts) || num_texts > bytes.size() / 8) {
     return Status::ParseError("truncated fragment (texts)");
   }
-  for (uint32_t i = 0; i < num_texts; ++i) {
+  for (uint32_t i = 0, next_id = 0; i < num_texts; ++i) {
     uint32_t id = 0;
-    std::string text;
+    std::string_view text;
     if (!r.ReadU32(&id) || id >= count || !r.ReadString(&text)) {
       return Status::ParseError("truncated fragment (text entry)");
     }
-    out.texts_.emplace_back(static_cast<int32_t>(id), std::move(text));
+    if (id < next_id) {
+      return side_table_ids;
+    }
+    next_id = id + 1;
+    sink->AddText(static_cast<int32_t>(id), text);
   }
-  uint32_t num_attr_nodes = 0;
-  if (!r.ReadU32(&num_attr_nodes) || num_attr_nodes > bytes.size() / 8) {
+  uint32_t num_attr_lists = 0;
+  if (!r.ReadU32(&num_attr_lists) || num_attr_lists > bytes.size() / 8) {
     return Status::ParseError("truncated fragment (attrs)");
   }
-  for (uint32_t i = 0; i < num_attr_nodes; ++i) {
+  for (uint32_t i = 0, next_id = 0; i < num_attr_lists; ++i) {
     uint32_t id = 0;
     uint32_t n = 0;
     if (!r.ReadU32(&id) || id >= count || !r.ReadU32(&n) ||
         n > bytes.size() / 8) {
       return Status::ParseError("truncated fragment (attr entry)");
     }
-    std::vector<XmlAttribute> list;
+    if (id < next_id) {
+      return side_table_ids;
+    }
+    next_id = id + 1;
+    sink->AddAttrList(static_cast<int32_t>(id));
     for (uint32_t j = 0; j < n; ++j) {
-      XmlAttribute a;
-      if (!r.ReadString(&a.name) || !r.ReadString(&a.value)) {
+      std::string_view name;
+      std::string_view value;
+      if (!r.ReadString(&name) || !r.ReadString(&value)) {
         return Status::ParseError("truncated fragment (attr value)");
       }
-      list.push_back(std::move(a));
+      sink->AddAttr(name, value);
     }
-    out.attrs_.emplace_back(static_cast<int32_t>(id), std::move(list));
   }
-  if (!IdsStrictlyAscending(out.texts_) ||
-      !IdsStrictlyAscending(out.attrs_)) {
-    return Status::ParseError("corrupt fragment (side-table ids)");
+  return Status::Ok();
+}
+
+}  // namespace
+
+std::string FlatFragment::Serialize() const {
+  std::string out;
+  out.reserve(ByteSize());
+  PutU32(kFlatMagic, &out);
+  const std::span<const uint32_t> code = root_code();
+  PutU32(static_cast<uint32_t>(code.size()), &out);
+  for (uint32_t c : code) {
+    PutU32(c, &out);
   }
-  out.BuildTopology();
+  PutU32(static_cast<uint32_t>(size()), &out);
+  for (int32_t i = 0; i < static_cast<int32_t>(size()); ++i) {
+    const FragmentNode& n = node(i);
+    PutU32(static_cast<uint32_t>(n.label), &out);
+    PutU32(static_cast<uint32_t>(n.parent), &out);
+    PutU32(n.dewey_component, &out);
+  }
+  const Tables tables(block());
+  PutU32(static_cast<uint32_t>(tables.texts.size()), &out);
+  for (const FragmentText& t : tables.texts) {
+    PutU32(static_cast<uint32_t>(t.node), &out);
+    PutString(tables.Str(t.text), &out);
+  }
+  PutU32(static_cast<uint32_t>(tables.attr_lists.size()), &out);
+  for (const FragmentAttrList& list : tables.attr_lists) {
+    PutU32(static_cast<uint32_t>(list.node), &out);
+    PutU32(list.end - list.begin, &out);
+    for (uint32_t a = list.begin; a < list.end; ++a) {
+      PutString(tables.Str(tables.attrs[a].name), &out);
+      PutString(tables.Str(tables.attrs[a].value), &out);
+    }
+  }
+  return out;
+}
+
+Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
+  if (bytes.size() > UINT32_MAX) {
+    return Status::ParseError("fragment image too large");
+  }
+  // The first read checks the image and counts its parts, the second
+  // copies them into a block of exactly that size.
+  PartCounts counts;
+  XVR_RETURN_IF_ERROR(ReadImage(bytes, &counts));
+  FlatFragment out(counts.Header());
+  BlockWriter writer(out.block_.get());
+  XVR_RETURN_IF_ERROR(ReadImage(bytes, &writer));
+  if (!writer.Finish()) {
+    return Status::ParseError("corrupt fragment (nodes not in preorder)");
+  }
   return out;
 }
 
 size_t FlatFragment::ByteSize() const {
-  size_t bytes = HeaderBytes(root_code_.depth()) + nodes_.size() * kNodeBytes;
-  for (const auto& [id, text] : texts_) {
-    (void)id;
-    bytes += TextBytes(text);
-  }
-  for (const auto& [id, list] : attrs_) {
-    (void)id;
-    bytes += AttrsBytes(list);
-  }
-  return bytes;
+  return ImageBytes(block_ == nullptr ? FragmentBlockHeader{} : header());
 }
 
 }  // namespace xvr

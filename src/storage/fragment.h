@@ -9,26 +9,32 @@
 // refine and join them, and extract query results, without ever touching the
 // base document (the paper's core requirement, §I/§V).
 //
-// Storage layout (the hot-path memory architecture's storage layer): nodes
-// are stored in PREORDER in one contiguous array, and the tree topology is
-// offset-based (CSR):
+// Storage layout: a fragment is one heap block, and FlatFragment is a
+// one-pointer handle that owns it. The block holds, in order:
 //
-//   nodes_[i]         label, parent, dewey component, child range, subtree end
-//   child_index_      all child lists back to back; node i's children are
-//                     child_index_[children_begin .. children_end), in
-//                     document order
-//   texts_, attrs_    sorted side arrays keyed by node index (binary search)
+//   FragmentBlockHeader        the counts of every section below
+//   uint32_t[code_depth]       the root's extended Dewey code
+//   FragmentNode[num_nodes]    the nodes in PREORDER: label, parent, Dewey
+//                              component and subtree end
+//   FragmentText[num_texts]    (node, text), node ids strictly ascending
+//   FragmentAttrList[...]      (node, attribute range), node ids strictly
+//                              ascending, ranges back to back
+//   FragmentAttr[num_attrs]    (name, value)
+//   char[pool_bytes]           the text, name and value bytes
 //
 // Preorder means the proper descendants of node i are exactly the index
 // range (i, subtree_end), so descendant-axis walks are linear scans over the
-// node array instead of pointer-chasing through per-node child vectors. A
-// fragment owns exactly three flat buffers regardless of its shape, which is
-// also what makes stored views cheap to ship wholesale (serde below).
+// node array, and i's children are i + 1 and then each previous child's
+// subtree end, while below i's own. The block is what a fragment costs in
+// memory, within a few bytes of its image (serde below), whatever its shape.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,15 +45,58 @@
 
 namespace xvr {
 
+struct FragmentBlockHeader {
+  uint32_t code_depth = 0;
+  uint32_t num_nodes = 0;
+  uint32_t num_texts = 0;
+  uint32_t num_attr_lists = 0;
+  uint32_t num_attrs = 0;
+  uint32_t pool_bytes = 0;
+};
+
 struct FragmentNode {
   LabelId label = kInvalidLabel;
   int32_t parent = -1;           // -1 for the fragment root
   uint32_t dewey_component = 0;  // last component of its absolute code
-  // CSR child range into FlatFragment::child_index_.
-  uint32_t children_begin = 0;
-  uint32_t children_end = 0;
   // One past the last node of this node's subtree (preorder contiguity).
   uint32_t subtree_end = 0;
+};
+
+// A string in the block's byte pool.
+struct PoolString {
+  uint32_t offset = 0;
+  uint32_t length = 0;
+};
+
+struct FragmentText {
+  int32_t node = 0;
+  PoolString text;
+};
+
+// The attributes of one node: [begin, end) of the attribute array.
+struct FragmentAttrList {
+  int32_t node = 0;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
+struct FragmentAttr {
+  PoolString name;
+  PoolString value;
+};
+
+// Byte offsets of a block's sections, from its header's counts; `end` is
+// the block size.
+struct FragmentBlockLayout {
+  size_t code = 0;
+  size_t nodes = 0;
+  size_t texts = 0;
+  size_t attr_lists = 0;
+  size_t attrs = 0;
+  size_t pool = 0;
+  size_t end = 0;
+
+  static FragmentBlockLayout Of(const FragmentBlockHeader& header);
 };
 
 // Reusable evaluation scratch for the anchored-pattern walks. One per
@@ -82,30 +131,31 @@ class FlatFragment {
   static size_t SubtreeByteSize(const XmlTree& tree, NodeId root,
                                 size_t limit = SIZE_MAX);
 
-  const DeweyCode& root_code() const { return root_code_; }
-  size_t size() const { return nodes_.size(); }
-  const FragmentNode& node(int32_t i) const {
-    return nodes_[static_cast<size_t>(i)];
+  // The root's extended Dewey code.
+  std::span<const uint32_t> root_code() const {
+    if (block_ == nullptr) {
+      return {};
+    }
+    return {code_data(), header().code_depth};
   }
-  // Children of node i in document order (CSR slice).
-  std::span<const int32_t> children(int32_t i) const {
-    const FragmentNode& n = nodes_[static_cast<size_t>(i)];
-    return {child_index_.data() + n.children_begin,
-            n.children_end - n.children_begin};
+  size_t size() const { return block_ == nullptr ? 0 : header().num_nodes; }
+  const FragmentNode& node(int32_t i) const {
+    return nodes_data()[static_cast<size_t>(i)];
   }
   // Preorder subtree bound: proper descendants of i are (i, subtree_end(i)).
   int32_t subtree_end(int32_t i) const {
-    return static_cast<int32_t>(nodes_[static_cast<size_t>(i)].subtree_end);
+    return static_cast<int32_t>(node(i).subtree_end);
   }
-  // The raw layout arrays, for the structural validators
-  // (analysis/validate.h: ValidateFlatFragmentLayout).
-  std::span<const FragmentNode> raw_nodes() const { return nodes_; }
-  std::span<const int32_t> raw_child_index() const { return child_index_; }
-  const std::string* text(int32_t i) const;
-  const std::string* attribute(int32_t i, const std::string& name) const;
+  std::optional<std::string_view> text(int32_t i) const;
+  std::optional<std::string_view> attribute(int32_t i,
+                                            std::string_view name) const;
 
   // Absolute extended Dewey code of a fragment node.
   DeweyCode AbsoluteCode(int32_t i) const;
+
+  // The whole block, for the structural validator (analysis/validate.h:
+  // ValidateFlatFragmentLayout). Empty for a default-constructed fragment.
+  std::span<const std::byte> block() const;
 
   // --- anchored pattern evaluation -----------------------------------------
   //
@@ -151,24 +201,31 @@ class FlatFragment {
   size_t ByteSize() const;
 
  private:
+  // Allocates the block for `header`'s counts and writes the header.
+  explicit FlatFragment(const FragmentBlockHeader& header);
+
+  const FragmentBlockHeader& header() const {
+    return *reinterpret_cast<const FragmentBlockHeader*>(block_.get());
+  }
+  const uint32_t* code_data() const {
+    return reinterpret_cast<const uint32_t*>(block_.get() +
+                                             sizeof(FragmentBlockHeader));
+  }
+  const FragmentNode* nodes_data() const {
+    return reinterpret_cast<const FragmentNode*>(code_data() +
+                                                 header().code_depth);
+  }
   bool NodeMatches(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn) const;
   // Epoch-validated memo owned by `scratch`.
   bool Embeds(const TreePattern& pattern, TreePattern::NodeIndex pn,
               int32_t fn, FragmentScratch* scratch) const;
-  // Rebuilds child_index_/children ranges/subtree_end from nodes_[].parent.
-  // nodes_ must be in preorder.
-  void BuildTopology();
 
-  const std::string* FindText(int32_t i) const;
-  const std::vector<XmlAttribute>* FindAttrs(int32_t i) const;
-
-  DeweyCode root_code_;
-  std::vector<FragmentNode> nodes_;  // node 0 is the root; preorder
-  std::vector<int32_t> child_index_;
-  // Sorted by node index (document order in preorder).
-  std::vector<std::pair<int32_t, std::string>> texts_;
-  std::vector<std::pair<int32_t, std::vector<XmlAttribute>>> attrs_;
+  // A std::byte array: its storage implicitly creates the header and the
+  // section arrays that FromTree and Deserialize write (C++20
+  // [intro.object]), so the accessors read them in place. All fields are
+  // 32-bit, and new[] aligns the block for them.
+  std::unique_ptr<std::byte[]> block_;
 };
 
 // The serving code predates the flat layout and names the type Fragment.

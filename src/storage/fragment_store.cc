@@ -28,7 +28,7 @@ std::string FragmentKey(int32_t view_id, size_t seq) {
 void SortByRoot(std::vector<Fragment>* fragments) {
   std::sort(fragments->begin(), fragments->end(),
             [](const Fragment& a, const Fragment& b) {
-              return a.root_code() < b.root_code();
+              return CodeLess(a.root_code(), b.root_code());
             });
 }
 

@@ -33,10 +33,11 @@ bool DeweyCode::IsPrefixOf(const DeweyCode& other) const {
   return true;
 }
 
-size_t DeweyCode::CommonPrefixLength(const DeweyCode& other) const {
-  const size_t n = std::min(components_.size(), other.components_.size());
+size_t CommonPrefixLength(std::span<const uint32_t> a,
+                          std::span<const uint32_t> b) {
+  const size_t n = std::min(a.size(), b.size());
   size_t i = 0;
-  while (i < n && components_[i] == other.components_[i]) {
+  while (i < n && a[i] == b[i]) {
     ++i;
   }
   return i;

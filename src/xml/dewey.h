@@ -11,7 +11,9 @@
 // state transducer (see fst.h) — this is what lets the rewriter join view
 // fragments without touching base data (paper §V, Example 5.1).
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,10 +42,6 @@ class DeweyCode {
   // i.e., this node is an ancestor-or-self of `other`'s node.
   bool IsPrefixOf(const DeweyCode& other) const;
 
-  // Number of leading components shared with `other` (depth of the lowest
-  // common ancestor-or-self).
-  size_t CommonPrefixLength(const DeweyCode& other) const;
-
   // "0.8.6" (paper's notation); "" for the empty code.
   std::string ToString() const;
   // Appends ToString()'s text to *out.
@@ -66,6 +64,17 @@ class DeweyCode {
  private:
   std::vector<uint32_t> components_;
 };
+
+// The same order and prefix over bare components, as a fragment stores its
+// root code (storage/fragment.h).
+inline bool CodeLess(std::span<const uint32_t> a, std::span<const uint32_t> b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+// Number of leading components two codes share (depth of the lowest common
+// ancestor-or-self).
+size_t CommonPrefixLength(std::span<const uint32_t> a,
+                          std::span<const uint32_t> b);
 
 // Hash support for keying fragment stores and join tables by code.
 struct DeweyCodeHash {

@@ -51,7 +51,7 @@ int Fst::ChildIndex(LabelId parent, LabelId child) const {
   return it == labels.end() ? -1 : static_cast<int>(it - labels.begin());
 }
 
-bool Fst::Decode(const std::vector<uint32_t>& code, std::vector<LabelId>* path,
+bool Fst::Decode(std::span<const uint32_t> code, std::vector<LabelId>* path,
                  size_t keep) const {
   XVR_DCHECK(keep <= code.size() && keep <= path->size());
   path->resize(keep);

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "xml/label_dict.h"
@@ -41,7 +42,7 @@ class Fst {
   // components (e.g. the previous code's path, keep = the codes' common
   // prefix length); only the rest is decoded. Returns false if the code is
   // not derivable from this schema.
-  [[nodiscard]] bool Decode(const std::vector<uint32_t>& code,
+  [[nodiscard]] bool Decode(std::span<const uint32_t> code,
                             std::vector<LabelId>* path,
                             size_t keep = 0) const;
 

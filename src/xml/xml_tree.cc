@@ -8,6 +8,8 @@ namespace xvr {
 NodeId XmlTree::CreateRoot(LabelId label) {
   XVR_CHECK(nodes_.empty()) << "CreateRoot called twice";
   nodes_.push_back(XmlNode{label, kNullNode, kNullNode, kNullNode, kNullNode});
+  text_slot_.push_back(-1);
+  attrs_slot_.push_back(-1);
   return 0;
 }
 
@@ -15,6 +17,8 @@ NodeId XmlTree::AppendChild(NodeId parent, LabelId label) {
   XVR_CHECK(parent >= 0 && static_cast<size_t>(parent) < nodes_.size());
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(XmlNode{label, parent, kNullNode, kNullNode, kNullNode});
+  text_slot_.push_back(-1);
+  attrs_slot_.push_back(-1);
   XmlNode& p = nodes_[static_cast<size_t>(parent)];
   if (p.first_child == kNullNode) {
     p.first_child = id;
@@ -26,21 +30,32 @@ NodeId XmlTree::AppendChild(NodeId parent, LabelId label) {
 }
 
 void XmlTree::SetText(NodeId node, std::string text) {
-  texts_[node] = std::move(text);
+  int32_t& slot = text_slot_[static_cast<size_t>(node)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(texts_.size());
+    texts_.emplace_back();
+  }
+  texts_[static_cast<size_t>(slot)] = std::move(text);
 }
 
 void XmlTree::AddAttribute(NodeId node, std::string name, std::string value) {
-  attrs_[node].push_back(XmlAttribute{std::move(name), std::move(value)});
+  int32_t& slot = attrs_slot_[static_cast<size_t>(node)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(attrs_.size());
+    attrs_.emplace_back();
+  }
+  attrs_[static_cast<size_t>(slot)].push_back(
+      XmlAttribute{std::move(name), std::move(value)});
 }
 
 const std::string* XmlTree::text(NodeId id) const {
-  auto it = texts_.find(id);
-  return it == texts_.end() ? nullptr : &it->second;
+  const int32_t slot = text_slot_[static_cast<size_t>(id)];
+  return slot < 0 ? nullptr : &texts_[static_cast<size_t>(slot)];
 }
 
 const std::vector<XmlAttribute>* XmlTree::attributes(NodeId id) const {
-  auto it = attrs_.find(id);
-  return it == attrs_.end() ? nullptr : &it->second;
+  const int32_t slot = attrs_slot_[static_cast<size_t>(id)];
+  return slot < 0 ? nullptr : &attrs_[static_cast<size_t>(slot)];
 }
 
 const std::string* XmlTree::attribute(NodeId id,

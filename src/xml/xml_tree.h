@@ -4,13 +4,13 @@
 // The XML data model of the paper (§II): an unordered tree of labeled nodes.
 //
 // Nodes are stored index-based in a flat vector (first-child / next-sibling
-// links) for cache locality; text content and attributes live in sparse side
-// tables since most elements of structural workloads carry neither.
+// links) for cache locality; text content and attributes live in side
+// tables since most elements of structural workloads carry neither, found
+// through one dense per-node slot each.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "xml/dewey.h"
@@ -112,8 +112,11 @@ class XmlTree {
  private:
   std::vector<XmlNode> nodes_;
   LabelDict labels_;
-  std::unordered_map<NodeId, std::string> texts_;
-  std::unordered_map<NodeId, std::vector<XmlAttribute>> attrs_;
+  // Per node, its index into texts_ / attrs_, or -1 for none.
+  std::vector<int32_t> text_slot_;
+  std::vector<int32_t> attrs_slot_;
+  std::vector<std::string> texts_;
+  std::vector<std::vector<XmlAttribute>> attrs_;
   std::vector<DeweyCode> dewey_;
   std::shared_ptr<Fst> fst_;
 };

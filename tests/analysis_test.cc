@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -283,15 +285,33 @@ TEST(ValidateFragmentStoreTest, RejectsOutOfOrderAndForeignFragments) {
   }
   {
     // Teleport one fragment root to an undecodable position: its code can
-    // no longer be the image of the view's answer path.
-    auto& root_code =
-        const_cast<DeweyCode&>(fragments->front().root_code());
-    const DeweyCode saved = root_code;
-    root_code.Append(9999);
+    // no longer be the image of the view's answer path. The teleported
+    // fragment loads from the front fragment's image with component 9999
+    // appended to its root code and given to its root node.
+    auto& mutable_fragments = const_cast<std::vector<Fragment>&>(*fragments);
+    std::string image = mutable_fragments.front().Serialize();
+    uint32_t depth = 0;
+    std::memcpy(&depth, image.data() + 4, 4);
+    const uint32_t teleported_depth = depth + 1;
+    const uint32_t component = 9999;
+    std::memcpy(image.data() + 4, &teleported_depth, 4);
+    image.insert(8 + 4 * size_t{depth},
+                 reinterpret_cast<const char*>(&component), 4);
+    // Magic, depth, code, node count, then the root's label and parent.
+    const size_t root_component = 8 + 4 * size_t{teleported_depth} + 4 + 8;
+    std::memcpy(image.data() + root_component, &component, 4);
+    Result<Fragment> teleported = Fragment::Deserialize(image);
+    ASSERT_TRUE(teleported.ok()) << teleported.status();
+    ASSERT_TRUE(ValidateFlatFragment(*teleported).ok());
+    Fragment saved = std::move(mutable_fragments.front());
+    mutable_fragments.front() = std::move(teleported).value();
     EXPECT_FALSE(
         ValidateFragmentStore(engine.fragments(), *engine.doc().fst(), lookup)
             .ok());
-    root_code = saved;
+    mutable_fragments.front() = std::move(saved);
+    ASSERT_TRUE(
+        ValidateFragmentStore(engine.fragments(), *engine.doc().fst(), lookup)
+            .ok());
   }
 }
 
@@ -325,45 +345,61 @@ TEST(ValidateAnswerCodesTest, RejectsDuplicatesAndDisorder) {
 
 // --- flat fragment layout ---------------------------------------------------
 
-// A hand-built layout mirroring <b><s><t/></s><p/></b>: 4 nodes in preorder,
-// CSR child lists back to back. Labels are arbitrary (layout checks don't
-// consult the dictionary).
+// A hand-built block mirroring <b><s><t>x</t></s><p n="1"/></b>: 4 nodes in
+// preorder, one text and one attribute. The sections are kept apart so a
+// test can corrupt one field; Block() packs them behind a header of their
+// counts. Labels are arbitrary (layout checks don't consult the
+// dictionary).
 struct FragmentLayoutFixture {
+  std::vector<uint32_t> code = {0, 3};
   std::vector<FragmentNode> nodes;
-  std::vector<int32_t> child_index;
+  std::vector<FragmentText> texts;
+  std::vector<FragmentAttrList> attr_lists;
+  std::vector<FragmentAttr> attrs;
+  std::string pool = "xn1";
 
   FragmentLayoutFixture() {
-    nodes.resize(4);
     // 0: root <b>, children 1 (<s>) and 3 (<p>).
-    nodes[0].label = 1;
-    nodes[0].parent = -1;
-    nodes[0].children_begin = 0;
-    nodes[0].children_end = 2;
-    nodes[0].subtree_end = 4;
+    nodes.push_back(FragmentNode{1, -1, 3, 4});
     // 1: <s>, child 2 (<t>).
-    nodes[1].label = 2;
-    nodes[1].parent = 0;
-    nodes[1].children_begin = 2;
-    nodes[1].children_end = 3;
-    nodes[1].subtree_end = 3;
-    // 2: <t>, leaf.
-    nodes[2].label = 3;
-    nodes[2].parent = 1;
-    nodes[2].children_begin = 3;
-    nodes[2].children_end = 3;
-    nodes[2].subtree_end = 3;
-    // 3: <p>, leaf.
-    nodes[3].label = 4;
-    nodes[3].parent = 0;
-    nodes[3].children_begin = 3;
-    nodes[3].children_end = 3;
-    nodes[3].subtree_end = 4;
-    child_index = {1, 3, 2};
+    nodes.push_back(FragmentNode{2, 0, 0, 3});
+    // 2: <t>, leaf with text "x".
+    nodes.push_back(FragmentNode{3, 1, 0, 3});
+    // 3: <p>, leaf with attribute n="1".
+    nodes.push_back(FragmentNode{4, 0, 1, 4});
+    texts.push_back(FragmentText{2, PoolString{0, 1}});
+    attr_lists.push_back(FragmentAttrList{3, 0, 1});
+    attrs.push_back(FragmentAttr{PoolString{1, 1}, PoolString{2, 1}});
   }
 
-  Status Validate() const {
-    return ValidateFlatFragmentLayout(nodes, child_index);
+  template <typename T>
+  static void Append(const std::vector<T>& section,
+                     std::vector<std::byte>* out) {
+    const auto* bytes = reinterpret_cast<const std::byte*>(section.data());
+    out->insert(out->end(), bytes, bytes + section.size() * sizeof(T));
   }
+
+  std::vector<std::byte> Block() const {
+    const FragmentBlockHeader header{
+        static_cast<uint32_t>(code.size()),
+        static_cast<uint32_t>(nodes.size()),
+        static_cast<uint32_t>(texts.size()),
+        static_cast<uint32_t>(attr_lists.size()),
+        static_cast<uint32_t>(attrs.size()),
+        static_cast<uint32_t>(pool.size())};
+    std::vector<std::byte> out(sizeof(header));
+    std::memcpy(out.data(), &header, sizeof(header));
+    Append(code, &out);
+    Append(nodes, &out);
+    Append(texts, &out);
+    Append(attr_lists, &out);
+    Append(attrs, &out);
+    const auto* chars = reinterpret_cast<const std::byte*>(pool.data());
+    out.insert(out.end(), chars, chars + pool.size());
+    return out;
+  }
+
+  Status Validate() const { return ValidateFlatFragmentLayout(Block()); }
 };
 
 TEST(ValidateFlatFragmentTest, AcceptsFromTreeFragments) {
@@ -375,10 +411,14 @@ TEST(ValidateFlatFragmentTest, AcceptsFromTreeFragments) {
     const Fragment fragment = Fragment::FromTree(*doc, n);
     const Status status = ValidateFlatFragment(fragment);
     EXPECT_TRUE(status.ok()) << status;
-    // A leaf's fragment is the single-node layout: no child index at all.
+    // A leaf's fragment is the single-node layout: its block is the header,
+    // the root code and one node.
     if (doc->Children(n).empty()) {
       EXPECT_EQ(fragment.size(), 1u);
-      EXPECT_TRUE(fragment.raw_child_index().empty());
+      EXPECT_EQ(fragment.block().size(),
+                sizeof(FragmentBlockHeader) +
+                    fragment.root_code().size() * sizeof(uint32_t) +
+                    sizeof(FragmentNode));
       ++single_node;
     }
   }
@@ -414,7 +454,7 @@ TEST(ValidateFlatFragmentTest, AcceptsHandBuiltFixture) {
 }
 
 TEST(ValidateFlatFragmentTest, RejectsEmptyAndBadRoot) {
-  EXPECT_FALSE(ValidateFlatFragmentLayout({}, {}).ok());
+  EXPECT_FALSE(ValidateFlatFragmentLayout({}).ok());
 
   FragmentLayoutFixture f;
   f.nodes[0].parent = 0;  // root must have parent -1
@@ -440,47 +480,86 @@ TEST(ValidateFlatFragmentTest, RejectsSubtreeEndOutOfBounds) {
     EXPECT_FALSE(f.Validate().ok());
   }
   {
-    // Root subtree_end that excludes the last node: the CSR walk covers
-    // nodes 1..4 but subtree_end claims 3.
+    // Root subtree_end that excludes the last node: the children walk
+    // covers nodes 1..4 but subtree_end claims 3.
     FragmentLayoutFixture f;
     f.nodes[0].subtree_end = 3;
     EXPECT_FALSE(f.Validate().ok());
   }
 }
 
-TEST(ValidateFlatFragmentTest, RejectsCsrRangeOutOfBounds) {
-  FragmentLayoutFixture f;
-  f.nodes[0].children_end = 9;  // past child_index
-  EXPECT_FALSE(f.Validate().ok());
+TEST(ValidateFlatFragmentTest, RejectsPoolRangeOutOfBounds) {
+  {
+    FragmentLayoutFixture f;
+    f.texts[0].text.offset = 3;  // [3, 4) past the 3-byte pool
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    FragmentLayoutFixture f;
+    f.attrs[0].value.length = 9;
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    FragmentLayoutFixture f;
+    f.attrs[0].name.offset = UINT32_MAX;  // offset + length wraps 32 bits
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    // The header's counts size a block one byte longer than the bytes.
+    std::vector<std::byte> block = FragmentLayoutFixture().Block();
+    block.pop_back();
+    EXPECT_FALSE(ValidateFlatFragmentLayout(block).ok());
+  }
+}
 
-  FragmentLayoutFixture g;
-  g.nodes[1].children_begin = 3;
-  g.nodes[1].children_end = 2;  // begin > end
-  EXPECT_FALSE(g.Validate().ok());
+TEST(ValidateFlatFragmentTest, RejectsSideTableIdsOutOfOrder) {
+  {
+    FragmentLayoutFixture f;
+    f.texts[0].node = 4;  // not below the node count
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    // A second text for node 1, after node 2's: ids must ascend.
+    FragmentLayoutFixture f;
+    f.texts.push_back(FragmentText{1, PoolString{0, 1}});
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    // A second, empty attribute list for node 3: one entry per node.
+    FragmentLayoutFixture f;
+    f.attr_lists.push_back(FragmentAttrList{3, 1, 1});
+    EXPECT_FALSE(f.Validate().ok());
+  }
+  {
+    // Node 3's list no longer covers the attribute array.
+    FragmentLayoutFixture f;
+    f.attr_lists[0].end = 0;
+    EXPECT_FALSE(f.Validate().ok());
+  }
 }
 
 TEST(ValidateFlatFragmentTest, RejectsParentLinkDisagreement) {
   FragmentLayoutFixture f;
-  // CSR lists node 2 under node 1, but rewire 2's parent link to the root
-  // while keeping it inside node 1's subtree range.
+  // The subtree walk finds node 2 under node 1, but rewire 2's parent link
+  // to the root while keeping it inside node 1's subtree range.
   f.nodes[2].parent = 0;
   EXPECT_FALSE(f.Validate().ok());
 }
 
 TEST(ValidateFlatFragmentTest, RejectsChildrenOutOfOrder) {
   FragmentLayoutFixture f;
-  // Swap the root's CSR child list: {3, 1} instead of {1, 3}. Both children
-  // exist with correct parent links — only document order is violated.
-  f.child_index[0] = 3;
-  f.child_index[1] = 1;
+  // Swap the root's children's Dewey components: <s> 1, <p> 0. Both
+  // children keep correct parent links — only document order is violated.
+  f.nodes[1].dewey_component = 1;
+  f.nodes[3].dewey_component = 0;
   EXPECT_FALSE(f.Validate().ok());
 }
 
 TEST(ValidateFlatFragmentTest, RejectsDroppedChildSlot) {
   FragmentLayoutFixture f;
-  // Shrink the root's child list to just <s>: node 3 becomes unreachable,
-  // so the children no longer cover the root's subtree.
-  f.nodes[0].children_end = 1;
+  // Stretch <s>'s subtree over node 3: the root's children shrink to just
+  // <s>, and node 3, whose parent link names the root, lands under <s>.
+  f.nodes[1].subtree_end = 4;
   EXPECT_FALSE(f.Validate().ok());
 }
 
@@ -496,15 +575,13 @@ TEST(ValidateFlatFragmentTest, RejectsRootCodeMismatch) {
   // depth + components, node count, then 12-byte node records) so it no
   // longer matches the root code's last component.
   std::string bytes = fragment.Serialize();
-  const size_t depth = fragment.root_code().depth();
+  const size_t depth = fragment.root_code().size();
   const size_t root_dewey_offset = 4 + 4 + depth * 4 + 4 + 8;
   ASSERT_LT(root_dewey_offset, bytes.size());
   bytes[root_dewey_offset] = static_cast<char>(bytes[root_dewey_offset] + 1);
   auto corrupted = Fragment::Deserialize(bytes);
   ASSERT_TRUE(corrupted.ok());
-  EXPECT_TRUE(ValidateFlatFragmentLayout(corrupted->raw_nodes(),
-                                         corrupted->raw_child_index())
-                  .ok());
+  EXPECT_TRUE(ValidateFlatFragmentLayout(corrupted->block()).ok());
   EXPECT_FALSE(ValidateFlatFragment(*corrupted).ok());
 }
 

@@ -23,8 +23,11 @@ TEST(DeweyCode, BasicOps) {
   EXPECT_TRUE(c.Parent().IsPrefixOf(c));
   EXPECT_TRUE(c.IsPrefixOf(c));
   EXPECT_FALSE(c.IsPrefixOf(c.Parent()));
-  EXPECT_EQ(c.CommonPrefixLength(DeweyCode({0, 8, 7})), 2u);
-  EXPECT_EQ(c.CommonPrefixLength(DeweyCode({1})), 0u);
+  EXPECT_EQ(
+      CommonPrefixLength(c.components(), DeweyCode({0, 8, 7}).components()),
+      2u);
+  EXPECT_EQ(CommonPrefixLength(c.components(), DeweyCode({1}).components()),
+            0u);
 }
 
 TEST(DeweyCode, Ordering) {
@@ -169,7 +172,10 @@ TEST(Fst, KeptPrefixDecodeEqualsFullDecodeInDocumentOrder) {
   std::vector<LabelId> incremental;
   const DeweyCode* prev = nullptr;
   for (const DeweyCode& code : codes) {
-    const size_t keep = prev == nullptr ? 0 : code.CommonPrefixLength(*prev);
+    const size_t keep =
+        prev == nullptr
+            ? 0
+            : CommonPrefixLength(code.components(), prev->components());
     ASSERT_TRUE(tree.fst()->Decode(code.components(), &incremental, keep))
         << code.ToString();
     std::vector<LabelId> full;

@@ -4,7 +4,7 @@
 //   - flat-fragment layer: the anchored walks (epoched memo, preorder
 //     subtree scans) against direct evaluation of the pattern on the
 //     fragment's subtree, over randomized documents and generated patterns;
-//     CSR/subtree_end/preorder structural invariants;
+//     subtree_end/preorder structural invariants;
 //   - serde: images round-trip byte-for-byte; images without the magic
 //     marker, out of preorder or with duplicate side-table ids are
 //     rejected; truncated images fail cleanly;
@@ -63,10 +63,16 @@ void CheckTopologyInvariants(const Fragment& frag) {
     if (i > 0) {
       EXPECT_LE(frag.subtree_end(i), frag.subtree_end(node.parent));
     }
-    int32_t prev = i;
-    for (int32_t c : frag.children(i)) {
+    // Children by subtree jumps: each names i as its parent, and their
+    // Dewey components ascend (document order).
+    int32_t prev = -1;
+    for (int32_t c = i + 1; c < frag.subtree_end(i); c = frag.subtree_end(c)) {
       EXPECT_EQ(frag.node(c).parent, i);
-      EXPECT_GT(c, prev) << "children must come in document order";
+      if (prev >= 0) {
+        EXPECT_GT(frag.node(c).dewey_component,
+                  frag.node(prev).dewey_component)
+            << "children must come in document order";
+      }
       prev = c;
     }
   }
@@ -177,7 +183,7 @@ TEST(FragmentSerdeTest, V2RoundTripsByteForByte) {
   auto loaded = Fragment::Deserialize(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->Serialize(), bytes) << "v2 must be a fixed point";
-  EXPECT_EQ(loaded->root_code(), frag.root_code());
+  EXPECT_EQ(loaded->AbsoluteCode(0), frag.AbsoluteCode(0));
   CheckTopologyInvariants(*loaded);
 }
 

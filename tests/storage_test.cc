@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
@@ -139,7 +141,7 @@ TEST_F(FragmentTest, FromTreeCapturesSubtree) {
   const NodeId s = FirstS();
   Fragment frag = Fragment::FromTree(tree_, s);
   EXPECT_EQ(frag.size(), tree_.SubtreeSize(s));
-  EXPECT_EQ(frag.root_code(), tree_.dewey(s));
+  EXPECT_EQ(frag.AbsoluteCode(0), tree_.dewey(s));
   // Every fragment node's absolute code resolves back to the right node.
   for (size_t i = 0; i < frag.size(); ++i) {
     const DeweyCode code = frag.AbsoluteCode(static_cast<int32_t>(i));
@@ -154,11 +156,12 @@ TEST_F(FragmentTest, CarriesTextAndAttributes) {
   bool found_text = false;
   bool found_attr = false;
   for (size_t i = 0; i < frag.size(); ++i) {
-    if (const std::string* t = frag.text(static_cast<int32_t>(i))) {
+    if (const std::optional<std::string_view> t =
+            frag.text(static_cast<int32_t>(i))) {
       EXPECT_EQ(*t, "text");
       found_text = true;
     }
-    if (const std::string* a =
+    if (const std::optional<std::string_view> a =
             frag.attribute(static_cast<int32_t>(i), "n")) {
       EXPECT_EQ(*a, "1");
       found_attr = true;
@@ -202,7 +205,7 @@ TEST_F(FragmentTest, SerializeRoundTrip) {
   auto restored = Fragment::Deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->size(), frag.size());
-  EXPECT_EQ(restored->root_code(), frag.root_code());
+  EXPECT_EQ(restored->AbsoluteCode(0), frag.AbsoluteCode(0));
   for (size_t i = 0; i < frag.size(); ++i) {
     EXPECT_EQ(restored->node(static_cast<int32_t>(i)).label,
               frag.node(static_cast<int32_t>(i)).label);
@@ -223,7 +226,7 @@ TEST_F(FragmentTest, MaterializeView) {
   store.PutView(0, std::move(fragments).value());
   const auto* frags = store.GetView(0);
   ASSERT_NE(frags, nullptr);
-  EXPECT_TRUE((*frags)[0].root_code() < (*frags)[1].root_code());
+  EXPECT_TRUE(CodeLess((*frags)[0].root_code(), (*frags)[1].root_code()));
 }
 
 TEST_F(FragmentTest, MaterializeEmptyViewFails) {
