@@ -22,15 +22,13 @@
 
 namespace {
 
-// The paper's five approaches, plus one extension row: HB (the
-// fragment-size cost model).
+// The paper's five approaches.
 constexpr xvr::AnswerStrategy kStrategies[] = {
     xvr::AnswerStrategy::kBaseNodeIndex,
     xvr::AnswerStrategy::kBaseFullIndex,
     xvr::AnswerStrategy::kMinimumNoFilter,
     xvr::AnswerStrategy::kMinimumFiltered,
     xvr::AnswerStrategy::kHeuristicFiltered,
-    xvr::AnswerStrategy::kHeuristicSmallFragments,
 };
 
 void ReportIndexSizes() {
@@ -93,14 +91,14 @@ void BM_Fig8(benchmark::State& state) {
   TimeAnswers(state, xvr_bench::QuerySetup(), "");
 }
 BENCHMARK(BM_Fig8)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Fig8Cold(benchmark::State& state) {
   TimeAnswers(state, ColdSetup(), " cold");
 }
 BENCHMARK(BM_Fig8Cold)
-    ->ArgsProduct({{0, 1, 2, 3}, {2, 3, 4, 5}})
+    ->ArgsProduct({{0, 1, 2, 3}, {2, 3, 4}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -7,7 +7,7 @@
 //   views                 list materialized views
 //   drop <id>             remove a view
 //   q <xpath>             answer with HV and cross-check against base data
-//   q! <strategy> <xpath> answer with BN|BF|MN|MV|HV|HB
+//   q! <strategy> <xpath> answer with BN|BF|MN|MV|HV
 //   filter <xpath>        show VFILTER candidates and LIST(P_i)
 //   explain <xpath>       show selection (views, covers, anchors)
 //   save <file> / open <file>   persist / restore the engine state
@@ -94,7 +94,7 @@ class Shell {
     if (cmd == "help") {
       std::printf(
           "gen [scale] | load <file> | view <xpath> | views | drop <id>\n"
-          "q <xpath> | q! <BN|BF|MN|MV|HV|HB> <xpath>\n"
+          "q <xpath> | q! <BN|BF|MN|MV|HV> <xpath>\n"
           "filter <xpath> | explain <xpath> | save <file> | open <file>\n"
           "stats | \\metrics [json] | quit\n");
       return true;

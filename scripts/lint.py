@@ -89,6 +89,13 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 constructor, before the cache exists) carries
                 lint:publish-hook-ok.
 
+  threads       In src/, no std::thread or std::jthread outside src/net/,
+                where the server's reactor and worker pool live. The
+                engine answers on its caller's thread; a thread started
+                inside the library would be one the server's admission
+                control cannot see or bound. Suppress with
+                lint:threads-ok.
+
   temp-path     In tests/, no ::testing::TempDir() outside tests/test_util.h,
                 and no string literal starting with "/tmp/". ctest runs
                 every test case as its own process, in parallel, so a fixed
@@ -141,6 +148,10 @@ ENV_IO_ALLOWLIST = {"src/storage/env.cc"}
 ENV_IO_RE = re.compile(
     r"std::(?:ofstream|ifstream|fstream)\b|\bfopen\s*\(|"
     r"(?:\bstd)?::rename\s*\(|(?:\bstd)?::remove\s*\(|\bunlink\s*\(")
+
+THREADS_DIR = "src/"
+THREADS_ALLOWED_DIR = "src/net/"
+THREADS_RE = re.compile(r"\bstd::j?thread\b")
 
 TEMP_PATH_DIR = "tests/"
 TEMP_PATH_ALLOWLIST = {"tests/test_util.h"}
@@ -388,6 +399,14 @@ def lint_file(rel, raw, code, unordered_names, findings):
                                  "fsync ordering, the crash-point exploration "
                                  "and the storage metering all see it (or "
                                  "lint:env-io-ok)"))
+        if (rel.startswith(THREADS_DIR)
+                and not rel.startswith(THREADS_ALLOWED_DIR)
+                and THREADS_RE.search(line)):
+            if not suppressed(lineno, "threads"):
+                findings.append((rel, lineno, "threads",
+                                 "thread started outside src/net/; the "
+                                 "engine answers on its caller's thread "
+                                 "(or lint:threads-ok)"))
         if (rel.startswith(TEMP_PATH_DIR)
                 and rel not in TEMP_PATH_ALLOWLIST
                 and TEMP_PATH_RE.search(line)):

@@ -704,12 +704,12 @@ Status ValidatePlanCacheDependencies(const PlanCache* cache,
   NfaReadScratch scratch;
   for (const std::shared_ptr<const QueryPlan>& plan :
        cache->SampleEntries(8)) {
-    // Only VFILTER-backed plans record the full candidate set: base plans
-    // have no catalog dependencies, tombstones may legitimately survive
-    // removals their stale candidate lists mention, MN plans record only
-    // the selected cover, and degraded plans are barred from the cache.
+    // Only VFILTER-backed plans record the full candidate set (a degraded
+    // MV plan as well): base plans have no catalog dependencies,
+    // tombstones may legitimately survive removals their stale candidate
+    // lists mention, and MN plans record only the selected cover.
     if (plan == nullptr || !plan->uses_views || plan->not_answerable ||
-        !plan->deps.filtered || plan->plan_stats.degraded_selection) {
+        !plan->deps.filtered) {
       continue;
     }
     const FilterResult fresh = catalog.vfilter.Filter(plan->query, &scratch);

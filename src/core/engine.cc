@@ -296,11 +296,6 @@ Result<SelectionResult> Engine::SelectViews(const TreePattern& query,
 }
 
 Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
-                                           AnswerStrategy strategy) const {
-  return AnswerQuery(query, strategy, QueryLimits());
-}
-
-Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
                                            AnswerStrategy strategy,
                                            const QueryLimits& limits) const {
   ExecutionContext& ctx = ThreadContext();
@@ -310,12 +305,6 @@ Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
   // query.
   ctx.catalog = nullptr;
   return answer;
-}
-
-std::vector<Result<Engine::Answer>> Engine::BatchAnswer(
-    std::span<const TreePattern> queries, AnswerStrategy strategy,
-    int num_threads, const QueryLimits& limits) const {
-  return pipeline_->BatchAnswer(queries, strategy, num_threads, limits);
 }
 
 Status Engine::SaveState(const std::string& path) const {
@@ -523,7 +512,6 @@ ServerStats Engine::ServerStats() const {
   }
   out.catalog_publishes = metrics_->catalog_publishes->Value();
   out.wal_appends = metrics_->wal_appends->Value();
-  out.batch_queries = metrics_->batch_queries->Value();
   out.storage_syncs = metrics_->storage_syncs->Value();
   out.storage_io_errors = metrics_->storage_io_errors->Value();
   out.storage_enospc = metrics_->storage_enospc->Value();

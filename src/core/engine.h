@@ -18,7 +18,7 @@
 // shared_ptr copy). Every query pins exactly one snapshot in
 // its ExecutionContext and answers against it end to end, so
 // AddView/RemoveView are safe to run fully concurrently with
-// AnswerQuery/BatchAnswer: readers never block on a mutation, never see a
+// AnswerQuery: readers never block on a mutation, never see a
 // half-applied one, and never lose a view out from under a join (the pin
 // keeps it alive). Writers serialize on an internal mutex, build the
 // successor snapshot copy-on-write (fragment vectors are shared, see
@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -95,7 +94,6 @@ struct ServerStats {
   PlanCache::Stats plan_cache;
   uint64_t catalog_publishes = 0;
   uint64_t wal_appends = 0;
-  uint64_t batch_queries = 0;
   // Storage durability and degradation (see obs/engine_metrics.h): sync
   // points paid, I/O failures survived (the engine keeps serving the prior
   // image), and what the last recovery had to do.
@@ -206,30 +204,21 @@ class Engine {
 
   using Answer = QueryAnswer;
 
-  // Answers with one ExecutionContext per calling thread, reused by every
-  // AnswerQuery and SelectViews call on that thread (and every engine it
-  // calls), so the NFA scratch, arena and buffers are allocated once per
-  // thread, not per query, and keep their largest size until the thread
-  // exits. The context keeps no catalog pin once the call returns.
-  Result<Answer> AnswerQuery(const TreePattern& query,
-                             AnswerStrategy strategy) const;
-
-  // Limit-aware variant: `limits` carries the deadline, the cancel token
-  // and the resource budgets (common/deadline.h). An expired deadline
-  // surfaces as DEADLINE_EXCEEDED within one stage boundary. When exact
-  // minimum selection meets a leaf universe too large for its DP, the
-  // planner degrades to the greedy heuristic instead
-  // (stats.degraded_selection) and the query still answers.
+  // Answers on the calling thread with one ExecutionContext per thread,
+  // reused by every AnswerQuery and SelectViews call on that thread (and
+  // every engine it calls), so the NFA scratch, arena and buffers are
+  // allocated once per thread, not per query, and keep their largest size
+  // until the thread exits. The context keeps no catalog pin once the call
+  // returns.
+  //
+  // `limits` carries the deadline, the cancel token and the resource
+  // budgets (common/deadline.h). An expired deadline surfaces as
+  // DEADLINE_EXCEEDED within one stage boundary. When exact minimum
+  // selection meets a leaf universe too large for its DP, the planner
+  // degrades to the greedy heuristic instead (stats.degraded_selection)
+  // and the query still answers.
   Result<Answer> AnswerQuery(const TreePattern& query, AnswerStrategy strategy,
-                             const QueryLimits& limits) const;
-
-  // Answers all queries, fanning them across `num_threads` workers (0 or 1
-  // = sequential). Results are positionally parallel to `queries` and
-  // identical to sequential AnswerQuery calls. Per-slot failures never
-  // abort or poison the rest of the batch; `limits` applies to every query.
-  std::vector<Result<Answer>> BatchAnswer(
-      std::span<const TreePattern> queries, AnswerStrategy strategy,
-      int num_threads = 0, const QueryLimits& limits = QueryLimits()) const;
+                             const QueryLimits& limits = QueryLimits()) const;
 
   // Selection only ("lookup" in the paper's Fig. 9). Valid for the view
   // strategies. The query is used as given (no minimization): the cover

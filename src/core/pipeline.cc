@@ -1,8 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "analysis/certify.h"
@@ -109,12 +107,10 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
       deps_.planner->BuildPlan(catalog, query, strategy, &ctx->nfa_scratch,
                                ctx->limits, &ctx->trace, &tombstone);
   if (!built.ok()) {
-    // Cache a NOT_ANSWERABLE verdict (when the planner produced one and no
-    // degradation tainted it) so repeated unanswerable queries skip the
-    // filter + selection work until a view that could change the verdict
-    // is published.
-    if (deps_.cache != nullptr && tombstone.not_answerable &&
-        !tombstone.plan_stats.degraded_selection) {
+    // Cache a NOT_ANSWERABLE verdict (when the planner produced one) so
+    // repeated unanswerable queries skip the filter + selection work until
+    // a view that could change the verdict is published.
+    if (deps_.cache != nullptr && tombstone.not_answerable) {
       deps_.cache->Insert(
           key, std::make_shared<const QueryPlan>(std::move(tombstone)));
     }
@@ -127,8 +123,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPipeline::Plan(
   auto shared = std::make_shared<const QueryPlan>(std::move(plan));
   XVR_DEBUG_VALIDATE(CertifyPlanHook(*shared, catalog, deps_.doc->labels(),
                                      *deps_.metrics));
-  // A degraded plan is never cached (see QueryPlan::plan_stats).
-  if (deps_.cache != nullptr && !shared->plan_stats.degraded_selection) {
+  if (deps_.cache != nullptr) {
     deps_.cache->Insert(key, shared);
   }
   return shared;
@@ -264,73 +259,6 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
     m.arena_high_water->Set(used);
   }
   return answer;
-}
-
-std::vector<Result<QueryAnswer>> QueryPipeline::BatchAnswer(
-    std::span<const TreePattern> queries, AnswerStrategy strategy,
-    int num_threads, const QueryLimits& limits) const {
-  // The fan-out loops here only dispatch; every per-query deadline check
-  // runs inside Answer() (lint:deadline-ok).
-  std::vector<Result<QueryAnswer>> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results.emplace_back(Status::Internal("batch slot not filled"));
-  }
-  if (queries.empty()) {
-    return results;
-  }
-  // Queue-wait accounting: every query "arrives" when the batch is
-  // submitted, so its wait is pickup time minus batch start.
-  const EngineMetrics& metrics = *deps_.metrics;
-  metrics.batch_queries->Add(queries.size());
-  const int64_t batch_start_nanos = MonotonicNanos();
-
-  // Build any lazily-constructed shared state up front so workers only ever
-  // read it.
-  if (!IsBaseStrategy(strategy)) {
-    XVR_CHECK(deps_.doc->fst() != nullptr)
-        << "document has no FST (Dewey codes not assigned?)";
-  } else {
-    deps_.base->Warm(strategy == AnswerStrategy::kBaseNodeIndex
-                         ? BaseStrategy::kNodeIndex
-                         : BaseStrategy::kFullIndex);
-  }
-
-  const size_t workers = std::min<size_t>(
-      queries.size(),
-      static_cast<size_t>(std::max(num_threads, 1)));
-  if (workers <= 1) {
-    ExecutionContext ctx;
-    ctx.limits = limits;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      metrics.batch_queue_wait->RecordNanos(MonotonicNanos() -
-                                            batch_start_nanos);
-      results[i] = Answer(queries[i], strategy, &ctx);
-    }
-    return results;
-  }
-
-  std::atomic<size_t> next{0};
-  auto worker = [&] {
-    ExecutionContext ctx;  // per-thread scratch
-    ctx.limits = limits;
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < queries.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      metrics.batch_queue_wait->RecordNanos(MonotonicNanos() -
-                                            batch_start_nanos);
-      results[i] = Answer(queries[i], strategy, &ctx);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t t = 0; t < workers; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  return results;
 }
 
 }  // namespace xvr

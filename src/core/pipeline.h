@@ -12,14 +12,12 @@
 // with answering — a mutation publishes a successor snapshot that only
 // queries pinned *after* it observe, while in-flight queries keep their
 // snapshot (and every view in it) alive until they finish. One pipeline
-// serves any number of threads at once, which is what BatchAnswer
-// exploits: it fans a batch of queries across a small worker pool, each
-// worker carrying its own context, all sharing the plans in the PlanCache.
+// serves any number of threads at once, each carrying its own context, all
+// sharing the plans in the PlanCache.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/deadline.h"
@@ -104,18 +102,6 @@ class QueryPipeline {
   Result<QueryAnswer> Answer(const TreePattern& query,
                              AnswerStrategy strategy,
                              ExecutionContext* ctx) const;
-
-  // Answers all queries with `num_threads` workers (0 or 1 = sequential in
-  // the calling thread; capped at the batch size). Results are positionally
-  // parallel to `queries` and identical to calling Answer sequentially.
-  // Failures are isolated per slot: one query failing (unanswerable, over
-  // budget, fault-injected) never aborts or poisons the rest of the batch.
-  // `limits` applies to every query; a batch-wide deadline makes stragglers
-  // fail fast with DEADLINE_EXCEEDED while finished slots keep their
-  // answers.
-  std::vector<Result<QueryAnswer>> BatchAnswer(
-      std::span<const TreePattern> queries, AnswerStrategy strategy,
-      int num_threads, const QueryLimits& limits = QueryLimits()) const;
 
  private:
   // Answer() minus the metrics accounting: the traced plan + execute body.

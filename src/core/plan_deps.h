@@ -51,7 +51,7 @@ struct PlanDependencies {
   // Base-strategy plans: they read no views at all and survive every
   // publication, including a full catalog swap.
   bool catalog_free = false;
-  // True when `views` is the full VFILTER candidate set (MV/HV/HB); false
+  // True when `views` is the full VFILTER candidate set (MV/HV); false
   // when it is only the selected set (MN, which never ran the filter).
   bool filtered = false;
   // The positive dependency set, sorted ascending, deduplicated.

@@ -19,7 +19,7 @@ bool ShouldDegradeExhaustive(const Status& status) {
   return status.code() == StatusCode::kResourceExhausted;
 }
 
-// The filter step of the filtered strategies (MV, HV, HB), timed as
+// The filter step of the filtered strategies (MV, HV), timed as
 // plan.filter.
 Result<FilterResult> FilterStep(const CatalogSnapshot& catalog,
                                 const TreePattern& query, AnswerStats* stats,
@@ -52,8 +52,6 @@ const char* AnswerStrategyName(AnswerStrategy strategy) {
       return "MV";
     case AnswerStrategy::kHeuristicFiltered:
       return "HV";
-    case AnswerStrategy::kHeuristicSmallFragments:
-      return "HB";
   }
   return "?";
 }
@@ -104,9 +102,7 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         stats->filter_micros = filter_span.StopMicros();
         stats->candidates_after_filter = filtered.candidates.size();
         ScopedSpan retry_span(trace, "plan.selection");
-        HeuristicOptions options;
-        options.limits = limits;
-        selection = SelectHeuristic(query, filtered, lookup, options);
+        selection = SelectHeuristic(query, filtered, lookup, limits);
         stats->selection_micros += retry_span.StopMicros();
       }
       if (selection.ok()) {
@@ -125,9 +121,7 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
           SelectMinimum(query, filtered.candidates, lookup, limits);
       if (!selection.ok() && ShouldDegradeExhaustive(selection.status())) {
         stats->degraded_selection = true;
-        HeuristicOptions options;
-        options.limits = limits;
-        selection = SelectHeuristic(query, filtered, lookup, options);
+        selection = SelectHeuristic(query, filtered, lookup, limits);
       }
       stats->selection_micros = selection_span.StopMicros();
       if (selection.ok()) {
@@ -136,23 +130,14 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       }
       return selection;
     }
-    case AnswerStrategy::kHeuristicFiltered:
-    case AnswerStrategy::kHeuristicSmallFragments: {
+    case AnswerStrategy::kHeuristicFiltered: {
       FilterResult filtered;
       XVR_ASSIGN_OR_RETURN(filtered,
                            FilterStep(catalog, query, stats, scratch, limits,
                                       trace, candidates_out));
       ScopedSpan selection_span(trace, "plan.selection");
-      HeuristicOptions options;
-      options.limits = limits;
-      if (strategy == AnswerStrategy::kHeuristicSmallFragments) {
-        options.order = HeuristicOptions::Order::kFragmentBytes;
-        options.view_bytes = [&catalog](int32_t id) {
-          return catalog.fragments.ViewByteSize(id);
-        };
-      }
       Result<SelectionResult> selection =
-          SelectHeuristic(query, filtered, lookup, options);
+          SelectHeuristic(query, filtered, lookup, limits);
       stats->selection_micros = selection_span.StopMicros();
       if (selection.ok()) {
         stats->covers_computed = selection->covers_computed;
@@ -200,7 +185,7 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
              limits, trace, &candidates);
   if (!selection.ok()) {
     if (selection.status().code() == StatusCode::kNotAnswerable &&
-        tombstone_out != nullptr && !plan.plan_stats.degraded_selection) {
+        tombstone_out != nullptr) {
       // Selection proved no view set answers the query (over the candidate
       // set for filtered strategies, over the whole catalog for MN).
       // Record the verdict as a cacheable negative plan: its fingerprint
@@ -295,10 +280,6 @@ void PlanCache::Insert(const std::string& key,
     return;
   }
   MutexLock lock(&mu_);
-  // A degraded plan never enters the cache (see QueryPlan::plan_stats).
-  if (plan->plan_stats.degraded_selection) {
-    return;
-  }
   // A plan built against a catalog older than the last swept publication
   // raced with a publish: its dependencies never saw the newer mutations,
   // so admitting it could under-invalidate. The builder simply re-plans.

@@ -55,16 +55,12 @@ enum class AnswerStrategy {
   kMinimumNoFilter,    // MN: minimum view set, no VFILTER
   kMinimumFiltered,    // MV: minimum view set over VFILTER candidates
   kHeuristicFiltered,  // HV: Algorithm 2 over VFILTER candidates
-  // HB: the cost-model variant §IV-B sketches — Algorithm 2 ordering
-  // candidates by materialized fragment size instead of path length.
-  kHeuristicSmallFragments,
 };
 
 inline constexpr AnswerStrategy kAllAnswerStrategies[] = {
     AnswerStrategy::kBaseNodeIndex,   AnswerStrategy::kBaseFullIndex,
     AnswerStrategy::kMinimumNoFilter, AnswerStrategy::kMinimumFiltered,
     AnswerStrategy::kHeuristicFiltered,
-    AnswerStrategy::kHeuristicSmallFragments,
 };
 
 const char* AnswerStrategyName(AnswerStrategy strategy);
@@ -100,9 +96,9 @@ struct AnswerStats {
   // True when the plan (filter + selection) came out of the PlanCache.
   bool plan_cache_hit = false;
   // The degradation that can fire while planning: exhaustive minimum-set
-  // selection overran its deadline slice (or blew the DP's 20-bit
-  // universe) and the planner fell back to the greedy heuristic — the
-  // answer is still correct, just possibly over more views.
+  // selection met a leaf universe too large for the DP's 20 bits and the
+  // planner fell back to the greedy heuristic — the answer is still
+  // correct, just possibly over more views.
   bool degraded_selection = false;
   RewriteStats rewrite;
 };
@@ -129,9 +125,9 @@ struct QueryPlan {
   PlanCompensation compensation;
 
   // Planning-phase stats (filter/selection timings, candidate counts).
-  // Plans with plan_stats.degraded_selection are never inserted into the
-  // PlanCache (PlanCache::Insert rejects them defensively), so a query
-  // whose leaf universe overflows exact selection replans on every call.
+  // A degraded plan (plan_stats.degraded_selection) is cached like any
+  // other: the overflow depends on the query alone, so replanning the same
+  // query against the same catalog would degrade the same way.
   AnswerStats plan_stats;
 
   // Negative plan ("tombstone"): selection proved the query unanswerable
@@ -168,7 +164,7 @@ class Planner {
   // mirroring the timings written into `stats`.
   //
   // `candidates_out`, when non-null, receives the VFILTER candidate set the
-  // filtered strategies (MV/HV/HB) planned over — even when selection then
+  // filtered strategies (MV/HV) planned over — even when selection then
   // fails — so BuildPlan can record it as the plan's positive dependency
   // set. Left empty for MN (which plans over the whole catalog without
   // filtering).

@@ -28,17 +28,6 @@ const PathIndex& BaseEvaluator::path_index() const {
   return *path_index_;
 }
 
-void BaseEvaluator::Warm(BaseStrategy strategy) const {
-  switch (strategy) {
-    case BaseStrategy::kNodeIndex:
-      node_index();
-      break;
-    case BaseStrategy::kFullIndex:
-      path_index();
-      break;
-  }
-}
-
 std::vector<NodeId> BaseEvaluator::Evaluate(const TreePattern& pattern,
                                             BaseStrategy strategy) const {
   switch (strategy) {

@@ -3,7 +3,7 @@
 
 // Facade over the two base-data execution baselines of the paper's Fig. 8:
 // BN (basic node index) and BF (full path index). Indexes are built lazily
-// and cached so concurrent readers (the batch pipeline) can share one
+// and cached so concurrent readers (the server's workers) can share one
 // evaluator: each index has a build mutex guarding its owning pointer and
 // an atomic publication pointer for the lock-free fast path (classic
 // double-checked locking, visible to the thread-safety analysis).
@@ -35,10 +35,6 @@ class BaseEvaluator {
 
   const NodeIndex& node_index() const XVR_EXCLUDES(node_mu_);
   const PathIndex& path_index() const XVR_EXCLUDES(path_mu_);
-
-  // Eagerly builds the index the strategy needs (call before fanning a
-  // batch across threads to keep the first queries from paying the build).
-  void Warm(BaseStrategy strategy) const;
 
  private:
   const XmlTree& tree_;

@@ -1115,12 +1115,12 @@ std::string HttpServer::HandleBatch(const Job& job, const QueryLimits& limits,
   const JsonValue* queries = root.Find("queries");
   if (!root.is_object() || queries == nullptr || !queries->is_array() ||
       queries->items.empty() ||
-      queries->items.size() > options_.max_batch_queries) {
+      queries->items.size() > options_.max_batch_slots) {
     *http_status = 400;
     return ErrorBody(
         "BAD_REQUEST",
         "body must be {\"queries\": [...]} with 1 to " +
-            std::to_string(options_.max_batch_queries) + " entries");
+            std::to_string(options_.max_batch_slots) + " entries");
   }
   const Result<AnswerStrategy> strategy =
       RequestStrategy(root, options_.default_strategy);
@@ -1152,32 +1152,20 @@ std::string HttpServer::HandleBatch(const Job& job, const QueryLimits& limits,
       patterns.push_back(engine_->Parse(std::string(xpath)));
     }
   }
-  std::vector<TreePattern> valid;
-  std::vector<size_t> valid_index;
-  for (size_t i = 0; i < n; ++i) {
-    if (patterns[i].ok()) {
-      valid.push_back(std::move(patterns[i]).value());
-      valid_index.push_back(i);
-    }
-  }
-  // Sequential within this worker: cross-request parallelism comes from
-  // the worker pool, and one runaway batch must not grab extra threads.
-  const std::vector<Result<Engine::Answer>> answers =
-      engine_->BatchAnswer(valid, *strategy, /*num_threads=*/0, effective);
-
+  // Slot by slot on this worker, through the worker's own context:
+  // cross-request parallelism comes from the worker pool, and one runaway
+  // batch must not grab extra threads. A failing slot fails that slot only.
   std::string body = "{\"results\":[";
-  size_t next_valid = 0;
   for (size_t i = 0; i < n; ++i) {
     if (i > 0) {
       body.push_back(',');
     }
-    const bool is_valid =
-        next_valid < valid_index.size() && valid_index[next_valid] == i;
-    if (!is_valid) {
+    if (!patterns[i].ok()) {
       body += StatusBody(patterns[i].status());
       continue;
     }
-    const Result<Engine::Answer>& answer = answers[next_valid++];
+    const Result<Engine::Answer> answer =
+        engine_->AnswerQuery(*patterns[i], *strategy, effective);
     if (!answer.ok()) {
       body += StatusBody(answer.status());
       continue;

@@ -81,8 +81,8 @@ struct HttpServerOptions {
   int64_t max_deadline_millis = 10000;
   // Shutdown grace: after this, in-flight requests are cancel()ed.
   int64_t drain_timeout_millis = 5000;
-  // Queries per POST /batch body before a 400.
-  size_t max_batch_queries = 256;
+  // Slots per POST /batch body before a 400.
+  size_t max_batch_slots = 256;
   AnswerStrategy default_strategy = AnswerStrategy::kHeuristicFiltered;
   // Test/bench knob: per admitted request the worker sleeps this long
   // (cancellation- and deadline-aware) before touching the engine — a

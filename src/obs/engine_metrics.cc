@@ -43,7 +43,6 @@ EngineMetrics::EngineMetrics(MetricsRegistry* registry) {
 
   catalog_publishes = registry->GetCounter("xvr.catalog.publishes");
   wal_appends = registry->GetCounter("xvr.wal.appends");
-  batch_queries = registry->GetCounter("xvr.batch.queries");
 
   storage_syncs = registry->GetCounter("xvr.storage.syncs");
   storage_io_errors = registry->GetCounter("xvr.storage.io_errors");
@@ -79,7 +78,6 @@ EngineMetrics::EngineMetrics(MetricsRegistry* registry) {
   arena_high_water = registry->GetGauge("xvr.arena.high_water");
 
   query_latency = registry->GetHistogram("xvr.query.latency");
-  batch_queue_wait = registry->GetHistogram("xvr.batch.queue_wait");
   server_queue_wait = registry->GetHistogram("xvr.server.queue_wait");
 
   static_assert(kStages == sizeof(kStageNames) / sizeof(kStageNames[0]));

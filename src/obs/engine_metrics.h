@@ -23,7 +23,6 @@
 //                                         unaffected and re-stamped
 //   xvr.catalog.publishes                  snapshot publications
 //   xvr.wal.appends                        catalog WAL records written
-//   xvr.batch.queries                      queries submitted via BatchAnswer
 //   xvr.storage.syncs                      fsync/fdatasync durability points
 //                                          paid (file Sync + SyncDir)
 //   xvr.storage.io_errors                  storage Env ops that failed with
@@ -44,7 +43,6 @@
 //   xvr.arena.bytes_allocated              last query's arena footprint
 //   xvr.arena.high_water                   largest arena footprint seen
 //   xvr.query.latency                      whole-call latency histogram
-//   xvr.batch.queue_wait                   submit -> pickup wait per query
 //   xvr.server.accepted                    HTTP connections accepted
 //   xvr.server.requests / responses        HTTP requests in / responses out
 //   xvr.server.shed                        engine requests load-shed (503),
@@ -102,7 +100,6 @@ struct EngineMetrics {
 
   Counter* catalog_publishes;
   Counter* wal_appends;
-  Counter* batch_queries;
 
   Counter* storage_syncs;
   Counter* storage_io_errors;
@@ -137,7 +134,6 @@ struct EngineMetrics {
   Gauge* arena_high_water;
 
   LatencyHistogram* query_latency;
-  LatencyHistogram* batch_queue_wait;
   LatencyHistogram* server_queue_wait;
 
  private:

@@ -11,23 +11,7 @@ namespace xvr {
 Result<SelectionResult> SelectHeuristic(const TreePattern& query,
                                         const FilterResult& filtered,
                                         const ViewLookup& lookup,
-                                        const HeuristicOptions& options) {
-  // Candidate order per list: Algorithm 2's longest-path-first, or the
-  // smallest-fragments-first cost-model variant.
-  const auto ordered_list =
-      [&](const std::vector<ViewLengthEntry>& list) {
-        std::vector<ViewLengthEntry> out = list;
-        if (options.order == HeuristicOptions::Order::kFragmentBytes &&
-            options.view_bytes) {
-          std::stable_sort(out.begin(), out.end(),
-                           [&](const ViewLengthEntry& a,
-                               const ViewLengthEntry& b) {
-                             return options.view_bytes(a.view_id) <
-                                    options.view_bytes(b.view_id);
-                           });
-        }
-        return out;
-      };
+                                        const QueryLimits& limits) {
   LeafUniverse universe(query);
   SelectionResult result;
 
@@ -52,11 +36,10 @@ Result<SelectionResult> SelectHeuristic(const TreePattern& query,
 
   // Each candidate probe may compute a cover (a homomorphism search);
   // check the deadline every few probes.
-  InterruptTicker ticker(options.limits, /*stride=*/16);
+  InterruptTicker ticker(limits, /*stride=*/16);
   const uint64_t leaf_bits = universe.answer_bit() - 1;
   while ((uncovered & leaf_bits) != 0) {
-    XVR_RETURN_IF_ERROR(
-        CheckInterrupted(options.limits, "selection.heuristic"));
+    XVR_RETURN_IF_ERROR(CheckInterrupted(limits, "selection.heuristic"));
     int pick = 0;
     while ((uncovered & (uint64_t{1} << pick)) == 0) {
       ++pick;
@@ -74,8 +57,9 @@ Result<SelectionResult> SelectHeuristic(const TreePattern& query,
     XVR_CHECK(path_index >= 0) << "leaf missing from decomposition";
 
     bool covered = false;
+    // LIST(P_i) is sorted longest path first (FilterResult::lists).
     for (const ViewLengthEntry& entry :
-         ordered_list(filtered.lists[static_cast<size_t>(path_index)])) {
+         filtered.lists[static_cast<size_t>(path_index)]) {
       XVR_RETURN_IF_ERROR(ticker.Tick("selection.heuristic"));
       if (selected_ids.count(entry.view_id) > 0) {
         continue;  // already selected; its cover is already applied
@@ -111,7 +95,6 @@ Result<SelectionResult> SelectHeuristic(const TreePattern& query,
                 if (a.length != b.length) return a.length > b.length;
                 return a.view_id < b.view_id;
               });
-    all = ordered_list(all);
     bool covered = false;
     for (const ViewLengthEntry& entry : all) {
       XVR_RETURN_IF_ERROR(ticker.Tick("selection.heuristic"));

@@ -20,29 +20,15 @@
 
 namespace xvr {
 
-struct HeuristicOptions {
-  // How candidate views are ordered per uncovered leaf:
-  //  * kPathLength — the paper's Algorithm 2: longest accepting view path
-  //    first (a proxy for selective views with small fragments);
-  //  * kFragmentBytes — the cost-model variant §IV-B sketches but omits:
-  //    smallest materialized fragments first (requires `view_bytes`).
-  enum class Order { kPathLength, kFragmentBytes };
-  Order order = Order::kPathLength;
-  // Materialized byte size per view id; consulted for kFragmentBytes.
-  std::function<size_t(int32_t)> view_bytes;
-  // Deadline / cancellation, honored between cover computations. The greedy
-  // walk is near-linear, so unlike SelectMinimum there is no budget to blow
-  // — only the deadline and the cancel token apply.
-  QueryLimits limits;
-};
-
 // `filtered` must come from VFilter::Filter(query) (or a compatible
 // construction); `lookup` resolves candidate ids to patterns. Uncovered
-// leaves are taken in leaf order (the paper picks one at random).
-Result<SelectionResult> SelectHeuristic(const TreePattern& query,
-                                        const FilterResult& filtered,
-                                        const ViewLookup& lookup,
-                                        const HeuristicOptions& options = {});
+// leaves are taken in leaf order (the paper picks one at random). The
+// greedy walk is near-linear, so unlike SelectMinimum there is no budget to
+// blow: only the deadline and the cancel token of `limits` apply, checked
+// between cover computations.
+Result<SelectionResult> SelectHeuristic(
+    const TreePattern& query, const FilterResult& filtered,
+    const ViewLookup& lookup, const QueryLimits& limits = QueryLimits());
 
 }  // namespace xvr
 

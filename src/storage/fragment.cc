@@ -56,6 +56,7 @@ class Reader {
     pos_ += len;
     return true;
   }
+  bool AtEnd() const { return pos_ == bytes_.size(); }
 
  private:
   const std::string& bytes_;
@@ -489,9 +490,9 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
 namespace {
 
 // Reads a v2 image into `sink` (PartCounts or BlockWriter) part by part, in
-// block order, checking its framing: every length within the image and the
-// table ids strictly ascending below the node count. The node order is
-// checked by BlockWriter::Finish.
+// block order, checking its framing: every length within the image, the
+// table ids strictly ascending below the node count and no byte past the
+// last part. The node order is checked by BlockWriter::Finish.
 template <typename Sink>
 Status ReadImage(const std::string& bytes, Sink* sink) {
   Reader r(bytes);
@@ -571,6 +572,9 @@ Status ReadImage(const std::string& bytes, Sink* sink) {
       }
       sink->AddAttr(name, value);
     }
+  }
+  if (!r.AtEnd()) {
+    return Status::ParseError("corrupt fragment (bytes past the image)");
   }
   return Status::Ok();
 }

@@ -40,9 +40,8 @@ class FragmentStore {
   bool HasView(int32_t view_id) const;
   void RemoveView(int32_t view_id);
 
-  // Serialized byte size of one view's fragments (the 128 KB cap metric and
-  // the HB planning order), 0 for an unknown view. A lookup: PutView
-  // computed it.
+  // Serialized byte size of one view's fragments (the 128 KB cap metric),
+  // 0 for an unknown view. A lookup: PutView computed it.
   size_t ViewByteSize(int32_t view_id) const;
 
   size_t num_views() const { return views_.size(); }

@@ -108,8 +108,7 @@ const char kPredQuery[] = "/site/people/person[@id = \"person0\"]/name";
 TEST(CertifyAcceptTest, GenuinePlansCertifyUnderEveryViewStrategy) {
   for (const AnswerStrategy strategy :
        {AnswerStrategy::kMinimumNoFilter, AnswerStrategy::kMinimumFiltered,
-        AnswerStrategy::kHeuristicFiltered,
-        AnswerStrategy::kHeuristicSmallFragments}) {
+        AnswerStrategy::kHeuristicFiltered}) {
     PlanFixture f = MakePlan({kStructView}, kStructQuery, strategy);
     ASSERT_TRUE(f.ok) << AnswerStrategyName(strategy);
     ASSERT_TRUE(f.plan.uses_views);

@@ -130,29 +130,7 @@ TEST(QueryGenAttributes, OffByDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: HB strategy, persistence.
-
-TEST(EngineExtensions, SmallFragmentStrategyAgrees) {
-  XmarkOptions doc_options;
-  doc_options.scale = 0.15;
-  Engine engine(GenerateXmark(doc_options));
-  for (const char* vx :
-       {"//person[profile/interest]/name", "//person/name",
-        "//profile/interest"}) {
-    auto v = engine.Parse(vx);
-    ASSERT_TRUE(v.ok());
-    ASSERT_TRUE(engine.AddView(std::move(v).value()).ok()) << vx;
-  }
-  auto q = engine.Parse("/site/people/person[profile/interest]/name");
-  ASSERT_TRUE(q.ok());
-  auto hv = engine.AnswerQuery(*q, AnswerStrategy::kHeuristicFiltered);
-  auto hb = engine.AnswerQuery(*q, AnswerStrategy::kHeuristicSmallFragments);
-  ASSERT_TRUE(hv.ok());
-  ASSERT_TRUE(hb.ok()) << hb.status();
-  EXPECT_EQ(hv->codes, hb->codes);
-  EXPECT_STREQ(AnswerStrategyName(AnswerStrategy::kHeuristicSmallFragments),
-               "HB");
-}
+// Engine: persistence.
 
 TEST(EngineExtensions, SaveLoadStateRoundTrip) {
   const std::string path = TestTempPath("state.bin");

@@ -6,11 +6,11 @@
 //     fragment's subtree, over randomized documents and generated patterns;
 //     subtree_end/preorder structural invariants;
 //   - serde: images round-trip byte-for-byte; images without the magic
-//     marker, out of preorder or with duplicate side-table ids are
-//     rejected; truncated images fail cleanly;
+//     marker, out of preorder, with duplicate side-table ids or with bytes
+//     past their end are rejected; truncated images fail cleanly;
 //   - VFILTER layer: no view with a homomorphism into the query is filtered
 //     out of a catalog with dense-dispatch states, and serde keeps them;
-//   - rewrite layer: HV, MV and HB answers against BN (base evaluation, no
+//   - rewrite layer: HV and MV answers against BN (base evaluation, no
 //     views) on generated queries the catalog answers, sequentially and on
 //     four threads (arena-per-context under TSan); budgets; arena reuse
 //     across a steady sequential stream.
@@ -257,6 +257,15 @@ TEST(FragmentSerdeTest, DuplicateTextIdImageIsRejected) {
   EXPECT_EQ(unsorted.status().code(), StatusCode::kParseError);
 }
 
+TEST(FragmentSerdeTest, PaddedImagesAreRejected) {
+  const std::string full = SampleFragment().Serialize();
+  for (const size_t pad : {1u, 3u, 7u}) {
+    auto r = Fragment::Deserialize(full + std::string(pad, '\x5a'));
+    ASSERT_FALSE(r.ok()) << pad << " bytes past the image must not parse";
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
+}
+
 TEST(FragmentSerdeTest, TruncatedImagesFailCleanly) {
   const Fragment frag = SampleFragment();
   const std::string full = frag.Serialize();
@@ -401,13 +410,22 @@ class ViewStrategyDifferentialTest : public ::testing::Test {
   static constexpr AnswerStrategy kViewStrategies[] = {
       AnswerStrategy::kHeuristicFiltered,
       AnswerStrategy::kMinimumFiltered,
-      AnswerStrategy::kHeuristicSmallFragments,
   };
 
+  // Answers `queries` under `strategy` one after another on this thread.
+  std::vector<Result<QueryAnswer>> AnswerInTurn(
+      const std::vector<TreePattern>& queries, AnswerStrategy strategy) const {
+    std::vector<Result<QueryAnswer>> answers;
+    for (const TreePattern& query : queries) {
+      answers.push_back(engine_->AnswerQuery(query, strategy));
+    }
+    return answers;
+  }
+
   // An XMark document with 40 generated views; the batch is the generated
-  // queries, out of 300 draws, that HV answers from them (161; 19 of the
-  // 483 HV, MV and HB answers join several views), and bn_ holds BN's
-  // answers to it.
+  // queries, out of 300 draws, that HV answers from them (161; 12 of the
+  // 322 HV and MV answers join several views), and bn_ holds BN's answers
+  // to it.
   void BuildCatalog() {
     XmarkOptions doc_options;
     doc_options.scale = 0.12;
@@ -426,22 +444,21 @@ class ViewStrategyDifferentialTest : public ::testing::Test {
     for (int i = 0; i < 300; ++i) {
       draws.push_back(generator.Generate(&rng));
     }
-    const auto hv =
-        engine_->BatchAnswer(draws, AnswerStrategy::kHeuristicFiltered);
+    const auto hv = AnswerInTurn(draws, AnswerStrategy::kHeuristicFiltered);
     for (size_t i = 0; i < draws.size(); ++i) {
       if (hv[i].ok()) {
         batch_.push_back(std::move(draws[i]));
       }
     }
     ASSERT_GE(batch_.size(), 100u);
-    bn_ = engine_->BatchAnswer(batch_, AnswerStrategy::kBaseNodeIndex);
+    bn_ = AnswerInTurn(batch_, AnswerStrategy::kBaseNodeIndex);
   }
 
-  // Answers the batch under `strategy` on `num_threads` workers and expects
-  // BN's codes in every slot. Returns how many answers joined several views.
-  int ExpectBatchMatchesBn(AnswerStrategy strategy, int num_threads) {
+  // Expects BN's codes in every slot of `answers`, the batch answered
+  // under `strategy`. Returns how many answers joined several views.
+  int ExpectBatchMatchesBn(AnswerStrategy strategy,
+                           const std::vector<Result<QueryAnswer>>& answers) {
     const char* name = AnswerStrategyName(strategy);
-    const auto answers = engine_->BatchAnswer(batch_, strategy, num_threads);
     EXPECT_EQ(answers.size(), bn_.size());
     int joins = 0;
     for (size_t i = 0; i < answers.size() && i < bn_.size(); ++i) {
@@ -466,17 +483,19 @@ TEST_F(ViewStrategyDifferentialTest, ViewAnswersMatchBnOnXmark) {
   ASSERT_NO_FATAL_FAILURE(BuildCatalog());
   int joins = 0;
   for (AnswerStrategy strategy : kViewStrategies) {
-    joins += ExpectBatchMatchesBn(strategy, /*num_threads=*/0);
+    joins += ExpectBatchMatchesBn(strategy, AnswerInTurn(batch_, strategy));
   }
   EXPECT_GT(joins, 0) << "no answer joined more than one view";
 }
 
 TEST_F(ViewStrategyDifferentialTest, ThreadedBatchMatchesBn) {
-  // Four workers, one arena-bearing ExecutionContext each: the TSan shape
+  // Four threads, one arena-bearing ExecutionContext each: the TSan shape
   // for the serving path.
   ASSERT_NO_FATAL_FAILURE(BuildCatalog());
   for (AnswerStrategy strategy : kViewStrategies) {
-    ExpectBatchMatchesBn(strategy, /*num_threads=*/4);
+    const auto answers =
+        AnswerOnThreads(*engine_, batch_, strategy, /*num_threads=*/4);
+    ExpectBatchMatchesBn(strategy, answers);
   }
 }
 
@@ -497,21 +516,20 @@ TEST_F(ViewStrategyDifferentialTest, TightBudgetsExhaustResources) {
   QueryLimits tight;
   tight.max_result_codes = 1;    // every answer here has more codes
   tight.max_join_fragments = 2;  // and every view more refined fragments
-  const auto results =
-      engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                         /*num_threads=*/0, tight);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_FALSE(results[i].ok()) << "slot " << i;
-    EXPECT_EQ(results[i].status().code(), StatusCode::kResourceExhausted)
-        << "slot " << i << ": " << results[i].status();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto result =
+        engine.AnswerQuery(batch[i], AnswerStrategy::kHeuristicFiltered, tight);
+    ASSERT_FALSE(result.ok()) << "slot " << i;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << "slot " << i << ": " << result.status();
   }
 }
 
 TEST_F(ViewStrategyDifferentialTest, SteadyStreamReusesArenaCapacity) {
-  // Sequential BatchAnswer drives every query through ONE context: the
-  // arena must reach its high-water mark and then serve identical answers
-  // with a stable footprint (Reset() + chunk reuse, no growth).
+  // AnswerQuery in turn drives every query through ONE context, the
+  // thread's own: the arena must reach its high-water mark and then serve
+  // identical answers with a stable footprint (Reset() + chunk reuse, no
+  // growth).
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
   doc_options.seed = 31;
@@ -520,9 +538,11 @@ TEST_F(ViewStrategyDifferentialTest, SteadyStreamReusesArenaCapacity) {
   ASSERT_TRUE(engine.AddView(*engine.Parse("//item/location")).ok());
 
   const TreePattern query = *engine.Parse("/site/people/person/name");
-  std::vector<TreePattern> batch(16, query);
-  const auto first =
-      engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered);
+  std::vector<Result<QueryAnswer>> first;
+  for (int i = 0; i < 16; ++i) {
+    first.push_back(
+        engine.AnswerQuery(query, AnswerStrategy::kHeuristicFiltered));
+  }
   for (const auto& r : first) {
     ASSERT_TRUE(r.ok()) << r.status();
   }

@@ -444,27 +444,6 @@ TEST_F(EngineObservabilityTest, DegradedSelectionIsCounted) {
       1u);
 }
 
-TEST_F(EngineObservabilityTest, BatchRecordsQueueWaitAndQueryCount) {
-  AddViews();
-  std::vector<TreePattern> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(Parse("/r/s[f]/p"));
-  }
-  auto results = engine_.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                                     /*num_threads=*/2);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.status();
-  }
-  const xvr::ServerStats stats = engine_.ServerStats();
-  EXPECT_EQ(stats.batch_queries, 8u);
-  EXPECT_EQ(stats.queries_total, 8u);
-  EXPECT_EQ(engine_.metrics()
-                .GetHistogram("xvr.batch.queue_wait")
-                ->TakeSnapshot()
-                .count,
-            8u);
-}
-
 TEST_F(EngineObservabilityTest, WalAppendsAreCounted) {
   const std::string path = TestTempPath("xvr_obs_wal.bin");
   std::remove(path.c_str());

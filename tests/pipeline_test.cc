@@ -1,5 +1,5 @@
 // Tests for the staged query pipeline: plan caching and invalidation,
-// concurrent BatchAnswer equivalence with sequential AnswerQuery across all
+// threaded AnswerQuery equivalence with sequential AnswerQuery across all
 // strategies, and full resource release on RemoveView.
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "core/planner.h"
 #include "obs/trace.h"
 #include "pattern/xpath_parser.h"
+#include "test_util.h"
 #include "workload/workloads.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
@@ -399,16 +400,15 @@ TEST_F(PipelineTest, PublishSweepFreesCapacityEagerly) {
   EXPECT_TRUE(hit->stats.plan_cache_hit);
 }
 
-// Degraded plans must never enter the cache (they reflect one call's
-// deadline, and their dependency sets are untrustworthy), and a racing
-// insert of a plan built against a pre-sweep catalog is refused — either
-// would let a stale plan dodge the publish sweep.
-TEST_F(PipelineTest, InsertRejectsDegradedAndPreSweepPlans) {
+// A racing insert of a plan built against a pre-sweep catalog is refused:
+// it would let a stale plan dodge the publish sweep. A degraded plan is
+// admitted like any other (its degradation depends on the query alone).
+TEST_F(PipelineTest, InsertRejectsPreSweepPlans) {
   PlanCache cache(/*capacity=*/4);
   auto degraded = std::make_shared<QueryPlan>();
   degraded->plan_stats.degraded_selection = true;
   cache.Insert("d", std::move(degraded));
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
 
   cache.OnCatalogPublish(2, CatalogDelta::Full());
   auto pre_sweep = std::make_shared<QueryPlan>();
@@ -422,7 +422,7 @@ TEST_F(PipelineTest, InsertRejectsDegradedAndPreSweepPlans) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// --- BatchAnswer ------------------------------------------------------------
+// --- Threaded answering -----------------------------------------------------
 
 class BatchTest : public ::testing::Test {
  protected:
@@ -453,8 +453,8 @@ TEST_F(BatchTest, ConcurrentBatchMatchesSequentialForAllStrategies) {
           << AnswerStrategyName(strategy) << ": " << answer.status();
       expected.push_back(answer->codes);
     }
-    auto results = setup_.engine->BatchAnswer(batch_, strategy,
-                                              /*num_threads=*/4);
+    auto results = AnswerOnThreads(*setup_.engine, batch_, strategy,
+                                   /*num_threads=*/4);
     ASSERT_EQ(results.size(), batch_.size());
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].ok())
@@ -478,8 +478,9 @@ TEST_F(BatchTest, ConcurrentBatchMatchesSequentialForAllStrategies) {
 
 TEST_F(BatchTest, BatchSeesPlanCacheHitsOnRepeats) {
   ASSERT_NE(setup_.engine->plan_cache(), nullptr);
-  auto results = setup_.engine->BatchAnswer(
-      batch_, AnswerStrategy::kHeuristicFiltered, /*num_threads=*/4);
+  auto results = AnswerOnThreads(*setup_.engine, batch_,
+                                 AnswerStrategy::kHeuristicFiltered,
+                                 /*num_threads=*/4);
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok()) << r.status();
   }
@@ -491,22 +492,18 @@ TEST_F(BatchTest, BatchSeesPlanCacheHitsOnRepeats) {
 }
 
 TEST_F(BatchTest, SequentialBatchEqualsThreadedBatch) {
-  auto seq = setup_.engine->BatchAnswer(
-      batch_, AnswerStrategy::kHeuristicFiltered, /*num_threads=*/1);
-  auto par = setup_.engine->BatchAnswer(
-      batch_, AnswerStrategy::kHeuristicFiltered, /*num_threads=*/8);
+  auto seq = AnswerOnThreads(*setup_.engine, batch_,
+                             AnswerStrategy::kHeuristicFiltered,
+                             /*num_threads=*/1);
+  auto par = AnswerOnThreads(*setup_.engine, batch_,
+                             AnswerStrategy::kHeuristicFiltered,
+                             /*num_threads=*/4);
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     ASSERT_TRUE(seq[i].ok());
     ASSERT_TRUE(par[i].ok());
     EXPECT_EQ(seq[i]->codes, par[i]->codes) << "query " << i;
   }
-}
-
-TEST_F(BatchTest, EmptyBatch) {
-  auto results = setup_.engine->BatchAnswer(
-      {}, AnswerStrategy::kHeuristicFiltered, /*num_threads=*/4);
-  EXPECT_TRUE(results.empty());
 }
 
 // --- RemoveView resource release --------------------------------------------

@@ -117,8 +117,7 @@ TEST(EndToEndHeavy, AllStrategiesMatchDirectEvaluation) {
     auto direct = engine.AnswerQuery(query, AnswerStrategy::kBaseNodeIndex);
     ASSERT_TRUE(direct.ok());
     for (AnswerStrategy s :
-         {AnswerStrategy::kMinimumNoFilter, AnswerStrategy::kMinimumFiltered,
-          AnswerStrategy::kHeuristicSmallFragments}) {
+         {AnswerStrategy::kMinimumNoFilter, AnswerStrategy::kMinimumFiltered}) {
       auto other = engine.AnswerQuery(query, s);
       ASSERT_TRUE(other.ok())
           << AnswerStrategyName(s) << " failed where HV succeeded: "

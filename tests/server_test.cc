@@ -118,21 +118,33 @@ TEST_F(ServerTest, AnswersQueryAndKeepsConnectionAlive) {
 }
 
 TEST_F(ServerTest, AnswersBatchPerSlot) {
+  // //person/name parses, but none of the paper set-up's views answers it.
+  const auto unanswerable = engine()->AnswerQuery(
+      *engine()->Parse("//person/name"), AnswerStrategy::kHeuristicFiltered);
+  ASSERT_EQ(unanswerable.status().code(), StatusCode::kNotAnswerable);
   auto server = StartServer();
-  HttpClient client = ConnectTo(*server);
+  const uint64_t queries_before = engine()->ServerStats().queries_total;
 
-  auto response = client.Roundtrip(
-      "POST", "/batch",
-      "{\"queries\": [\"/site/people/person[profile/interest]/name\", "
-      "\"this is not xpath [[\", "
-      "{\"xpath\": \"/site/people/person[profile/interest]/name\"}]}");
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->status, 200) << response->body;
-  // Slot 2 fails alone; slots 1 and 3 answer.
-  EXPECT_NE(response->body.find("\"results\""), std::string::npos);
-  EXPECT_NE(response->body.find("\"error\""), std::string::npos);
-  EXPECT_NE(response->body.find("\"codes\""), std::string::npos);
-  EXPECT_NE(response->body.find("\"count\":3"), std::string::npos);
+  JsonValue json;
+  ASSERT_EQ(PostJson(*server, "/batch",
+                     "{\"queries\": [\"/site/people/person[profile/interest]/"
+                     "name\", \"this is not xpath [[\", \"//person/name\", "
+                     "{\"xpath\": \"/site/people/person[profile/interest]/"
+                     "name\"}]}",
+                     &json),
+            200);
+  // Slots 2 and 3 fail alone, each with its own error; slots 1 and 4
+  // answer.
+  EXPECT_EQ(json.NumberOr("count", 0), 4);
+  const JsonValue* results = json.Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items.size(), 4u);
+  EXPECT_NE(results->items[0].Find("codes"), nullptr);
+  EXPECT_EQ(results->items[1].StringOr("error", ""), "PARSE_ERROR");
+  EXPECT_EQ(results->items[2].StringOr("error", ""), "NOT_ANSWERABLE");
+  EXPECT_NE(results->items[3].Find("codes"), nullptr);
+  // Every slot that parsed was answered, and counted, once.
+  EXPECT_EQ(engine()->ServerStats().queries_total, queries_before + 3);
 }
 
 TEST_F(ServerTest, RejectsBadInputsWithoutDying) {
@@ -230,8 +242,10 @@ TEST_F(ServerTest, UnknownStrategyListsTheValidNames) {
   }
   const std::pair<std::string, std::string> kRequests[] = {
       {"/query", Q1Query(", \"strategy\": \"BT\"")},
+      {"/query", Q1Query(", \"strategy\": \"HB\"")},
       {"/query", Q1Query(", \"strategy\": 7")},
       {"/batch", Q1Batch(", \"strategy\": \"BT\"")},
+      {"/batch", Q1Batch(", \"strategy\": \"HB\"")},
   };
   for (const auto& [target, body] : kRequests) {
     JsonValue json;

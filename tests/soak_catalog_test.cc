@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,8 +103,7 @@ TEST(CatalogSoak, ConcurrentReadersUnderChurn) {
   }
 
   constexpr AnswerStrategy kReaderStrategies[] = {
-      AnswerStrategy::kHeuristicFiltered, AnswerStrategy::kMinimumFiltered,
-      AnswerStrategy::kHeuristicSmallFragments};
+      AnswerStrategy::kHeuristicFiltered, AnswerStrategy::kMinimumFiltered};
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -128,7 +128,8 @@ TEST(CatalogSoak, ConcurrentReadersUnderChurn) {
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t probe = i % probes.size();
         const AnswerStrategy strategy =
-            kReaderStrategies[(i / probes.size()) % 3];
+            kReaderStrategies[(i / probes.size()) %
+                              std::size(kReaderStrategies)];
         auto answer = engine.AnswerQuery(probes[probe], strategy);
         if (!answer.ok()) {
           report("reader " + std::to_string(t) + " query " +

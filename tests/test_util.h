@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "pattern/tree_pattern.h"
@@ -32,6 +36,36 @@ inline std::string TestTempPath(const std::string& leaf) {
   }
   return ::testing::TempDir() + name + "." + std::to_string(::getpid()) +
          "." + leaf;
+}
+
+// Answers `queries` on `num_threads` std::threads through
+// Engine::AnswerQuery, each thread taking the next unanswered query, and
+// returns the results in input order. Every thread answers through its own
+// ExecutionContext (the engine keeps one per calling thread), so a TSan
+// build sees that many concurrent readers of one engine.
+inline std::vector<Result<Engine::Answer>> AnswerOnThreads(
+    const Engine& engine, std::span<const TreePattern> queries,
+    AnswerStrategy strategy, int num_threads,
+    const QueryLimits& limits = QueryLimits()) {
+  std::vector<Result<Engine::Answer>> results;
+  results.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    results.emplace_back(Status::Internal("query not answered"));
+  }
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i = next.fetch_add(1); i < queries.size();
+           i = next.fetch_add(1)) {
+        results[i] = engine.AnswerQuery(queries[i], strategy, limits);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  return results;
 }
 
 // An engine whose exact minimum selection always degrades: the document

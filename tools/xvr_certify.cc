@@ -63,7 +63,6 @@ constexpr AnswerStrategy kViewStrategies[] = {
     AnswerStrategy::kMinimumNoFilter,
     AnswerStrategy::kMinimumFiltered,
     AnswerStrategy::kHeuristicFiltered,
-    AnswerStrategy::kHeuristicSmallFragments,
 };
 
 RandomDocOptions DocOptionsForRound(const SweepOptions& sweep, int round) {
